@@ -125,26 +125,39 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON file with SolverConfig fields")
 
 
+def _from_config_file(path: Path, cls: type):
+    """Build `cls` from the JSON object in `path`. A misspelt, missing or
+    mistyped field raises ValueError, so the CLI reports it in one line."""
+    payload = json.loads(path.read_text())
+    try:
+        return cls(**payload)
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _config_from_args(args: argparse.Namespace) -> SolverConfig:
     if args.config:
-        payload = json.loads(args.config.read_text())
-        return SolverConfig(**payload)
-    return SolverConfig(
-        population=args.population,
-        top_fraction=args.top_fraction,
-        intensity=args.intensity,
-        crossover_rate=args.crossover_rate,
-        mutation_rate=args.mutation_rate,
-        budget_seconds=args.budget_seconds,
-        budget_evals=args.budget_evals,
-        stagnation_evals=args.stagnation_evals,
-        framework=Framework(args.framework),
-        robots=args.robots,
-        energy_bound=args.emax,
-        init=args.init,
-        use_clsm=not args.no_clsm,
-        seed=args.seed,
-    )
+        cfg = _from_config_file(args.config, SolverConfig)
+    else:
+        cfg = SolverConfig(
+            population=args.population,
+            top_fraction=args.top_fraction,
+            intensity=args.intensity,
+            crossover_rate=args.crossover_rate,
+            mutation_rate=args.mutation_rate,
+            budget_seconds=args.budget_seconds,
+            budget_evals=args.budget_evals,
+            stagnation_evals=args.stagnation_evals,
+            framework=Framework(args.framework),
+            robots=args.robots,
+            energy_bound=args.emax,
+            init=args.init,
+            use_clsm=not args.no_clsm,
+            seed=args.seed,
+        )
+    if (cfg.robots is None) != (cfg.energy_bound is None):
+        raise ValueError("--robots and --emax (robots, energy_bound) must be given together")
+    return cfg
 
 
 def _config_hash(cfg: SolverConfig) -> str:
@@ -161,8 +174,7 @@ def _dump_json(obj: object) -> str:
 def cmd_gen(args: argparse.Namespace) -> int:
     specs: list[OrchardSpec] = []
     if args.config:
-        payload = json.loads(args.config.read_text())
-        specs.append(OrchardSpec(**payload))
+        specs.append(_from_config_file(args.config, OrchardSpec))
     elif args.suite == "paper18":
         index = 0
         for side, trees in zip(SUITE_SIDES, SUITE_TREES):

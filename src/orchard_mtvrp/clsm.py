@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import GiantSolution, Instance, decode_trips, evaluate, trip_energy
+from .core import GiantSolution, Instance, evaluate, trip_energy
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def choose_target_trip(
     """The multi-task trip with the widest centroid separation, with the
     split remapped onto task ids. None when every trip is a singleton."""
     best: tuple[int, ClusterSplit] | None = None
-    for index, trip in enumerate(decode_trips(sol)):
+    for index, trip in enumerate(sol.trips):
         if len(trip) < 2:
             continue
         split = kmeans_two([inst.coords[t] for t in trip])
@@ -115,7 +115,7 @@ def choose_candidate_trip(
     cluster's centroid; None for single-trip solutions."""
     best_index: int | None = None
     best_d = math.inf
-    for index, trip in enumerate(decode_trips(sol)):
+    for index, trip in enumerate(sol.trips):
         if index == target_index:
             continue
         d = _dist(_centroid([inst.coords[t] for t in trip]), far_centroid)
@@ -259,8 +259,7 @@ def clsm_step(
 ) -> GiantSolution:
     """Run ceil(trips * intensity) recombination rounds and return the best
     solution seen (the input included), so energy never increases."""
-    trips = decode_trips(sol)
-    rounds = max(1, math.ceil(len(trips) * intensity))
+    rounds = max(1, math.ceil(len(sol.trips) * intensity))
     best_sol = sol
     best_energy = evaluate(sol, inst).energy
     work = sol
@@ -274,7 +273,7 @@ def clsm_step(
         candidate_index = choose_candidate_trip(work, target_index, far_c, inst)
         if candidate_index is None:
             break
-        current = decode_trips(work)
+        current = work.trips
         new_a, new_b = recombine(current[target_index], current[candidate_index], inst)
 
         def tour_params(tasks: Sequence[int]) -> AcoParams:

@@ -28,7 +28,10 @@ def build_distance_matrix(coords: Sequence[tuple[float, float]]) -> np.ndarray:
         raise ConfigurationError("need at least the depot coordinate")
     pts = np.asarray(coords, dtype=float)
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
+    # In place, so building holds one n x n x 2 temporary, not two.
+    np.square(diff, out=diff)
+    dist = diff.sum(axis=2)
+    np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, 0.0)
     dist.flags.writeable = False
     return dist
@@ -85,77 +88,64 @@ class GiantSolution:
     """A permutation of task ids with 0-markers between trips.
 
     Stored in canonical form: no leading/trailing zeros and no adjacent
-    zeros, so trips are exactly the maximal 0-free runs. An empty token
-    tuple is allowed only for the degenerate zero-task instance.
+    zeros, so trips are exactly the maximal 0-free runs. The tokens are split
+    into `trips` once, at construction; equality and hashing use `tokens`
+    alone. An empty token tuple is allowed only for the degenerate zero-task
+    instance.
     """
 
     tokens: tuple[int, ...]
+    trips: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", _canonical(self.tokens))
-        tasks = [t for t in self.tokens if t != 0]
-        if len(set(tasks)) != len(tasks):
-            raise RepresentationError("duplicate task id in solution")
-
-    def trips(self) -> list[tuple[int, ...]]:
-        return decode_trips(self)
+        trips: list[tuple[int, ...]] = []
+        current: list[int] = []
+        seen: set[int] = set()
+        for t in map(int, self.tokens):
+            if t:
+                if t in seen:
+                    raise RepresentationError(f"task {t} appears more than once")
+                seen.add(t)
+                current.append(t)
+            elif current:
+                trips.append(tuple(current))
+                current = []
+        if current:
+            trips.append(tuple(current))
+        object.__setattr__(self, "tokens", _join(trips))
+        object.__setattr__(self, "trips", tuple(trips))
 
     def task_sequence(self) -> tuple[int, ...]:
         """Task ids in visit order, separators stripped."""
-        return tuple(t for t in self.tokens if t != 0)
+        return tuple(t for trip in self.trips for t in trip)
 
     @staticmethod
     def from_trips(trips: Iterable[Sequence[int]]) -> "GiantSolution":
-        tokens: list[int] = []
-        for trip in trips:
-            if tokens:
-                tokens.append(0)
-            tokens.extend(trip)
-        return GiantSolution(tuple(tokens))
+        return GiantSolution(_join(trips))
 
 
-def _canonical(tokens: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for t in tokens:
-        if t == 0 and (not out or out[-1] == 0):
-            continue
-        out.append(int(t))
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _join(trips: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """The trips' task ids with a 0-marker between consecutive trips."""
+    tokens: list[int] = []
+    for trip in trips:
+        if tokens:
+            tokens.append(0)
+        tokens.extend(trip)
+    return tuple(tokens)
 
 
 def decode_trips(sol: GiantSolution) -> list[tuple[int, ...]]:
-    """Split the giant tour into its depot-to-depot trips."""
-    trips: list[tuple[int, ...]] = []
-    current: list[int] = []
-    seen: set[int] = set()
-    for t in sol.tokens:
-        if t == 0:
-            if current:
-                trips.append(tuple(current))
-                current = []
-        else:
-            if t in seen:
-                raise RepresentationError(f"task {t} appears more than once")
-            seen.add(t)
-            current.append(t)
-    if current:
-        trips.append(tuple(current))
-    return trips
+    """A copy of the solution's depot-to-depot trips, `sol.trips` as a list."""
+    return list(sol.trips)
 
 
 @dataclass(frozen=True)
 class Trip:
-    """One depot-to-depot run with its load profile and energy."""
+    """One depot-to-depot run with its total load and energy."""
 
     tasks: tuple[int, ...]
-    loads: tuple[float, ...]
+    load: float
     energy: float
-
-    @property
-    def load(self) -> float:
-        return self.loads[-1] if self.loads else 0.0
 
 
 def trip_energy(trip_tasks: Sequence[int], inst: Instance) -> float:
@@ -179,12 +169,8 @@ def trip_energy(trip_tasks: Sequence[int], inst: Instance) -> float:
 
 
 def build_trip(trip_tasks: Sequence[int], inst: Instance) -> Trip:
-    loads: list[float] = []
-    total = 0.0
-    for t in trip_tasks:
-        total += inst.yields[t]
-        loads.append(total)
-    return Trip(tuple(trip_tasks), tuple(loads), trip_energy(trip_tasks, inst))
+    load = sum(inst.yields[t] for t in trip_tasks)
+    return Trip(tuple(trip_tasks), load, trip_energy(trip_tasks, inst))
 
 
 @dataclass(frozen=True)
@@ -194,8 +180,11 @@ class Evaluation:
 
     energy: float
     trips: tuple[Trip, ...]
-    capacity_feasible: bool
     penalized: bool
+
+    @property
+    def capacity_feasible(self) -> bool:
+        return not self.penalized
 
 
 def expand_overloads(
@@ -225,8 +214,7 @@ def expand_overloads(
 def evaluate(sol: GiantSolution, inst: Instance) -> Evaluation:
     """Total energy of a solution, applying the overload penalty expansion
     when a trip exceeds capacity. Requires every task to appear exactly once."""
-    raw = decode_trips(sol)
-    covered = {t for trip in raw for t in trip}
+    covered = set(sol.task_sequence())
     expected = set(inst.task_ids)
     if covered != expected:
         missing = sorted(expected - covered)
@@ -234,12 +222,7 @@ def evaluate(sol: GiantSolution, inst: Instance) -> Evaluation:
         raise RepresentationError(
             f"solution does not cover the task set (missing={missing}, unknown={extra})"
         )
-    scored_tasks, penalized = expand_overloads(raw, inst)
+    scored_tasks, penalized = expand_overloads(sol.trips, inst)
     trips = tuple(build_trip(t, inst) for t in scored_tasks)
     total = math.fsum(t.energy for t in trips)
-    return Evaluation(
-        energy=total,
-        trips=trips,
-        capacity_feasible=not penalized,
-        penalized=penalized,
-    )
+    return Evaluation(energy=total, trips=trips, penalized=penalized)

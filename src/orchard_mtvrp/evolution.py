@@ -21,8 +21,8 @@ from .core import (
     ConfigurationError,
     GiantSolution,
     Instance,
-    decode_trips,
     evaluate,
+    expand_overloads,
 )
 from .scheduler import Framework, Schedule, finalize_fr3, score_with_framework
 
@@ -187,7 +187,7 @@ def mutate(sol: GiantSolution, inst: Instance, rng: random.Random, rate: float) 
         i = rng.randrange(n)
         t = perm.pop(i)
         perm.insert(rng.randrange(n), t)
-    if tuple(perm) == sol.task_sequence() and evaluate(sol, inst).capacity_feasible:
+    if tuple(perm) == sol.task_sequence() and not expand_overloads(sol.trips, inst)[1]:
         return sol
     return _resplit(perm, inst)
 
@@ -197,6 +197,11 @@ class Individual:
     solution: GiantSolution
     energy: float
     schedule: Schedule | None = None
+
+
+def _rank(ind: Individual) -> tuple:
+    """Sort key: lower energy, then fewer trips, then smaller tokens."""
+    return (ind.energy, len(ind.solution.trips), ind.solution.tokens)
 
 
 def environmental_selection(
@@ -209,14 +214,7 @@ def environmental_selection(
     this the population collapses to copies of the incumbent within a few
     generations and single-move mutation cannot escape two-move local optima.
     """
-    pool = list(parents) + list(offspring)
-    pool.sort(
-        key=lambda ind: (
-            ind.energy,
-            len(decode_trips(ind.solution)),
-            ind.solution.tokens,
-        )
-    )
+    pool = sorted([*parents, *offspring], key=_rank)
     seen: set[tuple[int, ...]] = set()
     unique: list[Individual] = []
     repeats: list[Individual] = []
@@ -357,7 +355,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig, rng: random.Random | None = Non
             status = "infeasible"
         else:
             pop = refilled
-    pop.sort(key=lambda ind: (ind.energy, len(decode_trips(ind.solution)), ind.solution.tokens))
+    pop.sort(key=_rank)
     pop = pop[: cfg.population]
     best = pop[0]
     archive = Archive.fresh(cfg.top_fraction, cfg.population)

@@ -18,7 +18,6 @@ from typing import Sequence
 from .core import (
     GiantSolution,
     Instance,
-    decode_trips,
     evaluate,
     expand_overloads,
     trip_energy,
@@ -218,8 +217,7 @@ def repair(
     the capacity and the task multiset is preserved. _move_trace, when
     given, collects (previous_combined, new_combined) per accepted move.
     """
-    raw = decode_trips(sol)
-    expanded, _ = expand_overloads(raw, inst)
+    expanded, _ = expand_overloads(sol.trips, inst)
     trips: list[list[int]] = [list(t) for t in expanded]
 
     def energies() -> list[float]:

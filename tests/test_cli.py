@@ -64,6 +64,15 @@ class TestGen:
         rows = list(csv.DictReader((tmp_path / "manifest.csv").open()))
         assert rows[0]["n"] == "10"
 
+    def test_config_unknown_key_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"side_length": 20, "tree_count": 10, "maturty_rate": 1.0}))
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "maturty_rate" in err
+        assert err.count("\n") == 1
+
 
 class TestSolve:
     def test_single_task_closed_form(self, tmp_path, capsys):
@@ -125,6 +134,34 @@ class TestSolve:
         bad.write_text("NOT AN INSTANCE\n")
         rc = main(["solve", str(bad)])
         assert rc == 1
+
+    def test_config_unknown_key_one_line_error(self, tmp_path, capsys):
+        write_instance(tmp_path / "c.vrp", n=2)
+        cfg = tmp_path / "solver.json"
+        cfg.write_text(json.dumps({"populaton": 5}))
+        rc = main(["solve", str(tmp_path / "c.vrp"), "--config", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "populaton" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--robots", "2"], None),
+        (["--emax", "100"], None),
+        ([], {"robots": 2, "budget_evals": 10}),
+    ])
+    def test_robots_and_emax_only_together(self, tmp_path, capsys, flags, config):
+        write_instance(tmp_path / "c.vrp", n=2)
+        if config is not None:
+            (tmp_path / "solver.json").write_text(json.dumps(config))
+            flags = ["--config", str(tmp_path / "solver.json")]
+        rc = main(["solve", str(tmp_path / "c.vrp"), "--budget-evals", "10", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--emax" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestBench:

@@ -1,0 +1,80 @@
+"""Seeded solver outputs pinned exactly.
+
+Each config runs `run_aedga` on one generated orchard and must reproduce the
+recorded best energy (as its repr), a digest of the best tokens, the
+evaluation and generation counts, and the status. A refactor that keeps the
+solver's behaviour leaves every entry unchanged; a change that alters the
+search on purpose re-records the file with `python tests/test_golden.py`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from orchard_mtvrp import OrchardSpec, SolverConfig, generate_orchard, run_aedga
+
+GOLDEN = Path(__file__).parent / "golden" / "golden.json"
+SPEC = OrchardSpec(20, 60, 0.6, seed=42)
+BUDGET_EVALS = 600
+ROBOTS = 3
+
+# name -> SolverConfig fields; "bound" is the energy bound as a multiple of
+# Z / ROBOTS, where Z is the default run's best energy. 0.9 leaves no
+# feasible schedule, 1.5 is the paper's bound.
+CONFIGS: dict[str, dict] = {
+    "default": {},
+    "seed1": {"seed": 1},
+    "random-init": {"init": "random"},
+    "no-clsm": {"use_clsm": False},
+    **{
+        f"{fw}-{bound}": {"framework": fw, "bound": bound}
+        for fw in ("Fr1", "Fr2", "Fr3")
+        for bound in (0.9, 1.5)
+    },
+}
+
+
+def _solve(inst, z: float, fields: dict) -> dict:
+    fields = dict(fields)
+    bound = fields.pop("bound", None)
+    if bound is not None:
+        fields.update(robots=ROBOTS, energy_bound=bound * z / ROBOTS)
+    result = run_aedga(inst, SolverConfig(budget_evals=BUDGET_EVALS, **fields))
+    return {
+        "best_energy": repr(result.best_energy),
+        "tokens_sha256": hashlib.sha256(repr(result.best.tokens).encode()).hexdigest(),
+        "evaluations": result.evaluations,
+        "generations": result.generations,
+        "status": result.status,
+    }
+
+
+def _record_all() -> dict[str, dict]:
+    inst = generate_orchard(SPEC)
+    default = _solve(inst, 0.0, CONFIGS["default"])
+    z = float(default["best_energy"])
+    return {
+        name: default if name == "default" else _solve(inst, z, fields)
+        for name, fields in CONFIGS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def outputs() -> dict[str, dict]:
+    return _record_all()
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_golden_output(name, outputs):
+    expected = json.loads(GOLDEN.read_text())
+    assert outputs[name] == expected[name]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(_record_all(), indent=2, sort_keys=True) + "\n")
+    print(GOLDEN)
