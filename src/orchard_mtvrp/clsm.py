@@ -5,6 +5,12 @@ between its two k-means centroids), pool its tasks with the trip whose
 centroid sits closest to the stretched trip's far cluster, re-split the pool
 by a load-balancing angular sweep, and re-optimize both new tours with an
 ant colony scored by the load-dependent trip energy.
+
+A round rewrites only two trips, so `clsm_step` keeps step-local memos keyed
+by the trip tuple: each trip's k-means split, its centroid and the energies
+of its overload-expanded pieces. Later rounds compute these only for the two
+new trips, and a round is scored as the exactly rounded sum of the memoised
+piece energies, which equals a full `evaluate` bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import GiantSolution, Instance, evaluate, trip_energy
+from .core import GiantSolution, Instance, evaluate, expand_overloads, trip_energy
 
 
 @dataclass(frozen=True)
@@ -70,22 +76,32 @@ def kmeans_two(points: Sequence[tuple[float, float]]) -> ClusterSplit:
 
 
 def choose_target_trip(
-    sol: GiantSolution, inst: Instance
+    sol: GiantSolution,
+    inst: Instance,
+    splits: dict[tuple[int, ...], ClusterSplit] | None = None,
 ) -> tuple[int, ClusterSplit] | None:
     """The multi-task trip with the widest centroid separation, with the
-    split remapped onto task ids. None when every trip is a singleton."""
+    split remapped onto task ids. None when every trip is a singleton.
+
+    `splits` maps a trip tuple to its remapped split; missing trips are
+    clustered and added, so a memo shared across calls clusters each trip
+    once."""
+    if splits is None:
+        splits = {}
     best: tuple[int, ClusterSplit] | None = None
     for index, trip in enumerate(sol.trips):
         if len(trip) < 2:
             continue
-        split = kmeans_two([inst.coords[t] for t in trip])
-        remapped = ClusterSplit(
-            tuple(trip[i] for i in split.members_a),
-            tuple(trip[i] for i in split.members_b),
-            split.centroid_a,
-            split.centroid_b,
-            split.separation,
-        )
+        remapped = splits.get(trip)
+        if remapped is None:
+            split = kmeans_two([inst.coords[t] for t in trip])
+            remapped = splits[trip] = ClusterSplit(
+                tuple(trip[i] for i in split.members_a),
+                tuple(trip[i] for i in split.members_b),
+                split.centroid_a,
+                split.centroid_b,
+                split.separation,
+            )
         if best is None or remapped.separation > best[1].separation:
             best = (index, remapped)
     return best
@@ -110,15 +126,22 @@ def choose_candidate_trip(
     target_index: int,
     far_centroid: tuple[float, float],
     inst: Instance,
+    centroids: dict[tuple[int, ...], tuple[float, float]] | None = None,
 ) -> int | None:
     """Index of the non-target trip whose task centroid is nearest to the far
-    cluster's centroid; None for single-trip solutions."""
+    cluster's centroid; None for single-trip solutions. `centroids` maps a
+    trip tuple to its task centroid and is filled as trips are seen."""
+    if centroids is None:
+        centroids = {}
     best_index: int | None = None
     best_d = math.inf
     for index, trip in enumerate(sol.trips):
         if index == target_index:
             continue
-        d = _dist(_centroid([inst.coords[t] for t in trip]), far_centroid)
+        centroid = centroids.get(trip)
+        if centroid is None:
+            centroid = centroids[trip] = _centroid([inst.coords[t] for t in trip])
+        d = _dist(centroid, far_centroid)
         if d < best_d:
             best_index, best_d = index, d
     return best_index
@@ -262,15 +285,18 @@ def clsm_step(
     rounds = max(1, math.ceil(len(sol.trips) * intensity))
     best_sol = sol
     best_energy = evaluate(sol, inst).energy
+    splits: dict[tuple[int, ...], ClusterSplit] = {}
+    centroids: dict[tuple[int, ...], tuple[float, float]] = {}
+    piece_energies: dict[tuple[int, ...], tuple[float, ...]] = {}
     work = sol
     for _ in range(rounds):
-        target = choose_target_trip(work, inst)
+        target = choose_target_trip(work, inst, splits)
         if target is None:
             break
         target_index, split = target
         depot = inst.coords[0]
         _, far_c = far_cluster(split, depot)
-        candidate_index = choose_candidate_trip(work, target_index, far_c, inst)
+        candidate_index = choose_candidate_trip(work, target_index, far_c, inst, centroids)
         if candidate_index is None:
             break
         current = work.trips
@@ -288,8 +314,22 @@ def clsm_step(
         rebuilt[target_index] = new_a
         rebuilt[candidate_index] = new_b
         work = GiantSolution.from_trips(rebuilt)
-        energy = evaluate(work, inst).energy
+        energy = math.fsum(
+            e for trip in work.trips for e in _piece_energies(trip, inst, piece_energies)
+        )
         if energy < best_energy:
             best_energy = energy
             best_sol = work
     return best_sol
+
+
+def _piece_energies(
+    trip: tuple[int, ...], inst: Instance, memo: dict[tuple[int, ...], tuple[float, ...]]
+) -> tuple[float, ...]:
+    """Energies of the pieces `evaluate` charges for one trip: the trip split
+    wherever a pickup would overflow the capacity."""
+    energies = memo.get(trip)
+    if energies is None:
+        pieces, _ = expand_overloads([trip], inst)
+        energies = memo[trip] = tuple(trip_energy(p, inst) for p in pieces)
+    return energies

@@ -22,15 +22,21 @@ class ConfigurationError(ValueError):
     """Raised for invalid problem data."""
 
 
+_DIST_BLOCK_ROWS = 64
+
+
 def build_distance_matrix(coords: Sequence[tuple[float, float]]) -> np.ndarray:
     """Full-precision Euclidean distance matrix (no rounding), index 0 = depot."""
     if len(coords) < 1:
         raise ConfigurationError("need at least the depot coordinate")
     pts = np.asarray(coords, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    # In place, so building holds one n x n x 2 temporary, not two.
-    np.square(diff, out=diff)
-    dist = diff.sum(axis=2)
+    dist = np.empty((len(pts), len(pts)))
+    # In row blocks, so the coordinate differences never need a full
+    # n x n x 2 temporary, twice the size of the matrix itself.
+    for lo in range(0, len(pts), _DIST_BLOCK_ROWS):
+        diff = pts[lo : lo + _DIST_BLOCK_ROWS, None, :] - pts[None, :, :]
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=dist[lo : lo + _DIST_BLOCK_ROWS])
     np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, 0.0)
     dist.flags.writeable = False

@@ -5,11 +5,19 @@ tasks first) with its own weight, then builds trips greedily: the next task
 is chosen by a weighted rank of proximity and remaining-capacity share, and
 the trip closes when the depot is nearer than the chosen task or nothing
 fits.
+
+Construction keeps a boolean mask of unplaced task ids and scores each pick
+with numpy over the feasible ids, in ascending id order. Stable sorts and a
+first-minimum pick over that order break every tie toward the lower id, so a
+pick costs O(n log n) in numpy rather than in Python, and no n x n table is
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import ConfigurationError, GiantSolution, Instance
 
@@ -49,28 +57,37 @@ def construct_solution(
     trip closes when the depot is strictly nearer than the pick or nothing
     fits the remaining capacity.
     """
-    remaining = list(ranking.order)
     w = distance_weight
+    dist = inst.dist
+    yields = np.asarray(inst.yields, dtype=float)
+    alive = np.ones(len(yields), dtype=bool)
+    alive[0] = False
+    ranks = np.arange(1.0, len(yields))
+    pos_p = np.empty(len(yields) - 1)
+    pos_s = np.empty(len(yields) - 1)
     trips: list[list[int]] = []
-    while remaining:
-        current = remaining.pop(0)
+    for current in ranking.order:
+        if not alive[current]:
+            continue
+        alive[current] = False
         trip = [current]
         load = inst.yields[current]
-        while remaining:
+        while True:
             headroom = inst.capacity - load
-            feasible = [t for t in remaining if inst.yields[t] <= headroom]
-            if not feasible:
+            feasible = (alive & (yields <= headroom)).nonzero()[0]
+            k = feasible.size
+            if k == 0:
                 break
-            by_proximity = sorted(feasible, key=lambda t: (inst.dist[current, t], t))
-            by_share = sorted(feasible, key=lambda t: (-inst.yields[t] / headroom, t))
-            pos_p = {t: i for i, t in enumerate(by_proximity, start=1)}
-            pos_s = {t: i for i, t in enumerate(by_share, start=1)}
-            pick = min(feasible, key=lambda t: (w * pos_p[t] + (1 - w) * pos_s[t], t))
-            if inst.dist[current, 0] < inst.dist[current, pick]:
+            # 1-based rank positions; stable sorts over ascending ids break
+            # ties toward the lower id, as argmin does for the blended rank.
+            pos_p[dist[current, feasible].argsort(kind="stable")] = ranks[:k]
+            pos_s[(-yields[feasible] / headroom).argsort(kind="stable")] = ranks[:k]
+            pick = int(feasible[(w * pos_p[:k] + (1 - w) * pos_s[:k]).argmin()])
+            if dist[current, 0] < dist[current, pick]:
                 break
             trip.append(pick)
             load += inst.yields[pick]
-            remaining.remove(pick)
+            alive[pick] = False
             current = pick
         trips.append(trip)
     return GiantSolution.from_trips(trips)

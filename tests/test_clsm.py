@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from orchard_mtvrp import clsm
 from orchard_mtvrp.clsm import (
     AcoParams,
     aco_tour,
@@ -260,3 +261,88 @@ class TestClsmStep:
             assert (
                 evaluate(out, inst).energy <= evaluate(sol, inst).energy + 1e-9
             )
+
+
+def _random_split(rng, tasks, cut_probability):
+    tokens = []
+    for t in tasks:
+        if tokens and rng.random() < cut_probability:
+            tokens.append(0)
+        tokens.append(t)
+    return GiantSolution(tuple(tokens))
+
+
+class TestStepMemos:
+    def test_memoised_energy_matches_evaluate_exactly(self):
+        # long trips on a tight capacity overload, so evaluate charges the
+        # depot visits it inserts; the memoised sum must agree bit for bit,
+        # also for a second solution that reuses most trips from the memo
+        rng = random.Random(8)
+        overloaded = 0
+        for _ in range(200):
+            inst = random_instance(rng, rng.randint(3, 14), capacity=12.0)
+            perm = list(inst.task_ids)
+            rng.shuffle(perm)
+            first = _random_split(rng, perm, 0.2)
+            merged = [first.trips[0] + first.trips[1]] if len(first.trips) > 1 else []
+            second = GiantSolution.from_trips([*merged, *first.trips[len(merged) * 2 :]])
+            memo = {}
+            for sol in (first, second):
+                expected = evaluate(sol, inst)
+                overloaded += expected.penalized
+                got = math.fsum(
+                    e for trip in sol.trips for e in clsm._piece_energies(trip, inst, memo)
+                )
+                assert got == expected.energy
+        assert overloaded > 50
+
+    def test_choices_unchanged_by_memo_from_other_solution(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            inst = random_instance(rng, rng.randint(4, 16))
+            perm = list(inst.task_ids)
+            rng.shuffle(perm)
+            first = _random_split(rng, perm, 0.3)
+            if len(first.trips) < 2:
+                continue
+            # the second solution keeps all but the first two trips
+            pooled = [t for trip in first.trips[:2] for t in trip]
+            rng.shuffle(pooled)
+            second = GiantSolution.from_trips(
+                [tuple(pooled[:1]), tuple(pooled[1:]), *first.trips[2:]]
+            )
+            splits, centroids = {}, {}
+            choose_target_trip(first, inst, splits)
+            for index in range(len(first.trips)):
+                choose_candidate_trip(first, index, (25.0, 25.0), inst, centroids)
+            assert choose_target_trip(second, inst, splits) == choose_target_trip(
+                second, inst
+            )
+            far_c = (rng.uniform(0, 50), rng.uniform(0, 50))
+            for index in range(len(second.trips)):
+                assert choose_candidate_trip(
+                    second, index, far_c, inst, centroids
+                ) == choose_candidate_trip(second, index, far_c, inst)
+
+    def test_kmeans_runs_once_per_trip_and_new_trip(self, monkeypatch):
+        calls = 0
+        original = clsm.kmeans_two
+
+        def counting(points):
+            nonlocal calls
+            calls += 1
+            return original(points)
+
+        monkeypatch.setattr(clsm, "kmeans_two", counting)
+        rng = random.Random(10)
+        for _ in range(20):
+            inst = random_instance(rng, 40, capacity=30.0)
+            perm = list(inst.task_ids)
+            rng.shuffle(perm)
+            sol = _random_split(rng, perm, 0.25)
+            intensity = 0.5
+            trips = len(sol.trips)
+            rounds = max(1, math.ceil(trips * intensity))
+            calls = 0
+            clsm_step(sol, inst, intensity, 4, rng)
+            assert calls <= trips + 2 * rounds

@@ -1,8 +1,18 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orchard_mtvrp.core import ConfigurationError, Instance, decode_trips, evaluate
+from orchard_mtvrp import OrchardSpec, generate_orchard
+from orchard_mtvrp.core import (
+    ConfigurationError,
+    GiantSolution,
+    Instance,
+    decode_trips,
+    evaluate,
+)
 from orchard_mtvrp.ilbim import composite_ranking, construct_solution, init_population
 
 from conftest import random_instance
@@ -15,6 +25,37 @@ def _instance(points, yields, capacity, weight=10.0):
         capacity=capacity,
         robot_weight=weight,
     )
+
+
+def reference_construct_solution(ranking, distance_weight, inst):
+    """The sort-based construction: both orders are rebuilt in Python at
+    every pick, with ties broken by task id. construct_solution must give
+    the same solution."""
+    remaining = list(ranking.order)
+    w = distance_weight
+    trips = []
+    while remaining:
+        current = remaining.pop(0)
+        trip = [current]
+        load = inst.yields[current]
+        while remaining:
+            headroom = inst.capacity - load
+            feasible = [t for t in remaining if inst.yields[t] <= headroom]
+            if not feasible:
+                break
+            by_proximity = sorted(feasible, key=lambda t: (inst.dist[current, t], t))
+            by_share = sorted(feasible, key=lambda t: (-inst.yields[t] / headroom, t))
+            pos_p = {t: i for i, t in enumerate(by_proximity, start=1)}
+            pos_s = {t: i for i, t in enumerate(by_share, start=1)}
+            pick = min(feasible, key=lambda t: (w * pos_p[t] + (1 - w) * pos_s[t], t))
+            if inst.dist[current, 0] < inst.dist[current, pick]:
+                break
+            trip.append(pick)
+            load += inst.yields[pick]
+            remaining.remove(pick)
+            current = pick
+        trips.append(trip)
+    return GiantSolution.from_trips(trips)
 
 
 class TestCompositeRanking:
@@ -126,3 +167,58 @@ class TestInitPopulation:
         inst = random_instance(rng, 4)
         with pytest.raises(ConfigurationError):
             init_population(inst, 0)
+
+
+# Grid points repeat distances (and may coincide); yields are drawn from a
+# few non-integer values, or freely, so both sort keys have ties.
+_TIED_YIELDS = st.sampled_from([0.5, 1.25, 2.5, 2.75, 3.0])
+_TASK = st.tuples(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+    st.one_of(_TIED_YIELDS, st.floats(min_value=0.1, max_value=3.0)),
+)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_TASK, min_size=1, max_size=14),
+        st.sampled_from([3.0, 3.75, 5.5, 9.0]),
+        st.one_of(
+            st.sampled_from([0.0, 1 / 9, 1 / 3, 0.5, 2 / 3, 1.0]),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+    )
+    def test_small_instances_with_ties(self, tasks, capacity, w):
+        inst = _instance(
+            points=[(float(x), float(y)) for x, y, _ in tasks],
+            yields=[q for _, _, q in tasks],
+            capacity=capacity,
+        )
+        ranking = composite_ranking(inst, w)
+        assert construct_solution(ranking, w, inst) == reference_construct_solution(
+            ranking, w, inst
+        )
+
+    def test_share_key_ties_after_division(self):
+        # yields 1.5 and the next double up differ, but divided by the
+        # headroom 2.055 they round to the same share: the tie goes to the
+        # lower id, where an order by yield alone would pick task 2
+        inst = _instance(
+            points=[(100.0, 0.0), (100.0, 1.0), (100.0, 0.5)],
+            yields=[1.5, math.nextafter(1.5, 2.0), 0.5],
+            capacity=2.555,
+        )
+        ranking = composite_ranking(inst, 0.0)
+        sol = construct_solution(ranking, 0.0, inst)
+        assert sol == reference_construct_solution(ranking, 0.0, inst)
+        assert sol.trips == ((3, 1), (2,))
+
+    def test_population_at_n319(self):
+        inst = generate_orchard(OrchardSpec(40, 400, 0.8, seed=1))
+        assert inst.n == 319
+        expected = [
+            reference_construct_solution(composite_ranking(inst, w), w, inst)
+            for w in (j / 9 for j in range(10))
+        ]
+        assert init_population(inst, 10) == expected
