@@ -423,6 +423,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig, rng: random.Random | None = Non
         final = finalize_fr3(candidates, inst, robots, e_max)
         if final is None:
             status = "infeasible"
+            best = Individual(best.solution, math.inf, None)
         else:
             best = Individual(final.solution, final.energy, final.schedule)
             schedule = final.schedule

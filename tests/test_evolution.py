@@ -347,6 +347,26 @@ class TestRunAedga:
         assert result.schedule is not None
         assert max(result.schedule.robot_energies) <= 1000.0
 
+    def test_fr3_unsatisfiable_reports_infinite_energy(self):
+        # every single-task trip already exceeds the bound, so no final
+        # individual can be scheduled: like Fr1 and Fr2, the energy is inf
+        inst = Instance(
+            coords=((0.0, 0.0), (10.0, 0.0), (20.0, 0.0)),
+            yields=(0.0, 5.0, 5.0),
+            capacity=100.0,
+            robot_weight=20.0,
+        )
+        result = run_aedga(
+            inst,
+            SolverConfig(
+                budget_evals=100, seed=1, robots=2, energy_bound=100.0,
+                framework=Framework.FR3,
+            ),
+        )
+        assert result.status == "infeasible"
+        assert result.best_energy == math.inf
+        assert result.schedule is None
+
     def test_population_size_fixed_after_selection(self):
         rng = random.Random(13)
         inst = random_instance(rng, 9)
