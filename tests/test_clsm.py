@@ -346,3 +346,75 @@ class TestStepMemos:
             calls = 0
             clsm_step(sol, inst, intensity, 4, rng)
             assert calls <= trips + 2 * rounds
+
+
+def _reference_clsm_step(sol, inst, intensity, population, rng):
+    """clsm_step as it was before the trip-list working form: every round
+    rebuilds the whole solution from its trips and scores it with a full
+    `evaluate`."""
+    rounds = max(1, math.ceil(len(sol.trips) * intensity))
+    best_sol = sol
+    best_energy = evaluate(sol, inst).energy
+    work = sol
+    for _ in range(rounds):
+        target = clsm.choose_target_trip(work, inst)
+        if target is None:
+            break
+        target_index, split = target
+        _, far_c = far_cluster(split, inst.coords[0])
+        candidate_index = clsm.choose_candidate_trip(work, target_index, far_c, inst)
+        if candidate_index is None:
+            break
+        current = work.trips
+        new_a, new_b = clsm.recombine(current[target_index], current[candidate_index], inst)
+        new_a = clsm.aco_tour(
+            new_a, inst, AcoParams(population, max(1, math.ceil(len(new_a) * intensity))), rng
+        )
+        new_b = clsm.aco_tour(
+            new_b, inst, AcoParams(population, max(1, math.ceil(len(new_b) * intensity))), rng
+        )
+        rebuilt = list(current)
+        rebuilt[target_index] = new_a
+        rebuilt[candidate_index] = new_b
+        work = GiantSolution.from_trips(rebuilt)
+        energy = evaluate(work, inst).energy
+        if energy < best_energy:
+            best_energy = energy
+            best_sol = work
+    return best_sol
+
+
+class TestAgainstRebuildingReference:
+    def test_same_result_moves_and_draws(self, monkeypatch):
+        # tight capacities make many trips overloaded, so scoring has to
+        # charge the inserted depot visits exactly as `evaluate` does
+        moves: list[tuple] = []
+        original = clsm.recombine
+
+        def recording(a, b, inst):
+            moves.append((tuple(a), tuple(b)))
+            return original(a, b, inst)
+
+        monkeypatch.setattr(clsm, "recombine", recording)
+        rng = random.Random(11)
+        overloaded = improved = 0
+        for case in range(150):
+            capacity = rng.choice((10.0, 14.0, None))
+            inst = random_instance(rng, rng.randint(2, 24), capacity=capacity)
+            perm = list(inst.task_ids)
+            rng.shuffle(perm)
+            sol = _random_split(rng, perm, rng.choice((0.1, 0.3, 0.5)))
+            overloaded += evaluate(sol, inst).penalized
+            intensity = rng.choice((0.2, 0.5, 1.0))
+            runs = []
+            for step in (_reference_clsm_step, clsm_step):
+                moves.clear()
+                step_rng = random.Random(case)
+                out = step(sol, inst, intensity, 4, step_rng)
+                runs.append((out, list(moves), step_rng.random()))
+            reference, got = runs
+            assert got == reference
+            assert got[0].trips == reference[0].trips
+            improved += got[0] is not sol
+        assert overloaded > 30
+        assert improved > 30

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from orchard_mtvrp import OrchardSpec, SolverConfig, generate_orchard, run_aedga
+from orchard_mtvrp import OrchardSpec, SolverConfig, generate_orchard, run_aedga, scheduler
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 SPEC = OrchardSpec(20, 60, 0.6, seed=42)
@@ -23,8 +23,11 @@ BUDGET_EVALS = 600
 ROBOTS = 3
 
 # name -> SolverConfig fields; "bound" is the energy bound as a multiple of
-# Z / ROBOTS, where Z is the default run's best energy. 0.9 leaves no
-# feasible schedule, 1.5 is the paper's bound.
+# Z / robots, where Z is the default run's best energy and robots is ROBOTS
+# unless given. 0.9 leaves no feasible schedule, 1.5 is the paper's bound.
+# With 8 robots at 1.4, Fr1's `repair` succeeds during the run (the other
+# bounded configs only ever see it fail).
+REPAIR_CONFIG = "Fr1-1.4-8robots"
 CONFIGS: dict[str, dict] = {
     "default": {},
     "seed1": {"seed": 1},
@@ -35,6 +38,7 @@ CONFIGS: dict[str, dict] = {
         for fw in ("Fr1", "Fr2", "Fr3")
         for bound in (0.9, 1.5)
     },
+    REPAIR_CONFIG: {"framework": "Fr1", "bound": 1.4, "robots": 8},
 }
 
 
@@ -42,7 +46,8 @@ def _solve(inst, z: float, fields: dict) -> dict:
     fields = dict(fields)
     bound = fields.pop("bound", None)
     if bound is not None:
-        fields.update(robots=ROBOTS, energy_bound=bound * z / ROBOTS)
+        robots = fields.setdefault("robots", ROBOTS)
+        fields["energy_bound"] = bound * z / robots
     result = run_aedga(inst, SolverConfig(budget_evals=BUDGET_EVALS, **fields))
     return {
         "best_energy": repr(result.best_energy),
@@ -72,6 +77,22 @@ def outputs() -> dict[str, dict]:
 def test_golden_output(name, outputs):
     expected = json.loads(GOLDEN.read_text())
     assert outputs[name] == expected[name]
+
+
+def test_repair_config_repairs(monkeypatch):
+    original = scheduler.repair
+    repaired = 0
+
+    def counting(*args, **kwargs):
+        nonlocal repaired
+        out = original(*args, **kwargs)
+        repaired += out[1] is scheduler.RepairStatus.REPAIRED
+        return out
+
+    monkeypatch.setattr(scheduler, "repair", counting)
+    z = float(json.loads(GOLDEN.read_text())["default"]["best_energy"])
+    _solve(generate_orchard(SPEC), z, CONFIGS[REPAIR_CONFIG])
+    assert repaired > 0
 
 
 if __name__ == "__main__":

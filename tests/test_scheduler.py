@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from orchard_mtvrp.core import GiantSolution, Instance, decode_trips, evaluate, trip_energy
+from orchard_mtvrp import scheduler
+from orchard_mtvrp.core import (
+    GiantSolution,
+    Instance,
+    decode_trips,
+    evaluate,
+    expand_overloads,
+    trip_energy,
+)
 from orchard_mtvrp.oracle import exact_schedule
 from orchard_mtvrp.scheduler import (
     Framework,
@@ -55,17 +63,31 @@ class TestMakespanAssign:
         _validate(s, energies, 2, 11.0)
 
     def test_agrees_with_exhaustive_oracle(self):
+        # the second half draws trips between a third and three quarters of
+        # the bound, where the L2 lower bound rejects inputs that pass the
+        # per-trip and total-energy checks
         rng = random.Random(55)
-        for _ in range(1000):
+        l2_rejected = 0
+        for case in range(2000):
             t = rng.randint(1, 10)
             m = rng.randint(1, 4)
-            energies = [rng.uniform(0.5, 10.0) for _ in range(t)]
             e_max = rng.uniform(5.0, 20.0)
+            if case < 1000:
+                energies = [rng.uniform(0.5, 10.0) for _ in range(t)]
+            else:
+                energies = [e_max * rng.uniform(0.34, 0.75) for _ in range(t)]
             witness = makespan_assign(energies, m, e_max)
             feasible = exact_schedule(energies, m, e_max)
             assert (witness is not None) == feasible
             if witness is not None:
                 _validate(witness, energies, m, e_max)
+            l2_rejected += (
+                t > m
+                and max(energies) <= e_max
+                and sum(energies) <= m * e_max
+                and scheduler._robots_lower_bound(energies, e_max) > m
+            )
+        assert l2_rejected > 50
 
     def test_empty_trip_list(self):
         s = makespan_assign([], 2, 1.0)
@@ -149,6 +171,93 @@ class TestRepair:
         out, status = repair(sol, inst, 2, 1e6)
         assert status is RepairStatus.REPAIRED
         assert decode_trips(out) == [(1,), (2,)]
+
+
+def _reference_repair(sol, inst, m, e_max):
+    """repair as it was before it kept the trip energies in step with the
+    trips: every feasibility check and the queue order recompute every trip
+    energy. Returns the result, the status, the accepted moves as
+    (previous_combined, new_combined) and the number of moves tried."""
+    expanded, _ = expand_overloads(sol.trips, inst)
+    trips = [list(t) for t in expanded]
+    trace: list[tuple[float, float]] = []
+    tried = 0
+
+    def feasible():
+        return scheduler.makespan_assign([trip_energy(t, inst) for t in trips], m, e_max) is not None
+
+    def done(status):
+        return GiantSolution.from_trips(trips), status, trace, tried
+
+    if feasible():
+        return done(RepairStatus.REPAIRED)
+    queue = sorted(range(len(trips)), key=lambda i: (-trip_energy(trips[i], inst), i))
+    for trip_a in [trips[i] for i in queue]:
+        trip_b: list[int] = []
+        z_com = math.inf
+        while len(trip_a) > 1:
+            tried += 1
+            task = trip_a.pop()
+            trip_b.insert(0, task)
+            e_new = trip_energy(trip_a, inst) + trip_energy(trip_b, inst)
+            if e_new > z_com:
+                trip_b.pop(0)
+                trip_a.append(task)
+                break
+            trace.append((z_com, e_new))
+            z_com = e_new
+            if len(trip_b) == 1:
+                trips.insert(trips.index(trip_a) + 1, trip_b)
+            if feasible():
+                return done(RepairStatus.REPAIRED)
+    return done(RepairStatus.REPAIRED if feasible() else RepairStatus.INFEASIBLE)
+
+
+def _repair_cases(rng, count):
+    """Random solutions, many with overloaded trips, with a bound below
+    their current makespan so that repair has to move tasks."""
+    while count:
+        inst = random_instance(rng, rng.randint(2, 14), capacity=rng.choice((12.0, 20.0, None)))
+        perm = list(inst.task_ids)
+        rng.shuffle(perm)
+        tokens: list[int] = []
+        for t in perm:
+            if tokens and rng.random() < 0.2:
+                tokens.append(0)
+            tokens.append(t)
+        sol = GiantSolution(tuple(tokens))
+        energies = [t.energy for t in evaluate(sol, inst).trips]
+        m = rng.randint(1, 4)
+        e_max = max(energies) * rng.uniform(0.3, 1.1)
+        yield sol, inst, m, e_max
+        count -= 1
+
+
+class TestRepairAgainstRecomputingReference:
+    def test_same_result_trace_and_checks(self, monkeypatch):
+        checks: list[tuple[tuple[float, ...], int, float]] = []
+        original = scheduler.makespan_assign
+
+        def recording(energies, m, e_max):
+            checks.append((tuple(energies), m, e_max))
+            return original(energies, m, e_max)
+
+        monkeypatch.setattr(scheduler, "makespan_assign", recording)
+        rng = random.Random(21)
+        statuses = set()
+        overloaded = 0
+        for sol, inst, m, e_max in _repair_cases(rng, 400):
+            overloaded += evaluate(sol, inst).penalized
+            checks.clear()
+            out, status, trace, _ = _reference_repair(sol, inst, m, e_max)
+            reference = (out, out.trips, status, trace, list(checks))
+            checks.clear()
+            got_trace: list[tuple[float, float]] = []
+            got, got_status = repair(sol, inst, m, e_max, _move_trace=got_trace)
+            assert (got, got.trips, got_status, got_trace, checks) == reference
+            statuses.add(status)
+        assert statuses == set(RepairStatus)
+        assert overloaded > 50
 
 
 class TestThresholds:
