@@ -8,7 +8,6 @@ from .core import (
     RepresentationError,
     Trip,
     build_distance_matrix,
-    build_trip,
     decode_trips,
     evaluate,
     trip_energy,
@@ -41,7 +40,6 @@ __all__ = [
     "SolverConfig",
     "Trip",
     "build_distance_matrix",
-    "build_trip",
     "decode_trips",
     "emit_instance",
     "evaluate",

@@ -318,12 +318,16 @@ def _bench_job(job: tuple[str, str, int, dict]) -> tuple[str, str, int, float]:
 def _max_workers() -> int:
     raw = os.environ.get("ORCHARD_MTVRP_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"ORCHARD_MTVRP_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    workers = _max_workers()
     paths = sorted(glob.glob(args.instances))
     if not paths:
         raise ValueError(f"no instances match {args.instances!r}")
@@ -340,7 +344,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for run in range(args.runs)
     ]
     results: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    workers = _max_workers()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

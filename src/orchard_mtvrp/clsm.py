@@ -6,11 +6,14 @@ centroid sits closest to the stretched trip's far cluster, re-split the pool
 by a load-balancing angular sweep, and re-optimize both new tours with an
 ant colony scored by the load-dependent trip energy.
 
-A round rewrites only two trips, so `clsm_step` keeps step-local memos keyed
-by the trip tuple: each trip's k-means split, its centroid and the energies
-of its overload-expanded pieces. Later rounds compute these only for the two
-new trips, and a round is scored as the exactly rounded sum of the memoised
-piece energies, which equals a full `evaluate` bit for bit.
+A round rewrites only two trips, so within one `clsm_step` the solution is a
+plain list of trips: a round writes its two new tours into their slots, and a
+`GiantSolution` is built only for a round that beats the best so far. The
+step keeps memos keyed by the trip tuple: each trip's k-means split, its
+centroid and the energies of its overload-expanded pieces. Later rounds
+compute these only for the two new trips, and a round is scored as the
+exactly rounded sum of the memoised piece energies, which equals a full
+`evaluate` bit for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def kmeans_two(points: Sequence[tuple[float, float]]) -> ClusterSplit:
 
 
 def choose_target_trip(
-    sol: GiantSolution,
+    trips: Sequence[tuple[int, ...]],
     inst: Instance,
     splits: dict[tuple[int, ...], ClusterSplit] | None = None,
 ) -> tuple[int, ClusterSplit] | None:
@@ -89,7 +92,7 @@ def choose_target_trip(
     if splits is None:
         splits = {}
     best: tuple[int, ClusterSplit] | None = None
-    for index, trip in enumerate(sol.trips):
+    for index, trip in enumerate(trips):
         if len(trip) < 2:
             continue
         remapped = splits.get(trip)
@@ -122,20 +125,20 @@ def far_cluster(split: ClusterSplit, depot: tuple[float, float]) -> tuple[tuple[
 
 
 def choose_candidate_trip(
-    sol: GiantSolution,
+    trips: Sequence[tuple[int, ...]],
     target_index: int,
     far_centroid: tuple[float, float],
     inst: Instance,
     centroids: dict[tuple[int, ...], tuple[float, float]] | None = None,
 ) -> int | None:
     """Index of the non-target trip whose task centroid is nearest to the far
-    cluster's centroid; None for single-trip solutions. `centroids` maps a
+    cluster's centroid; None when there is only one trip. `centroids` maps a
     trip tuple to its task centroid and is filled as trips are seen."""
     if centroids is None:
         centroids = {}
     best_index: int | None = None
     best_d = math.inf
-    for index, trip in enumerate(sol.trips):
+    for index, trip in enumerate(trips):
         if index == target_index:
             continue
         centroid = centroids.get(trip)
@@ -182,15 +185,17 @@ def recombine(
     return tuple(swept[:cut]), tuple(swept[cut:])
 
 
+_PHEROMONE_WEIGHT = 1.0
+_HEURISTIC_WEIGHT = 2.0
+_EVAPORATION = 0.1
+_PHEROMONE_FLOOR = 0.01
+_PHEROMONE_CEILING = 10.0
+
+
 @dataclass(frozen=True)
 class AcoParams:
     colony_size: int = 10
     iterations: int = 50
-    pheromone_weight: float = 1.0
-    heuristic_weight: float = 2.0
-    evaporation: float = 0.1
-    pheromone_floor: float = 0.01
-    pheromone_ceiling: float = 10.0
 
 
 def aco_tour(
@@ -227,7 +232,7 @@ def aco_tour(
         for i in range(k + 1)
     ]
     tau = [[1.0] * (k + 1) for _ in range(k + 1)]
-    alpha, beta = params.pheromone_weight, params.heuristic_weight
+    alpha, beta = _PHEROMONE_WEIGHT, _HEURISTIC_WEIGHT
 
     for _ in range(params.iterations):
         for _ in range(params.colony_size):
@@ -249,14 +254,14 @@ def aco_tour(
                 if energy < best_energy:
                     best_energy = energy
                     best_order = candidate
-        decay = 1.0 - params.evaporation
+        decay = 1.0 - _EVAPORATION
         for i in range(k + 1):
             for j in range(k + 1):
-                tau[i][j] = max(params.pheromone_floor, tau[i][j] * decay)
+                tau[i][j] = max(_PHEROMONE_FLOOR, tau[i][j] * decay)
         index_of = {t: i + 1 for i, t in enumerate(trip_tasks)}
         path = [0] + [index_of[t] for t in best_order]
         for a, b in zip(path, path[1:]):
-            tau[a][b] = min(params.pheromone_ceiling, tau[a][b] + params.evaporation)
+            tau[a][b] = min(_PHEROMONE_CEILING, tau[a][b] + _EVAPORATION)
     return best_order
 
 
@@ -280,46 +285,35 @@ def clsm_step(
     population: int,
     rng: random.Random,
 ) -> GiantSolution:
-    """Run ceil(trips * intensity) recombination rounds and return the best
-    solution seen (the input included), so energy never increases."""
+    """Run ceil(trips * intensity) recombination rounds on a working list of
+    trips and return the best solution seen (the input included), so energy
+    never increases."""
     rounds = max(1, math.ceil(len(sol.trips) * intensity))
     best_sol = sol
     best_energy = evaluate(sol, inst).energy
     splits: dict[tuple[int, ...], ClusterSplit] = {}
     centroids: dict[tuple[int, ...], tuple[float, float]] = {}
     piece_energies: dict[tuple[int, ...], tuple[float, ...]] = {}
-    work = sol
+    trips = list(sol.trips)
     for _ in range(rounds):
-        target = choose_target_trip(work, inst, splits)
+        target = choose_target_trip(trips, inst, splits)
         if target is None:
             break
         target_index, split = target
-        depot = inst.coords[0]
-        _, far_c = far_cluster(split, depot)
-        candidate_index = choose_candidate_trip(work, target_index, far_c, inst, centroids)
+        _, far_c = far_cluster(split, inst.coords[0])
+        candidate_index = choose_candidate_trip(trips, target_index, far_c, inst, centroids)
         if candidate_index is None:
             break
-        current = work.trips
-        new_a, new_b = recombine(current[target_index], current[candidate_index], inst)
-
-        def tour_params(tasks: Sequence[int]) -> AcoParams:
-            return AcoParams(
-                colony_size=population,
-                iterations=max(1, math.ceil(len(tasks) * intensity)),
-            )
-
-        new_a = aco_tour(new_a, inst, tour_params(new_a), rng)
-        new_b = aco_tour(new_b, inst, tour_params(new_b), rng)
-        rebuilt = list(current)
-        rebuilt[target_index] = new_a
-        rebuilt[candidate_index] = new_b
-        work = GiantSolution.from_trips(rebuilt)
+        recombined = recombine(trips[target_index], trips[candidate_index], inst)
+        for index, tasks in zip((target_index, candidate_index), recombined):
+            params = AcoParams(population, max(1, math.ceil(len(tasks) * intensity)))
+            trips[index] = aco_tour(tasks, inst, params, rng)
         energy = math.fsum(
-            e for trip in work.trips for e in _piece_energies(trip, inst, piece_energies)
+            e for trip in trips for e in _piece_energies(trip, inst, piece_energies)
         )
         if energy < best_energy:
             best_energy = energy
-            best_sol = work
+            best_sol = GiantSolution.from_trips(trips)
     return best_sol
 
 

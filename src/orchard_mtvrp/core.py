@@ -147,10 +147,9 @@ def decode_trips(sol: GiantSolution) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Trip:
-    """One depot-to-depot run with its total load and energy."""
+    """One depot-to-depot run with its energy."""
 
     tasks: tuple[int, ...]
-    load: float
     energy: float
 
 
@@ -172,11 +171,6 @@ def trip_energy(trip_tasks: Sequence[int], inst: Instance) -> float:
         load += inst.yields[nxt]
     energy += d[trip_tasks[-1], 0] * (w + load)
     return float(energy)
-
-
-def build_trip(trip_tasks: Sequence[int], inst: Instance) -> Trip:
-    load = sum(inst.yields[t] for t in trip_tasks)
-    return Trip(tuple(trip_tasks), load, trip_energy(trip_tasks, inst))
 
 
 @dataclass(frozen=True)
@@ -229,6 +223,6 @@ def evaluate(sol: GiantSolution, inst: Instance) -> Evaluation:
             f"solution does not cover the task set (missing={missing}, unknown={extra})"
         )
     scored_tasks, penalized = expand_overloads(sol.trips, inst)
-    trips = tuple(build_trip(t, inst) for t in scored_tasks)
+    trips = tuple(Trip(t, trip_energy(t, inst)) for t in scored_tasks)
     total = math.fsum(t.energy for t in trips)
     return Evaluation(energy=total, trips=trips, penalized=penalized)

@@ -24,7 +24,7 @@ from .core import (
     evaluate,
     expand_overloads,
 )
-from .scheduler import Framework, Schedule, finalize_fr3, score_with_framework
+from .scheduler import Framework, Individual, Schedule, finalize_fr3, score_with_framework
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,11 @@ def selection_probabilities(archive: Archive) -> tuple[float, ...]:
 
 
 def eass_select(
-    population: Sequence["Individual"],
+    population: Sequence[Individual],
     archive: Archive,
     generation: int,
     rng: random.Random,
-) -> tuple["Individual", int | None]:
+) -> tuple[Individual, int | None]:
     """Pick the local search target. The first generation always takes the
     incumbent best; afterwards a window width is sampled by the archive
     probabilities and a uniform pick is made among the top of that window."""
@@ -192,13 +192,6 @@ def mutate(sol: GiantSolution, inst: Instance, rng: random.Random, rate: float) 
     return _resplit(perm, inst)
 
 
-@dataclass(frozen=True)
-class Individual:
-    solution: GiantSolution
-    energy: float
-    schedule: Schedule | None = None
-
-
 def _rank(ind: Individual) -> tuple:
     """Sort key: lower energy, then fewer trips, then smaller tokens."""
     return (ind.energy, len(ind.solution.trips), ind.solution.tokens)
@@ -262,6 +255,14 @@ class SolverConfig:
             raise ConfigurationError("intensity must lie in (0, 1]")
         if self.init not in ("ilbim", "random"):
             raise ConfigurationError(f"unknown init {self.init!r}")
+        if not (0 <= self.crossover_rate <= 1 and 0 <= self.mutation_rate <= 1):
+            raise ConfigurationError("crossover_rate and mutation_rate must lie in [0, 1]")
+        for name, least in (("budget_seconds", 0), ("budget_evals", 0), ("robots", 1),
+                            ("stagnation_evals", 1)):
+            if getattr(self, name) is not None and not getattr(self, name) >= least:
+                raise ConfigurationError(f"{name} must be >= {least}")
+        if self.energy_bound is not None and not self.energy_bound > 0:
+            raise ConfigurationError("energy_bound must be positive")
         if isinstance(self.framework, str):
             self.framework = Framework(self.framework)
 
@@ -311,10 +312,9 @@ def run_aedga(inst: Instance, cfg: SolverConfig, rng: random.Random | None = Non
     def score(sol: GiantSolution) -> Individual:
         nonlocal evals
         evals += 1
-        if rs_active and framework is not Framework.FR3:
-            scored = score_with_framework(sol, inst, robots, e_max, framework)
-            return Individual(scored.solution, scored.energy, scored.schedule)
-        return Individual(sol, evaluate(sol, inst).energy, None)
+        if rs_active:
+            return score_with_framework(sol, inst, robots, e_max, framework)
+        return Individual(sol, evaluate(sol, inst).energy)
 
     def fresh_population() -> list[GiantSolution]:
         if cfg.init == "random":
@@ -423,9 +423,9 @@ def run_aedga(inst: Instance, cfg: SolverConfig, rng: random.Random | None = Non
         final = finalize_fr3(candidates, inst, robots, e_max)
         if final is None:
             status = "infeasible"
-            best = Individual(best.solution, math.inf, None)
+            best = Individual(best.solution, math.inf)
         else:
-            best = Individual(final.solution, final.energy, final.schedule)
+            best = final
             schedule = final.schedule
     elif rs_active and status == "ok" and (best.energy == math.inf or best.schedule is None):
         status = "infeasible"

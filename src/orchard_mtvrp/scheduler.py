@@ -1,10 +1,11 @@
 """Assigning generated trips to robots under a shared energy budget.
 
 makespan_assign decides feasibility exactly for up to 22 trips (first-fit-
-decreasing fast path, then depth-first search with symmetry pruning); beyond
-that it falls back to seeded first-fit restarts and may miss feasible
-assignments (incomplete, but deterministic). repair splits overweight trips
-task by task until an assignment exists or no trip can be split further.
+decreasing fast path, then the L2 lower bound, then depth-first search with
+symmetry pruning); beyond that it falls back to seeded first-fit restarts and
+may miss feasible assignments (incomplete, but deterministic). repair splits
+overweight trips task by task until an assignment exists or no trip can be
+split further.
 """
 
 from __future__ import annotations
@@ -70,13 +71,14 @@ def makespan_assign(
     if t <= m:  # one trip per robot; every energy already fits the bound
         loads = list(trip_energies) + [0.0] * (m - t)
         return Schedule(tuple(range(t)), tuple(loads))
-    if _robots_lower_bound(trip_energies, e_max) > m:
-        return None
 
     order = sorted(range(t), key=lambda i: (-trip_energies[i], i))
     ffd = _first_fit(order, trip_energies, m, e_max)
     if ffd is not None:
         return ffd
+    # Only now: whenever first-fit-decreasing finds a witness, the bound is <= m.
+    if _robots_lower_bound(trip_energies, e_max) > m:
+        return None
     if t <= EXACT_TRIP_LIMIT:
         return _exact_search(order, trip_energies, m, e_max)
     rng = random.Random(t * 1009 + m)
@@ -214,30 +216,32 @@ def repair(
     after every accepted move.
 
     Capacity overflows are expanded first, so every emitted trip respects
-    the capacity and the task multiset is preserved. _move_trace, when
-    given, collects (previous_combined, new_combined) per accepted move.
+    the capacity and the task multiset is preserved. The trips are worked on
+    as a list with their energies kept in step, so a move computes just its
+    two trips' energies. _move_trace, when given, collects
+    (previous_combined, new_combined) per accepted move.
     """
     expanded, _ = expand_overloads(sol.trips, inst)
     trips: list[list[int]] = [list(t) for t in expanded]
-
-    def energies() -> list[float]:
-        return [trip_energy(t, inst) for t in trips]
+    energies = [trip_energy(t, inst) for t in trips]
 
     def feasible() -> bool:
-        return makespan_assign(energies(), m, e_max) is not None
+        return makespan_assign(energies, m, e_max) is not None
 
     if feasible():
         return GiantSolution.from_trips(trips), RepairStatus.REPAIRED
 
-    queue = sorted(range(len(trips)), key=lambda i: (-trip_energy(trips[i], inst), i))
+    queue = sorted(range(len(trips)), key=lambda i: (-energies[i], i))
     originals = [trips[i] for i in queue]
     for trip_a in originals:
+        index = trips.index(trip_a)
         trip_b: list[int] = []
         z_com = math.inf
         while len(trip_a) > 1:
             task = trip_a.pop()
             trip_b.insert(0, task)
-            e_new = trip_energy(trip_a, inst) + trip_energy(trip_b, inst)
+            e_a, e_b = trip_energy(trip_a, inst), trip_energy(trip_b, inst)
+            e_new = e_a + e_b
             if e_new > z_com:
                 trip_b.pop(0)
                 trip_a.append(task)
@@ -246,7 +250,9 @@ def repair(
                 _move_trace.append((z_com, e_new))
             z_com = e_new
             if len(trip_b) == 1:
-                trips.insert(trips.index(trip_a) + 1, trip_b)
+                trips.insert(index + 1, trip_b)
+                energies.insert(index + 1, e_b)
+            energies[index : index + 2] = e_a, e_b
             if feasible():
                 return GiantSolution.from_trips(trips), RepairStatus.REPAIRED
     status = RepairStatus.REPAIRED if feasible() else RepairStatus.INFEASIBLE
@@ -261,15 +267,17 @@ def thresholds(mean_energy: float, m: int) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class ScoredSolution:
+class Individual:
+    """A solution with its score and, when it was scheduled, its schedule."""
+
     solution: GiantSolution
     energy: float
-    schedule: Schedule | None
+    schedule: Schedule | None = None
 
 
 def score_with_framework(
     sol: GiantSolution, inst: Instance, m: int, e_max: float, framework: Framework
-) -> ScoredSolution:
+) -> Individual:
     """Score one individual under the given framework's per-generation rule.
 
     Fr1 repairs unschedulable individuals in place (still-unschedulable ones
@@ -278,26 +286,26 @@ def score_with_framework(
     """
     ev = evaluate(sol, inst)
     if framework is Framework.FR3:
-        return ScoredSolution(sol, ev.energy, None)
+        return Individual(sol, ev.energy)
     schedule = makespan_assign([t.energy for t in ev.trips], m, e_max)
     if schedule is not None:
-        return ScoredSolution(sol, ev.energy, schedule)
+        return Individual(sol, ev.energy, schedule)
     if framework is Framework.FR2:
-        return ScoredSolution(sol, math.inf, None)
+        return Individual(sol, math.inf)
     repaired, status = repair(sol, inst, m, e_max)
     if status is RepairStatus.INFEASIBLE:
-        return ScoredSolution(repaired, math.inf, None)
+        return Individual(repaired, math.inf)
     rev = evaluate(repaired, inst)
     schedule = makespan_assign([t.energy for t in rev.trips], m, e_max)
-    return ScoredSolution(repaired, rev.energy, schedule)
+    return Individual(repaired, rev.energy, schedule)
 
 
 def finalize_fr3(
     population: Sequence[GiantSolution], inst: Instance, m: int, e_max: float
-) -> ScoredSolution | None:
+) -> Individual | None:
     """Fr3 termination step: repair every final individual and return the
     feasible minimum, or None when nothing can be made feasible."""
-    best: ScoredSolution | None = None
+    best: Individual | None = None
     for sol in population:
         scored = score_with_framework(sol, inst, m, e_max, Framework.FR1)
         if scored.schedule is None:

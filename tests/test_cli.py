@@ -164,7 +164,41 @@ class TestSolve:
         assert captured.err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--mutation-rate", "1.5"],
+        ["--crossover-rate", "-1"],
+        ["--budget-evals", "-1"],
+        ["--budget-seconds", "-0.5"],
+        ["--stagnation-evals", "0"],
+        ["--robots", "0", "--emax", "100"],
+        ["--robots", "2", "--emax", "0"],
+        ["--robots", "2", "--emax", "-5"],
+        ["--robots", "2", "--emax", "nan"],
+    ])
+    def test_out_of_range_setting_one_line_error(self, tmp_path, capsys, flags):
+        write_instance(tmp_path / "c.vrp", n=2)
+        rc = main(["solve", str(tmp_path / "c.vrp"), "--budget-evals", "10", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestBench:
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    def test_bad_thread_count_one_line_error(self, tmp_path, capsys, monkeypatch, threads):
+        write_instance(tmp_path / "t.vrp", n=3)
+        monkeypatch.setenv("ORCHARD_MTVRP_THREADS", threads)
+        out = tmp_path / "t.csv"
+        rc = main(["bench", "--instances", str(tmp_path / "t.vrp"), "--runs", "1",
+                   "--budget-evals", "10", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "ORCHARD_MTVRP_THREADS" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_matrix_round_trip_through_stats(self, tmp_path, capsys):
         write_instance(tmp_path / "b1.vrp", n=5)
         write_instance(tmp_path / "b2.vrp", n=6)

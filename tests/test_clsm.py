@@ -88,12 +88,12 @@ class TestChooseTargetTrip:
     def test_all_singletons_gives_nothing(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0)], [1.0, 1.0], 10.0)
         sol = GiantSolution((1, 0, 2))
-        assert choose_target_trip(sol, inst) is None
+        assert choose_target_trip(sol.trips, inst) is None
 
     def test_unique_multi_task_trip_wins(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [1.0] * 3, 10.0)
         sol = GiantSolution((1, 2, 0, 3))
-        picked = choose_target_trip(sol, inst)
+        picked = choose_target_trip(sol.trips, inst)
         assert picked is not None
         assert picked[0] == 0
 
@@ -105,7 +105,7 @@ class TestChooseTargetTrip:
             10.0,
         )
         sol = GiantSolution((1, 2, 0, 3, 4))
-        picked = choose_target_trip(sol, inst)
+        picked = choose_target_trip(sol.trips, inst)
         assert picked[0] == 0
         assert picked[1].separation == pytest.approx(10.0)
 
@@ -115,8 +115,8 @@ class TestChooseTargetTrip:
             [1.0] * 4,
             10.0,
         )
-        a = choose_target_trip(GiantSolution((1, 2, 0, 3, 4)), inst)
-        b = choose_target_trip(GiantSolution((3, 4, 0, 1, 2)), inst)
+        a = choose_target_trip(GiantSolution((1, 2, 0, 3, 4)).trips, inst)
+        b = choose_target_trip(GiantSolution((3, 4, 0, 1, 2)).trips, inst)
         assert a[1].separation == pytest.approx(b[1].separation)
         assert set(a[1].members_a + a[1].members_b) == {1, 2}
         assert set(b[1].members_a + b[1].members_b) == {1, 2}
@@ -126,7 +126,7 @@ class TestChooseCandidateTrip:
     def test_two_trips_picks_the_other(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0), (9.0, 9.0)], [1.0] * 3, 10.0)
         sol = GiantSolution((1, 2, 0, 3))
-        assert choose_candidate_trip(sol, 0, (1.5, 0.0), inst) == 1
+        assert choose_candidate_trip(sol.trips, 0, (1.5, 0.0), inst) == 1
 
     def test_nearest_centroid_wins(self):
         inst = _instance(
@@ -136,12 +136,12 @@ class TestChooseCandidateTrip:
         )
         sol = GiantSolution((1, 2, 0, 3, 0, 4))
         # far centroid around (0.5, 10): trip (3,) at distance ~1, trip (4,) ~7
-        assert choose_candidate_trip(sol, 0, (0.5, 10.0), inst) == 1
+        assert choose_candidate_trip(sol.trips, 0, (0.5, 10.0), inst) == 1
 
     def test_single_trip_has_no_candidate(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0)], [1.0] * 2, 10.0)
         sol = GiantSolution((1, 2))
-        assert choose_candidate_trip(sol, 0, (1.5, 0.0), inst) is None
+        assert choose_candidate_trip(sol.trips, 0, (1.5, 0.0), inst) is None
 
     def test_far_cluster_tie_breaks_on_id_sum(self):
         from orchard_mtvrp.clsm import ClusterSplit
@@ -312,17 +312,17 @@ class TestStepMemos:
                 [tuple(pooled[:1]), tuple(pooled[1:]), *first.trips[2:]]
             )
             splits, centroids = {}, {}
-            choose_target_trip(first, inst, splits)
+            choose_target_trip(first.trips, inst, splits)
             for index in range(len(first.trips)):
-                choose_candidate_trip(first, index, (25.0, 25.0), inst, centroids)
-            assert choose_target_trip(second, inst, splits) == choose_target_trip(
-                second, inst
+                choose_candidate_trip(first.trips, index, (25.0, 25.0), inst, centroids)
+            assert choose_target_trip(second.trips, inst, splits) == choose_target_trip(
+                second.trips, inst
             )
             far_c = (rng.uniform(0, 50), rng.uniform(0, 50))
             for index in range(len(second.trips)):
                 assert choose_candidate_trip(
-                    second, index, far_c, inst, centroids
-                ) == choose_candidate_trip(second, index, far_c, inst)
+                    second.trips, index, far_c, inst, centroids
+                ) == choose_candidate_trip(second.trips, index, far_c, inst)
 
     def test_kmeans_runs_once_per_trip_and_new_trip(self, monkeypatch):
         calls = 0
@@ -357,12 +357,12 @@ def _reference_clsm_step(sol, inst, intensity, population, rng):
     best_energy = evaluate(sol, inst).energy
     work = sol
     for _ in range(rounds):
-        target = clsm.choose_target_trip(work, inst)
+        target = clsm.choose_target_trip(work.trips, inst)
         if target is None:
             break
         target_index, split = target
         _, far_c = far_cluster(split, inst.coords[0])
-        candidate_index = clsm.choose_candidate_trip(work, target_index, far_c, inst)
+        candidate_index = clsm.choose_candidate_trip(work.trips, target_index, far_c, inst)
         if candidate_index is None:
             break
         current = work.trips

@@ -174,8 +174,11 @@ class TestEvaluate:
         inst = random_instance(rng, 8)
         single = GiantSolution(tuple(inst.task_ids))
         split = GiantSolution.from_trips([(1, 2, 3), (4, 5), (6, 7, 8)])
-        before = max(t.load for t in evaluate(single, inst).trips)
-        after = max(t.load for t in evaluate(split, inst).trips)
+        def loads(sol):
+            return [sum(inst.yields[task] for task in t.tasks) for t in evaluate(sol, inst).trips]
+
+        before = max(loads(single))
+        after = max(loads(split))
         assert after <= before
 
 

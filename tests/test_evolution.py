@@ -388,3 +388,17 @@ def test_archive_counts_monotone_and_bounded():
             assert total >= previous
         previous = total
     assert previous <= result.generations - 1
+
+
+class TestSolverConfigValidation:
+    def test_edge_values_accepted(self):
+        # the CLI tests check the values just outside these
+        SolverConfig(budget_evals=0, crossover_rate=0.0, mutation_rate=1.0)
+        SolverConfig(robots=1, energy_bound=math.inf, stagnation_evals=1)
+
+
+def test_scoring_and_selection_share_one_individual_type():
+    from orchard_mtvrp import scheduler
+
+    assert Individual is scheduler.Individual
+    assert Individual(GiantSolution((1,)), 1.0).schedule is None

@@ -259,6 +259,28 @@ class TestRepairAgainstRecomputingReference:
         assert statuses == set(RepairStatus)
         assert overloaded > 50
 
+    def test_each_move_computes_two_trip_energies(self, monkeypatch):
+        calls = 0
+        original = scheduler.trip_energy
+
+        def counting(trip, inst):
+            nonlocal calls
+            calls += 1
+            return original(trip, inst)
+
+        rng = random.Random(22)
+        moved = 0
+        for sol, inst, m, e_max in _repair_cases(rng, 200):
+            _, _, _, tried = _reference_repair(sol, inst, m, e_max)
+            moved += tried > 0
+            charged = len(expand_overloads(sol.trips, inst)[0])
+            monkeypatch.setattr(scheduler, "trip_energy", counting)
+            calls = 0
+            repair(sol, inst, m, e_max)
+            monkeypatch.undo()
+            assert calls == charged + 2 * tried
+        assert moved > 50
+
 
 class TestThresholds:
     def test_arithmetic(self):
