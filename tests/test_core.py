@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -40,6 +41,31 @@ class TestDistanceMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             build_distance_matrix([])
+
+    @pytest.mark.parametrize("n", [1, 2, 65, 300])
+    def test_bit_equal_to_full_formula(self, n):
+        rng = random.Random(n)
+        coords = [(rng.uniform(0, 70), rng.uniform(0, 70)) for _ in range(n)]
+        pts = np.asarray(coords, dtype=float)
+        expected = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        np.fill_diagonal(expected, 0.0)
+        d = build_distance_matrix(coords)
+        assert d.shape == (n, n) and d.dtype == np.float64
+        assert np.array_equal(d, expected)
+
+    def test_read_only(self):
+        d = build_distance_matrix([(0, 0), (3, 4), (1, 1)])
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 1] = 1.0
+
+    def test_pickle_round_trip(self):
+        rng = random.Random(3)
+        inst = random_instance(rng, 30)
+        back = pickle.loads(pickle.dumps(inst))
+        assert back == inst
+        assert np.array_equal(back.dist, inst.dist)
+        assert np.array_equal(pickle.loads(pickle.dumps(inst.dist)), inst.dist)
 
 
 class TestGiantSolution:

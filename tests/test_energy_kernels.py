@@ -1,0 +1,187 @@
+"""The split program and the trip energy against their numpy-indexing forms.
+
+`evolution._resplit` and `core.trip_energy` read the distance matrix in
+whatever way is fastest, but must do the same floating-point operations in
+the same order as the straightforward versions below, which index the numpy
+matrix once per arc. Results are compared exactly: equal tokens for the
+split, equal Python floats for the energy.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from typing import Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orchard_mtvrp.core import GiantSolution, Instance, RepresentationError, trip_energy
+from orchard_mtvrp.evolution import _resplit
+from orchard_mtvrp.instances import OrchardSpec, generate_orchard
+
+
+def resplit_reference(perm: Sequence[int], inst: Instance) -> GiantSolution:
+    """The optimal split, indexing the numpy matrix once or twice per arc."""
+    n = len(perm)
+    if n == 0:
+        return GiantSolution(())
+    d = inst.dist
+    w = inst.robot_weight
+    best = [math.inf] * (n + 1)
+    cut_before = [0] * (n + 1)
+    best[0] = 0.0
+    for i in range(n):
+        if best[i] == math.inf:
+            continue
+        load = 0.0
+        open_energy = d[0, perm[i]] * w
+        for j in range(i, n):
+            load += inst.yields[perm[j]]
+            if load > inst.capacity:
+                break
+            if j > i:
+                open_energy += d[perm[j - 1], perm[j]] * (w + load - inst.yields[perm[j]])
+            total = best[i] + open_energy + d[perm[j], 0] * (w + load)
+            if total < best[j + 1]:
+                best[j + 1] = total
+                cut_before[j + 1] = i
+    trips: list[tuple[int, ...]] = []
+    end = n
+    while end > 0:
+        start = cut_before[end]
+        trips.append(tuple(perm[start:end]))
+        end = start
+    return GiantSolution.from_trips(reversed(trips))
+
+
+def trip_energy_reference(trip_tasks: Sequence[int], inst: Instance) -> float:
+    """One trip's energy, indexing the numpy matrix once per arc."""
+    d = inst.dist
+    w = inst.robot_weight
+    energy = d[0, trip_tasks[0]] * w
+    load = inst.yields[trip_tasks[0]]
+    for prev, nxt in zip(trip_tasks, trip_tasks[1:]):
+        energy += d[prev, nxt] * (w + load)
+        load += inst.yields[nxt]
+    energy += d[trip_tasks[-1], 0] * (w + load)
+    return float(energy)
+
+
+CAPACITY = 12.0
+
+
+@st.composite
+def instances(draw, max_n: int = 14) -> Instance:
+    """Small instances built to produce ties and boundary loads: lattice or
+    free coordinates, and yields that either divide the capacity exactly,
+    are free, or all exceed half the capacity (so every trip is a singleton)."""
+    n = draw(st.integers(1, max_n))
+    grid = draw(st.booleans())
+    coord = st.integers(0, 6).map(float) if grid else st.floats(0, 50, allow_nan=False)
+    coords = [(0.0, 0.0)] + [(draw(coord), draw(coord)) for _ in range(n)]
+    kind = draw(st.sampled_from(["exact", "free", "over-half"]))
+    if kind == "exact":
+        task_yield = st.sampled_from([CAPACITY / k for k in (1, 2, 3, 4, 6)])
+    elif kind == "free":
+        task_yield = st.floats(0.5, CAPACITY, allow_nan=False)
+    else:
+        task_yield = st.floats(CAPACITY / 2, CAPACITY, exclude_min=True, allow_nan=False)
+    yields = [0.0] + [draw(task_yield) for _ in range(n)]
+    weight = draw(st.sampled_from([1.0, 4.0, 7.5, 40.0]))
+    return Instance(tuple(coords), tuple(yields), CAPACITY, weight)
+
+
+@st.composite
+def instance_and_perm(draw, max_n: int = 14) -> tuple[Instance, list[int]]:
+    inst = draw(instances(max_n))
+    return inst, draw(st.permutations(list(inst.task_ids)))
+
+
+class TestResplitMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(instance_and_perm())
+    def test_same_split(self, case):
+        inst, perm = case
+        expected = resplit_reference(perm, inst)
+        for given_perm in (perm, tuple(perm)):
+            got = _resplit(given_perm, inst)
+            assert got.tokens == expected.tokens
+            assert got.trips == expected.trips
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_single_task(self, data):
+        inst = data.draw(instances(max_n=1))
+        assert _resplit([1], inst).tokens == resplit_reference([1], inst).tokens == (1,)
+
+    def test_empty_permutation(self, line_instance):
+        assert _resplit([], line_instance) == GiantSolution(())
+
+    def test_exactly_full_trips_are_kept_whole(self):
+        # Four tasks of yield capacity/2 on one line: the split may pair
+        # them (load exactly the capacity) and must agree on which pairs.
+        inst = Instance(
+            coords=((0.0, 0.0), (10.0, 0.0), (11.0, 0.0), (12.0, 0.0), (13.0, 0.0)),
+            yields=(0.0, 6.0, 6.0, 6.0, 6.0),
+            capacity=12.0,
+            robot_weight=1.0,
+        )
+        for perm in ([1, 2, 3, 4], [4, 3, 2, 1], [1, 3, 2, 4]):
+            got = _resplit(perm, inst)
+            assert got == resplit_reference(perm, inst)
+            assert all(sum(inst.yields[t] for t in trip) <= inst.capacity for trip in got.trips)
+
+    @pytest.mark.parametrize("spec", [OrchardSpec(20, 100, 0.6, seed=42), OrchardSpec(40, 400, 0.8, seed=1)])
+    def test_generated_orchards(self, spec):
+        inst = generate_orchard(spec)
+        rng = random.Random(5)
+        for _ in range(10):
+            perm = list(inst.task_ids)
+            rng.shuffle(perm)
+            assert _resplit(perm, inst).tokens == resplit_reference(perm, inst).tokens
+
+
+@st.composite
+def instance_and_trip(draw) -> tuple[Instance, list[int]]:
+    """A trip of distinct tasks in any order, with no capacity check, so
+    overloaded trips are included."""
+    inst = draw(instances(max_n=10))
+    perm = draw(st.permutations(list(inst.task_ids)))
+    return inst, perm[: draw(st.integers(1, len(perm)))]
+
+
+class TestTripEnergyMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(instance_and_trip())
+    def test_same_float(self, case):
+        inst, trip = case
+        got = trip_energy(trip, inst)
+        assert type(got) is float
+        assert got == trip_energy_reference(trip, inst)
+        assert trip_energy(tuple(trip), inst) == got
+
+    def test_overloaded_trip(self):
+        inst = Instance(
+            coords=((0.0, 0.0), (3.0, 4.0), (6.0, 8.0), (1.0, 7.0)),
+            yields=(0.0, 9.0, 9.0, 9.0),
+            capacity=10.0,
+            robot_weight=2.5,
+        )
+        for trip in ((1, 2, 3), (3, 1, 2), (2, 3)):
+            got = trip_energy(trip, inst)
+            assert type(got) is float
+            assert got == trip_energy_reference(trip, inst)
+
+    def test_generated_orchard(self):
+        inst = generate_orchard(OrchardSpec(70, 1225, 0.8, seed=1))
+        rng = random.Random(9)
+        for _ in range(200):
+            trip = rng.sample(list(inst.task_ids), rng.randint(1, 8))
+            assert trip_energy(trip, inst) == trip_energy_reference(trip, inst)
+
+    @pytest.mark.parametrize("trip", [(0,), (1, 0), (3,), (1, 3), (-1,), (2, -2)])
+    def test_zero_or_unknown_id_rejected(self, line_instance, trip):
+        with pytest.raises(RepresentationError):
+            trip_energy(trip, line_instance)
