@@ -135,6 +135,19 @@ def _from_config_file(path: Path, cls: type):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _flags_off_default(args: argparse.Namespace) -> list[str]:
+    """The solver flags in `args` whose value differs from the parser default."""
+    probe = argparse.ArgumentParser()
+    _add_solver_flags(probe)
+    defaults = vars(probe.parse_args([]))
+    del defaults["config"]
+    return [
+        "--" + dest.replace("_", "-")
+        for dest, default in defaults.items()
+        if getattr(args, dest) != default
+    ]
+
+
 def _config_from_args(args: argparse.Namespace) -> SolverConfig:
     if args.config:
         cfg = _from_config_file(args.config, SolverConfig)
@@ -157,6 +170,12 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
         )
     if (cfg.robots is None) != (cfg.energy_bound is None):
         raise ValueError("--robots and --emax (robots, energy_bound) must be given together")
+    overridden = _flags_off_default(args) if args.config else []
+    if overridden:
+        raise ValueError(
+            f"--config sets every solver field, so {', '.join(overridden)} would be "
+            f"ignored; set them in {args.config} instead"
+        )
     return cfg
 
 

@@ -8,6 +8,7 @@ all task ids with 0-markers separating depot-to-depot trips.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -26,11 +27,18 @@ _DIST_BLOCK_ROWS = 64
 
 
 def build_distance_matrix(coords: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Full-precision Euclidean distance matrix (no rounding), index 0 = depot."""
+    """Full-precision Euclidean distance matrix (no rounding), index 0 = depot.
+
+    The read-only matrix lives in its own anonymous memory map rather than
+    on the heap, so freeing an instance returns its pages to the system; on
+    the heap, a new matrix stops fitting into the freed block once smaller
+    objects have settled around it, and the process grows by one matrix.
+    """
     if len(coords) < 1:
         raise ConfigurationError("need at least the depot coordinate")
     pts = np.asarray(coords, dtype=float)
-    dist = np.empty((len(pts), len(pts)))
+    n = len(pts)
+    dist = np.frombuffer(mmap.mmap(-1, n * n * 8), dtype=float).reshape(n, n)
     # In row blocks, so the coordinate differences never need a full
     # n x n x 2 temporary, twice the size of the matrix itself.
     for lo in range(0, len(pts), _DIST_BLOCK_ROWS):
@@ -155,22 +163,26 @@ class Trip:
 
 def trip_energy(trip_tasks: Sequence[int], inst: Instance) -> float:
     """Energy of one trip: the robot leaves empty and its load grows at
-    every task, so each arc costs distance * (weight + load carried)."""
+    every task, so each arc costs distance * (weight + load carried).
+
+    Distances are read with `ndarray.item`, which returns Python floats, so
+    the sum is plain float arithmetic (the same operations, in the same
+    order, as on numpy scalars)."""
     if not trip_tasks:
         raise RepresentationError("empty trip")
-    d = inst.dist
+    d = inst.dist.item
     w = inst.robot_weight
     n = inst.n
     for t in trip_tasks:
         if not 1 <= t <= n:
             raise RepresentationError(f"unknown task id {t}")
-    energy = d[0, trip_tasks[0]] * w
+    energy = d(0, trip_tasks[0]) * w
     load = inst.yields[trip_tasks[0]]
     for prev, nxt in zip(trip_tasks, trip_tasks[1:]):
-        energy += d[prev, nxt] * (w + load)
+        energy += d(prev, nxt) * (w + load)
         load += inst.yields[nxt]
-    energy += d[trip_tasks[-1], 0] * (w + load)
-    return float(energy)
+    energy += d(trip_tasks[-1], 0) * (w + load)
+    return energy
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from . import ilbim
 from .clsm import clsm_step
 from .core import (
@@ -104,12 +106,23 @@ def _resplit(perm: Sequence[int], inst: Instance) -> GiantSolution:
     deliberately run an extra light trip, which the load-dependent energy
     often rewards; the dynamic program reaches every feasible split of the
     permutation and never does worse than greedy.
+
+    The depot legs and consecutive arcs of the permutation are gathered from
+    the distance matrix once per call, as Python floats, so the O(n*L) inner
+    loop does plain float arithmetic; the operations and their order are
+    those of indexing the matrix per arc, so the split is the same.
     """
     n = len(perm)
     if n == 0:
         return GiantSolution(())
     d = inst.dist
+    order = np.asarray(perm)
+    out_leg = d[0, order].tolist()
+    back_leg = d[order, 0].tolist()
+    arc = d[order[:-1], order[1:]].tolist()  # arc[j - 1] joins perm[j - 1] to perm[j]
+    y = [inst.yields[t] for t in perm]
     w = inst.robot_weight
+    capacity = inst.capacity
     best = [math.inf] * (n + 1)
     cut_before = [0] * (n + 1)
     best[0] = 0.0
@@ -117,14 +130,14 @@ def _resplit(perm: Sequence[int], inst: Instance) -> GiantSolution:
         if best[i] == math.inf:
             continue
         load = 0.0
-        open_energy = d[0, perm[i]] * w
+        open_energy = out_leg[i] * w
         for j in range(i, n):
-            load += inst.yields[perm[j]]
-            if load > inst.capacity:
+            load += y[j]
+            if load > capacity:
                 break
             if j > i:
-                open_energy += d[perm[j - 1], perm[j]] * (w + load - inst.yields[perm[j]])
-            total = best[i] + open_energy + d[perm[j], 0] * (w + load)
+                open_energy += arc[j - 1] * (w + load - y[j])
+            total = best[i] + open_energy + back_leg[j] * (w + load)
             if total < best[j + 1]:
                 best[j + 1] = total
                 cut_before[j + 1] = i
@@ -419,8 +432,9 @@ def run_aedga(inst: Instance, cfg: SolverConfig, rng: random.Random | None = Non
 
     schedule = best.schedule
     if rs_active and framework is Framework.FR3 and status == "ok":
-        candidates = [best.solution] + [ind.solution for ind in pop]
-        final = finalize_fr3(candidates, inst, robots, e_max)
+        # The incumbent is usually pop[0] as well; score each genome once.
+        candidates = dict.fromkeys([best.solution] + [ind.solution for ind in pop])
+        final = finalize_fr3(list(candidates), inst, robots, e_max)
         if final is None:
             status = "infeasible"
             best = Individual(best.solution, math.inf)

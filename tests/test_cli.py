@@ -163,6 +163,26 @@ class TestSolve:
         assert captured.err.startswith("error: ") and "--emax" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "3"], ["--seed"]),
+        (["--budget-evals", "10", "--no-clsm"], ["--budget-evals", "--no-clsm"]),
+        (["--framework", "Fr2", "--robots", "2", "--emax", "50"],
+         ["--framework", "--robots", "--emax"]),
+        (["--population", "10", "--intensity", "0.5"], ["--intensity"]),
+    ])
+    def test_config_with_solver_flags_one_line_error(self, tmp_path, capsys, flags, named):
+        write_instance(tmp_path / "c.vrp", n=2)
+        cfg = tmp_path / "solver.json"
+        cfg.write_text(json.dumps({"budget_evals": 10}))
+        rc = main(["solve", str(tmp_path / "c.vrp"), "--config", str(cfg), *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--config" in captured.err
+        assert captured.err.count("\n") == 1
+        for flag in named:
+            assert flag in captured.err
+        assert "--population" not in captured.err
 
     @pytest.mark.parametrize("flags", [
         ["--mutation-rate", "1.5"],

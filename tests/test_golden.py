@@ -15,7 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from orchard_mtvrp import OrchardSpec, SolverConfig, generate_orchard, run_aedga, scheduler
+from orchard_mtvrp import (
+    OrchardSpec,
+    SolverConfig,
+    evolution,
+    generate_orchard,
+    run_aedga,
+    scheduler,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 SPEC = OrchardSpec(20, 60, 0.6, seed=42)
@@ -93,6 +100,34 @@ def test_repair_config_repairs(monkeypatch):
     z = float(json.loads(GOLDEN.read_text())["default"]["best_energy"])
     _solve(generate_orchard(SPEC), z, CONFIGS[REPAIR_CONFIG])
     assert repaired > 0
+
+
+def test_fr3_scores_each_distinct_candidate_once(monkeypatch):
+    original_finalize = evolution.finalize_fr3
+    original_score = scheduler.score_with_framework
+    candidates: list = []
+    final_scores = 0
+    finalizing = False
+
+    def finalize(population, *args):
+        nonlocal finalizing
+        candidates.extend(population)
+        finalizing = True
+        try:
+            return original_finalize(population, *args)
+        finally:
+            finalizing = False
+
+    def score(*args, **kwargs):
+        nonlocal final_scores
+        final_scores += finalizing
+        return original_score(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "finalize_fr3", finalize)
+    monkeypatch.setattr(scheduler, "score_with_framework", score)
+    z = float(json.loads(GOLDEN.read_text())["default"]["best_energy"])
+    _solve(generate_orchard(SPEC), z, CONFIGS["Fr3-1.5"])
+    assert final_scores == len({sol.tokens for sol in candidates}) == 10
 
 
 if __name__ == "__main__":
