@@ -29,16 +29,21 @@ _DIST_BLOCK_ROWS = 64
 def build_distance_matrix(coords: Sequence[tuple[float, float]]) -> np.ndarray:
     """Full-precision Euclidean distance matrix (no rounding), index 0 = depot.
 
-    The read-only matrix lives in its own anonymous memory map rather than
-    on the heap, so freeing an instance returns its pages to the system; on
-    the heap, a new matrix stops fitting into the freed block once smaller
-    objects have settled around it, and the process grows by one matrix.
+    The read-only matrix lives in its own private anonymous memory map
+    rather than on the heap, so freeing an instance returns its pages to the
+    system; on the heap, a new matrix stops fitting into the freed block once
+    smaller objects have settled around it, and the process grows by one
+    matrix. Huge pages, where the system offers them, keep the page-fault
+    cost of filling a fresh map near that of reusing heap memory.
     """
     if len(coords) < 1:
         raise ConfigurationError("need at least the depot coordinate")
     pts = np.asarray(coords, dtype=float)
     n = len(pts)
-    dist = np.frombuffer(mmap.mmap(-1, n * n * 8), dtype=float).reshape(n, n)
+    buf = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    dist = np.frombuffer(buf, dtype=float).reshape(n, n)
     # In row blocks, so the coordinate differences never need a full
     # n x n x 2 temporary, twice the size of the matrix itself.
     for lo in range(0, len(pts), _DIST_BLOCK_ROWS):
