@@ -24,29 +24,35 @@ class ConfigurationError(ValueError):
 
 
 _DIST_BLOCK_ROWS = 64
+_DIST_MAP_BYTES = 128 * 1024  # glibc's default threshold for mmap-ing a block
 
 
 def build_distance_matrix(coords: Sequence[tuple[float, float]]) -> np.ndarray:
     """Full-precision Euclidean distance matrix (no rounding), index 0 = depot.
 
-    The read-only matrix lives in its own private anonymous memory map
-    rather than on the heap, so freeing an instance returns its pages to the
-    system; on the heap, a new matrix stops fitting into the freed block once
-    smaller objects have settled around it, and the process grows by one
-    matrix. Huge pages, where the system offers them, keep the page-fault
-    cost of filling a fresh map near that of reusing heap memory.
+    A matrix of 128 KiB or more (n >= 128) lives in its own private
+    anonymous memory map rather than on the heap, so freeing an instance
+    returns its pages to the system. On the heap, a new large matrix stops
+    fitting into the freed block once smaller objects have settled around
+    it, and the process grows by one matrix. Huge pages, where the system
+    offers them, keep the page-fault cost of filling a fresh map near that
+    of reusing heap memory. Smaller matrices stay on the heap, where they
+    are cheaper to make and share pages with other objects.
     """
     if len(coords) < 1:
         raise ConfigurationError("need at least the depot coordinate")
     pts = np.asarray(coords, dtype=float)
     n = len(pts)
-    buf = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    dist = np.frombuffer(buf, dtype=float).reshape(n, n)
+    if n * n * 8 < _DIST_MAP_BYTES:
+        dist = np.empty((n, n))
+    else:
+        buf = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            buf.madvise(mmap.MADV_HUGEPAGE)
+        dist = np.frombuffer(buf, dtype=float).reshape(n, n)
     # In row blocks, so the coordinate differences never need a full
     # n x n x 2 temporary, twice the size of the matrix itself.
-    for lo in range(0, len(pts), _DIST_BLOCK_ROWS):
+    for lo in range(0, n, _DIST_BLOCK_ROWS):
         diff = pts[lo : lo + _DIST_BLOCK_ROWS, None, :] - pts[None, :, :]
         np.square(diff, out=diff)
         diff.sum(axis=2, out=dist[lo : lo + _DIST_BLOCK_ROWS])

@@ -42,7 +42,8 @@ class TestDistanceMatrix:
         with pytest.raises(ConfigurationError):
             build_distance_matrix([])
 
-    @pytest.mark.parametrize("n", [1, 2, 65, 300])
+    # Below 128 points the matrix is on the heap, from 128 in a memory map.
+    @pytest.mark.parametrize("n", [1, 2, 65, 128, 300])
     def test_bit_equal_to_full_formula(self, n):
         rng = random.Random(n)
         coords = [(rng.uniform(0, 70), rng.uniform(0, 70)) for _ in range(n)]
@@ -53,15 +54,17 @@ class TestDistanceMatrix:
         assert d.shape == (n, n) and d.dtype == np.float64
         assert np.array_equal(d, expected)
 
-    def test_read_only(self):
-        d = build_distance_matrix([(0, 0), (3, 4), (1, 1)])
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_read_only(self, n):
+        d = build_distance_matrix([(i, i % 7) for i in range(n)])
         assert not d.flags.writeable
         with pytest.raises(ValueError):
             d[0, 1] = 1.0
 
-    def test_pickle_round_trip(self):
+    @pytest.mark.parametrize("n", [30, 200])
+    def test_pickle_round_trip(self, n):
         rng = random.Random(3)
-        inst = random_instance(rng, 30)
+        inst = random_instance(rng, n)
         back = pickle.loads(pickle.dumps(inst))
         assert back == inst
         assert np.array_equal(back.dist, inst.dist)
