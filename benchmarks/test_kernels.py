@@ -11,12 +11,15 @@ seed 1`, the largest maturity-0.8 size of the paper18 suite).
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
-from orchard_mtvrp.core import trip_energy
-from orchard_mtvrp.evolution import _resplit
+from orchard_mtvrp.clsm import AcoParams, aco_tour, clsm_step
+from orchard_mtvrp.core import evaluate, trip_energy
+from orchard_mtvrp.evolution import SolverConfig, _resplit
+from orchard_mtvrp.ilbim import init_population
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
 
 SPECS = {
@@ -25,9 +28,14 @@ SPECS = {
 }
 
 
+@functools.cache
+def _orchard(name):
+    return generate_orchard(SPECS[name])
+
+
 @pytest.fixture(scope="module", params=list(SPECS))
 def instance(request):
-    return generate_orchard(SPECS[request.param])
+    return _orchard(request.param)
 
 
 def test_resplit(benchmark, instance):
@@ -41,3 +49,23 @@ def test_trip_energy_six_tasks(benchmark):
     inst = generate_orchard(SPECS["n59"])
     trip = tuple(random.Random(1).sample(list(inst.task_ids), 6))
     assert benchmark(trip_energy, trip, inst) > 0
+
+
+@pytest.mark.parametrize("iterations", [1, 5])
+@pytest.mark.parametrize("tasks", [3, 6])
+def test_aco_tour(benchmark, tasks, iterations):
+    inst = _orchard("n965")
+    trip = tuple(random.Random(tasks).sample(list(inst.task_ids), tasks))
+    params = AcoParams(SolverConfig().population, iterations)
+    out = benchmark(aco_tour, trip, inst, params, random.Random(0))
+    assert trip_energy(out, inst) <= trip_energy(trip, inst)
+
+
+def test_clsm_step(benchmark, instance):
+    """One local-search step with the solver's default settings, from the
+    first ILBIM individual."""
+    cfg = SolverConfig()
+    sol = init_population(instance, cfg.population)[0]
+    rng = random.Random(0)
+    out = benchmark(clsm_step, sol, instance, cfg.intensity, cfg.population, rng)
+    assert evaluate(out, instance).energy <= evaluate(sol, instance).energy

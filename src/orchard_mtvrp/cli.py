@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 from . import oracle as oracle_mod
 from .core import GiantSolution, Instance, evaluate
@@ -56,16 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True)
 
     p_gen = sub.add_parser("gen", help="generate orchard instance files")
-    p_gen.add_argument("--side", type=float, default=20.0)
-    p_gen.add_argument("--trees", type=int, default=100)
-    p_gen.add_argument("--maturity", type=float, default=0.4)
-    p_gen.add_argument("--capacity", type=float, default=300.0)
-    p_gen.add_argument("--yield-low", type=int, default=40)
-    p_gen.add_argument("--yield-high", type=int, default=70)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--grid", action="store_true", help="plant trees on a lattice")
-    p_gen.add_argument("--suite", choices=["paper18"], help="generate the 6x3 size/maturity suite")
-    p_gen.add_argument("--config", type=Path, help="JSON file with OrchardSpec fields")
+    _add_gen_flags(p_gen)
     p_gen.add_argument("--out", type=Path, default=Path("."))
     p_gen.set_defaults(func=cmd_gen)
 
@@ -107,6 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_gen_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--side", type=float, default=20.0)
+    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--maturity", type=float, default=0.4)
+    p.add_argument("--capacity", type=float, default=300.0)
+    p.add_argument("--yield-low", type=int, default=40)
+    p.add_argument("--yield-high", type=int, default=70)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", action="store_true", help="plant trees on a lattice")
+    p.add_argument("--suite", choices=["paper18"], help="generate the 6x3 size/maturity suite")
+    p.add_argument("--config", type=Path, help="JSON file with OrchardSpec fields")
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--population", type=int, default=10)
@@ -135,17 +140,25 @@ def _from_config_file(path: Path, cls: type):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _flags_off_default(args: argparse.Namespace) -> list[str]:
-    """The solver flags in `args` whose value differs from the parser default."""
+def _reject_flags_beside_config(
+    args: argparse.Namespace, add_flags: Callable[[argparse.ArgumentParser], None], fields: str
+) -> None:
+    """--config sets every field that the flags of `add_flags` set, so any of
+    those flags off its parser default is an error rather than ignored."""
     probe = argparse.ArgumentParser()
-    _add_solver_flags(probe)
+    add_flags(probe)
     defaults = vars(probe.parse_args([]))
     del defaults["config"]
-    return [
+    overridden = [
         "--" + dest.replace("_", "-")
         for dest, default in defaults.items()
         if getattr(args, dest) != default
     ]
+    if args.config and overridden:
+        raise ValueError(
+            f"--config sets every {fields} field, so {', '.join(overridden)} would be "
+            f"ignored; set them in {args.config} instead"
+        )
 
 
 def _config_from_args(args: argparse.Namespace) -> SolverConfig:
@@ -170,12 +183,7 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
         )
     if (cfg.robots is None) != (cfg.energy_bound is None):
         raise ValueError("--robots and --emax (robots, energy_bound) must be given together")
-    overridden = _flags_off_default(args) if args.config else []
-    if overridden:
-        raise ValueError(
-            f"--config sets every solver field, so {', '.join(overridden)} would be "
-            f"ignored; set them in {args.config} instead"
-        )
+    _reject_flags_beside_config(args, _add_solver_flags, "solver")
     return cfg
 
 
@@ -192,6 +200,7 @@ def _dump_json(obj: object) -> str:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     specs: list[OrchardSpec] = []
+    _reject_flags_beside_config(args, _add_gen_flags, "orchard")
     if args.config:
         specs.append(_from_config_file(args.config, OrchardSpec))
     elif args.suite == "paper18":

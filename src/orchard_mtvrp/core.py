@@ -159,6 +159,15 @@ def _join(trips: Iterable[Sequence[int]]) -> tuple[int, ...]:
     return tuple(tokens)
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum. From Python 3.12 `sum()` compensates
+    its float rounding, which would change answers that depend on it."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def decode_trips(sol: GiantSolution) -> list[tuple[int, ...]]:
     """A copy of the solution's depot-to-depot trips, `sol.trips` as a list."""
     return list(sol.trips)

@@ -25,6 +25,7 @@ from .core import (
     Instance,
     evaluate,
     expand_overloads,
+    ordered_sum,
 )
 from .scheduler import Framework, Individual, Schedule, finalize_fr3, score_with_framework
 
@@ -57,10 +58,10 @@ def selection_probabilities(archive: Archive) -> tuple[float, ...]:
         shares = [1.0 / len(archive.counts)] * len(archive.counts)
     else:
         shares = [c / total for c in archive.counts]
-    lehmer = sum(s * s for s in shares) / sum(shares)
+    lehmer = ordered_sum(s * s for s in shares) / ordered_sum(shares)
     c = archive.smoothing
     weights = [(1 - c) * s + c * lehmer for s in shares]
-    norm = sum(weights)
+    norm = ordered_sum(weights)
     return tuple(w / norm for w in weights)
 
 

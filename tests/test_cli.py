@@ -73,6 +73,25 @@ class TestGen:
         assert err.startswith("error: ") and "maturty_rate" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "5", "--trees", "400"], ["--seed", "--trees"]),
+        (["--grid"], ["--grid"]),
+        (["--suite", "paper18"], ["--suite"]),
+    ])
+    def test_config_with_spec_flags_one_line_error(self, tmp_path, capsys, flags, named):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"side_length": 20, "tree_count": 10, "seed": 1}))
+        out = tmp_path / "out"
+        rc = main(["gen", "--config", str(cfg), "--out", str(out), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--config" in err
+        assert err.count("\n") == 1
+        for flag in named:
+            assert flag in err
+        assert "--out" not in err and "--side" not in err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_single_task_closed_form(self, tmp_path, capsys):

@@ -1,12 +1,16 @@
 import itertools
 import math
 import random
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orchard_mtvrp import clsm
 from orchard_mtvrp.clsm import (
     AcoParams,
+    ClusterSplit,
     aco_tour,
     choose_candidate_trip,
     choose_target_trip,
@@ -28,6 +32,134 @@ def _instance(points, yields, capacity, weight=10.0, depot=(0.0, 0.0)):
         capacity=capacity,
         robot_weight=weight,
     )
+
+
+# The ant colony and the target and candidate choice as they were before the
+# per-slot state: the colony prices every tour with `trip_energy` and weighs
+# with numpy scalars, and the choices scan the trip tuples with strict
+# comparisons. Their float sums run left to right, as `sum()` does on Python
+# 3.11. The library must return the same tours and draw the same random
+# numbers.
+
+
+def aco_tour_reference(trip_tasks, inst, params, rng):
+    k = len(trip_tasks)
+    if k == 1:
+        return tuple(trip_tasks)
+    best_order = tuple(trip_tasks)
+    best_energy = trip_energy(best_order, inst)
+    if k == 2:
+        flipped = (trip_tasks[1], trip_tasks[0])
+        return flipped if trip_energy(flipped, inst) < best_energy else best_order
+    nodes = [0] + list(trip_tasks)
+    eta = [
+        [0.0 if i == j else 1.0 / max(inst.dist[nodes[i], nodes[j]], 1e-12) for j in range(k + 1)]
+        for i in range(k + 1)
+    ]
+    tau = [[1.0] * (k + 1) for _ in range(k + 1)]
+    alpha, beta = clsm._PHEROMONE_WEIGHT, clsm._HEURISTIC_WEIGHT
+    for _ in range(params.iterations):
+        for _ in range(params.colony_size):
+            current = 0
+            remaining = list(range(1, k + 1))
+            order = []
+            while remaining:
+                weights = [(tau[current][j] ** alpha) * (eta[current][j] ** beta) for j in remaining]
+                pick = _roulette_reference(remaining, weights, rng)
+                order.append(pick)
+                remaining.remove(pick)
+                current = pick
+            constructed = tuple(nodes[i] for i in order)
+            for candidate in (constructed, constructed[::-1]):
+                energy = trip_energy(candidate, inst)
+                if energy < best_energy:
+                    best_energy = energy
+                    best_order = candidate
+        for i in range(k + 1):
+            for j in range(k + 1):
+                tau[i][j] = max(clsm._PHEROMONE_FLOOR, tau[i][j] * (1.0 - clsm._EVAPORATION))
+        index_of = {t: i + 1 for i, t in enumerate(trip_tasks)}
+        path = [0] + [index_of[t] for t in best_order]
+        for a, b in zip(path, path[1:]):
+            tau[a][b] = min(clsm._PHEROMONE_CEILING, tau[a][b] + clsm._EVAPORATION)
+    return best_order
+
+
+def _roulette_reference(items, weights, rng):
+    total = 0
+    for w in weights:
+        total = total + w
+    if total <= 0:
+        return items[rng.randrange(len(items))]
+    spin = rng.random() * total
+    acc = 0.0
+    for item, w in zip(items, weights):
+        acc += w
+        if spin <= acc:
+            return item
+    return items[-1]
+
+
+def _centroid_reference(points):
+    xs = ys = 0
+    for x, y in points:
+        xs, ys = xs + x, ys + y
+    return xs / len(points), ys / len(points)
+
+
+def choose_target_trip_reference(trips, inst, splits=None):
+    if splits is None:
+        splits = {}
+    best = None
+    for index, trip in enumerate(trips):
+        if len(trip) < 2:
+            continue
+        remapped = splits.get(trip)
+        if remapped is None:
+            split = kmeans_two([inst.coords[t] for t in trip])
+            remapped = splits[trip] = ClusterSplit(
+                tuple(trip[i] for i in split.members_a),
+                tuple(trip[i] for i in split.members_b),
+                split.centroid_a,
+                split.centroid_b,
+                split.separation,
+            )
+        if best is None or remapped.separation > best[1].separation:
+            best = (index, remapped)
+    return best
+
+
+def choose_candidate_trip_reference(trips, target_index, far_centroid, inst, centroids=None):
+    if centroids is None:
+        centroids = {}
+    best_index, best_d = None, math.inf
+    for index, trip in enumerate(trips):
+        if index == target_index:
+            continue
+        centroid = centroids.get(trip)
+        if centroid is None:
+            centroid = centroids[trip] = _centroid_reference([inst.coords[t] for t in trip])
+        d = math.hypot(centroid[0] - far_centroid[0], centroid[1] - far_centroid[1])
+        if d < best_d:
+            best_index, best_d = index, d
+    return best_index
+
+
+def _slots(trips: Sequence[tuple[int, ...]], inst, memo=None):
+    """The per-slot lists `clsm_step` keeps: splits, separations, centroids."""
+    memo = {} if memo is None else memo
+    states = [clsm.slot_state(trip, inst, memo) for trip in trips]
+    return [s[0] for s in states], [s[1] for s in states], [s[2] for s in states]
+
+
+def target_of(trips, inst, memo=None):
+    splits, separations, _ = _slots(trips, inst, memo)
+    return choose_target_trip(separations, splits)
+
+
+def candidate_of(trips, target_index, far_centroid, inst, memo=None):
+    _, _, centroids = _slots(trips, inst, memo)
+    return choose_candidate_trip(centroids, target_index, far_centroid)
 
 
 class TestKmeansTwo:
@@ -88,12 +220,12 @@ class TestChooseTargetTrip:
     def test_all_singletons_gives_nothing(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0)], [1.0, 1.0], 10.0)
         sol = GiantSolution((1, 0, 2))
-        assert choose_target_trip(sol.trips, inst) is None
+        assert target_of(sol.trips, inst) is None
 
     def test_unique_multi_task_trip_wins(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [1.0] * 3, 10.0)
         sol = GiantSolution((1, 2, 0, 3))
-        picked = choose_target_trip(sol.trips, inst)
+        picked = target_of(sol.trips, inst)
         assert picked is not None
         assert picked[0] == 0
 
@@ -105,7 +237,7 @@ class TestChooseTargetTrip:
             10.0,
         )
         sol = GiantSolution((1, 2, 0, 3, 4))
-        picked = choose_target_trip(sol.trips, inst)
+        picked = target_of(sol.trips, inst)
         assert picked[0] == 0
         assert picked[1].separation == pytest.approx(10.0)
 
@@ -115,8 +247,8 @@ class TestChooseTargetTrip:
             [1.0] * 4,
             10.0,
         )
-        a = choose_target_trip(GiantSolution((1, 2, 0, 3, 4)).trips, inst)
-        b = choose_target_trip(GiantSolution((3, 4, 0, 1, 2)).trips, inst)
+        a = target_of(GiantSolution((1, 2, 0, 3, 4)).trips, inst)
+        b = target_of(GiantSolution((3, 4, 0, 1, 2)).trips, inst)
         assert a[1].separation == pytest.approx(b[1].separation)
         assert set(a[1].members_a + a[1].members_b) == {1, 2}
         assert set(b[1].members_a + b[1].members_b) == {1, 2}
@@ -126,7 +258,7 @@ class TestChooseCandidateTrip:
     def test_two_trips_picks_the_other(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0), (9.0, 9.0)], [1.0] * 3, 10.0)
         sol = GiantSolution((1, 2, 0, 3))
-        assert choose_candidate_trip(sol.trips, 0, (1.5, 0.0), inst) == 1
+        assert candidate_of(sol.trips, 0, (1.5, 0.0), inst) == 1
 
     def test_nearest_centroid_wins(self):
         inst = _instance(
@@ -136,16 +268,14 @@ class TestChooseCandidateTrip:
         )
         sol = GiantSolution((1, 2, 0, 3, 0, 4))
         # far centroid around (0.5, 10): trip (3,) at distance ~1, trip (4,) ~7
-        assert choose_candidate_trip(sol.trips, 0, (0.5, 10.0), inst) == 1
+        assert candidate_of(sol.trips, 0, (0.5, 10.0), inst) == 1
 
     def test_single_trip_has_no_candidate(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0)], [1.0] * 2, 10.0)
         sol = GiantSolution((1, 2))
-        assert choose_candidate_trip(sol.trips, 0, (1.5, 0.0), inst) is None
+        assert candidate_of(sol.trips, 0, (1.5, 0.0), inst) is None
 
     def test_far_cluster_tie_breaks_on_id_sum(self):
-        from orchard_mtvrp.clsm import ClusterSplit
-
         split = ClusterSplit((1,), (4,), (0.0, 5.0), (5.0, 0.0), 5.0)
         members, _ = far_cluster(split, (0.0, 0.0))
         assert members == (4,)
@@ -311,18 +441,14 @@ class TestStepMemos:
             second = GiantSolution.from_trips(
                 [tuple(pooled[:1]), tuple(pooled[1:]), *first.trips[2:]]
             )
-            splits, centroids = {}, {}
-            choose_target_trip(first.trips, inst, splits)
-            for index in range(len(first.trips)):
-                choose_candidate_trip(first.trips, index, (25.0, 25.0), inst, centroids)
-            assert choose_target_trip(second.trips, inst, splits) == choose_target_trip(
-                second.trips, inst
-            )
+            memo = {}
+            _slots(first.trips, inst, memo)
+            assert target_of(second.trips, inst, memo) == target_of(second.trips, inst)
             far_c = (rng.uniform(0, 50), rng.uniform(0, 50))
             for index in range(len(second.trips)):
-                assert choose_candidate_trip(
-                    second.trips, index, far_c, inst, centroids
-                ) == choose_candidate_trip(second.trips, index, far_c, inst)
+                assert candidate_of(second.trips, index, far_c, inst, memo) == candidate_of(
+                    second.trips, index, far_c, inst
+                )
 
     def test_kmeans_runs_once_per_trip_and_new_trip(self, monkeypatch):
         calls = 0
@@ -351,26 +477,26 @@ class TestStepMemos:
 def _reference_clsm_step(sol, inst, intensity, population, rng):
     """clsm_step as it was before the trip-list working form: every round
     rebuilds the whole solution from its trips and scores it with a full
-    `evaluate`."""
+    `evaluate`, and the choices and the colony are the reference forms."""
     rounds = max(1, math.ceil(len(sol.trips) * intensity))
     best_sol = sol
     best_energy = evaluate(sol, inst).energy
     work = sol
     for _ in range(rounds):
-        target = clsm.choose_target_trip(work.trips, inst)
+        target = choose_target_trip_reference(work.trips, inst)
         if target is None:
             break
         target_index, split = target
         _, far_c = far_cluster(split, inst.coords[0])
-        candidate_index = clsm.choose_candidate_trip(work.trips, target_index, far_c, inst)
+        candidate_index = choose_candidate_trip_reference(work.trips, target_index, far_c, inst)
         if candidate_index is None:
             break
         current = work.trips
         new_a, new_b = clsm.recombine(current[target_index], current[candidate_index], inst)
-        new_a = clsm.aco_tour(
+        new_a = aco_tour_reference(
             new_a, inst, AcoParams(population, max(1, math.ceil(len(new_a) * intensity))), rng
         )
-        new_b = clsm.aco_tour(
+        new_b = aco_tour_reference(
             new_b, inst, AcoParams(population, max(1, math.ceil(len(new_b) * intensity))), rng
         )
         rebuilt = list(current)
@@ -418,3 +544,104 @@ class TestAgainstRebuildingReference:
             improved += got[0] is not sol
         assert overloaded > 30
         assert improved > 30
+
+
+@st.composite
+def lattice_instances(draw, min_n: int = 1, max_n: int = 8) -> Instance:
+    """Small instances on a coarse lattice, so tasks (and the depot) often
+    coincide and separations and centroid distances tie; or free
+    coordinates."""
+    n = draw(st.integers(min_n, max_n))
+    grid = draw(st.booleans())
+    coord = st.integers(0, 4).map(float) if grid else st.floats(0, 50, allow_nan=False)
+    coords = [(draw(coord), draw(coord)) for _ in range(n + 1)]
+    yields = [0.0] + [draw(st.sampled_from([1.0, 2.5, 4.0, 7.0])) for _ in range(n)]
+    weight = draw(st.sampled_from([1.0, 4.0, 12.5]))
+    return Instance(tuple(coords), tuple(yields), 40.0, weight)
+
+
+class TestAcoMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_tour_and_draws(self, data):
+        inst = data.draw(lattice_instances(max_n=8))
+        trip = tuple(data.draw(st.permutations(list(inst.task_ids))))
+        params = AcoParams(data.draw(st.integers(1, 10)), data.draw(st.integers(1, 5)))
+        seed = data.draw(st.integers(0, 2**32))
+        runs = []
+        for tour in (aco_tour_reference, aco_tour):
+            rng = random.Random(seed)
+            runs.append((tour(trip, inst, params, rng), rng.random()))
+        assert runs[1] == runs[0]
+
+    def test_coincident_tasks(self):
+        # tasks 1, 2 and 3 share a point, so their distances clamp to 1e-12
+        inst = _instance([(3.0, 3.0)] * 3 + [(0.0, 3.0), (3.0, 0.0)], [2.0] * 5, 40.0)
+        for seed in range(20):
+            trip = tuple(random.Random(seed).sample(range(1, 6), 5))
+            runs = []
+            for tour in (aco_tour_reference, aco_tour):
+                rng = random.Random(seed)
+                runs.append((tour(trip, inst, AcoParams(6, 4), rng), rng.random()))
+            assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("iterations", [1, 2, 5])
+    def test_pheromone_updated_between_iterations_only(self, monkeypatch, iterations):
+        calls = 0
+        original = clsm._update_pheromone
+
+        def counting(tau, best):
+            nonlocal calls
+            calls += 1
+            original(tau, best)
+
+        monkeypatch.setattr(clsm, "_update_pheromone", counting)
+        inst = random_instance(random.Random(4), 6)
+        aco_tour(tuple(inst.task_ids), inst, AcoParams(3, iterations), random.Random(0))
+        assert calls == iterations - 1
+
+
+class TestChoicesMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_target_and_candidates(self, data):
+        inst = data.draw(lattice_instances(min_n=2, max_n=12))
+        perm = data.draw(st.permutations(list(inst.task_ids)))
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(perm), max_size=len(perm)))
+        trips = _random_split_by(perm, cuts).trips
+        target = choose_target_trip_reference(trips, inst)
+        assert target_of(trips, inst) == target
+        lattice = st.integers(0, 4).map(float)
+        far_c = (data.draw(lattice), data.draw(lattice))
+        for index in range(len(trips)):
+            expected = choose_candidate_trip_reference(trips, index, far_c, inst)
+            assert candidate_of(trips, index, far_c, inst) == expected
+
+    def test_first_of_tied_separations(self):
+        # two trips of the same shape: equal separations, the first wins
+        inst = _instance([(1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (3.0, 3.0)], [1.0] * 4, 10.0)
+        trips = ((1, 2), (3, 4))
+        assert target_of(trips, inst)[0] == choose_target_trip_reference(trips, inst)[0] == 0
+
+    def test_candidate_distance_is_math_hypot(self):
+        # math.hypot rounds the distance to task 3's centroid one unit in the
+        # last place below the distance to task 2's; np.hypot rounds both to
+        # the same float, so a scan over its values would keep task 2
+        far_c = (0.0, 0.0)
+        inst = _instance(
+            [(9.0, 9.0), (47.418691216708694, 0.0), (-45.564747460088306, -13.129587411794105)],
+            [1.0] * 3,
+            10.0,
+        )
+        trips = ((1,), (2,), (3,))
+        assert candidate_of(trips, 0, far_c, inst) == 2
+        assert choose_candidate_trip_reference(trips, 0, far_c, inst) == 2
+
+
+def _random_split_by(perm, cuts):
+    tokens = []
+    for t, cut in zip(perm, cuts):
+        if tokens and cut:
+            tokens.append(0)
+        tokens.append(t)
+    return GiantSolution(tuple(tokens))

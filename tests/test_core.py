@@ -15,6 +15,7 @@ from orchard_mtvrp.core import (
     build_distance_matrix,
     decode_trips,
     evaluate,
+    ordered_sum,
     trip_energy,
 )
 
@@ -209,6 +210,24 @@ class TestEvaluate:
         before = max(loads(single))
         after = max(loads(split))
         assert after <= before
+
+
+class TestOrderedSum:
+    def test_adds_left_to_right_without_compensation(self):
+        # a compensated sum (Python >= 3.12 `sum()`, `math.fsum`) gives 1.0
+        values = [1e16, 1.0, -1e16]
+        assert ordered_sum(values) == 0.0
+        assert ordered_sum(iter(values)) == 0.0
+        assert math.fsum(values) == 1.0
+
+    def test_matches_plain_loop(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            values = [rng.uniform(-1e6, 1e6) for _ in range(rng.randint(0, 20))]
+            total = 0.0
+            for v in values:
+                total = total + v
+            assert ordered_sum(values) == total
 
 
 class TestInstanceValidation:
