@@ -585,6 +585,16 @@ class TestAcoMatchesReference:
                 runs.append((tour(trip, inst, AcoParams(6, 4), rng), rng.random()))
             assert runs[1] == runs[0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_local_energy_is_trip_energy(self, data):
+        inst = data.draw(lattice_instances(max_n=8))
+        trip = data.draw(st.permutations(list(inst.task_ids)))
+        nodes = [0, *inst.task_ids]
+        dist = [[inst.dist.item(a, b) for b in nodes] for a in nodes]
+        got = clsm._local_energy(list(trip), dist, list(inst.yields), inst.robot_weight)
+        assert got == trip_energy(trip, inst)
+
     @pytest.mark.parametrize("iterations", [1, 2, 5])
     def test_pheromone_updated_between_iterations_only(self, monkeypatch, iterations):
         calls = 0
