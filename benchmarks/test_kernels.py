@@ -6,25 +6,39 @@ Outside the default test paths, so the test suite does not run them. Run:
 
 The instances are generated from fixed seeds: n=59 (`side 20, 100 trees,
 maturity 0.6, seed 42`) and n=965 (`side 70, 1225 trees, maturity 0.8,
-seed 1`, the largest maturity-0.8 size of the paper18 suite).
+seed 1`, the largest maturity-0.8 size of the paper18 suite). `repair` and
+Fr1 scoring run at n=59 with 8 robots and e_max = 0.55 * Z_single / 8, the
+bound of perfbench's `sched-n60-fr1` workload, where Z_single is the energy
+of serving every task on a trip of its own.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 import pytest
 
 from orchard_mtvrp.clsm import AcoParams, aco_tour, clsm_step
 from orchard_mtvrp.core import evaluate, trip_energy
-from orchard_mtvrp.evolution import SolverConfig, _resplit
+from orchard_mtvrp.evolution import SolverConfig, _resplit, mutate
 from orchard_mtvrp.ilbim import init_population
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
+from orchard_mtvrp.scheduler import Framework, RepairStatus, repair, score_with_framework
 
 SPECS = {
     "n59": OrchardSpec(20, 100, 0.6, seed=42),
     "n965": OrchardSpec(70, 1225, 0.8, seed=1),
+}
+ROBOTS = 8
+# Inputs at the sched-n60-fr1 bound, by how `repair` ends on them: the last
+# ILBIM individual fits as it is; its mutant under seed 15 fits after six
+# split moves; the first ILBIM individual fits under no split.
+REPAIR_CASES = {
+    "fits": RepairStatus.REPAIRED,
+    "split": RepairStatus.REPAIRED,
+    "infeasible": RepairStatus.INFEASIBLE,
 }
 
 
@@ -69,3 +83,29 @@ def test_clsm_step(benchmark, instance):
     rng = random.Random(0)
     out = benchmark(clsm_step, sol, instance, cfg.intensity, cfg.population, rng)
     assert evaluate(out, instance).energy <= evaluate(sol, instance).energy
+
+
+@functools.cache
+def _fr1_input(case):
+    inst = _orchard("n59")
+    z_single = math.fsum(trip_energy((t,), inst) for t in inst.task_ids)
+    pop = init_population(inst, SolverConfig().population)
+    sol = {
+        "fits": pop[-1],
+        "split": mutate(pop[-1], inst, random.Random(15), 1.0),
+        "infeasible": pop[0],
+    }[case]
+    return sol, inst, ROBOTS, 0.55 * z_single / ROBOTS
+
+
+@pytest.mark.parametrize("case", list(REPAIR_CASES))
+def test_repair(benchmark, case):
+    out, status = benchmark(repair, *_fr1_input(case))
+    assert status is REPAIR_CASES[case]
+    assert (out.schedule is None) == (status is RepairStatus.INFEASIBLE)
+
+
+@pytest.mark.parametrize("case", list(REPAIR_CASES))
+def test_score_with_framework_fr1(benchmark, case):
+    out = benchmark(score_with_framework, *_fr1_input(case), Framework.FR1)
+    assert (out.energy == math.inf) == (REPAIR_CASES[case] is RepairStatus.INFEASIBLE)

@@ -11,13 +11,14 @@ import argparse
 import csv
 import glob
 import hashlib
+import itertools
 import json
 import math
 import os
 import statistics
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable
 
@@ -32,11 +33,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 3
 
-SUITE_SIDES = (20, 30, 40, 50, 60, 70)
-SUITE_TREES = (100, 225, 400, 625, 900, 1225)
-SUITE_MATURITIES = (0.4, 0.6, 0.8)
+SUITE_SIZES = ((20, 100), (30, 225), (40, 400), (50, 625), (60, 900), (70, 1225))  # (side, trees)
+# paper18 as ((side, trees), maturity), in generation order
+PAPER18 = tuple(itertools.product(SUITE_SIZES, (0.4, 0.6, 0.8)))
 
-METHODS = ("aedga", "aedga-randinit", "aedga-noclsm")
+# bench methods: the SolverConfig fields each sets beside the bench flags
+METHODS = {"aedga": {}, "aedga-randinit": {"init": "random"}, "aedga-noclsm": {"use_clsm": False}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,12 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run methods x seeds over instances")
     p_bench.add_argument("--instances", required=True, help="glob of instance files")
-    p_bench.add_argument("--methods", default="aedga", help=f"comma list from {METHODS}")
+    p_bench.add_argument("--methods", default="aedga", help=f"comma list from {tuple(METHODS)}")
     p_bench.add_argument("--runs", type=int, default=10)
-    p_bench.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
-    p_bench.add_argument("--budget-evals", type=int)
-    p_bench.add_argument("--budget-seconds", type=float)
-    p_bench.add_argument("--population", type=int, default=10)
+    p_bench.add_argument("--seed", type=int, default=SolverConfig.seed, help="base seed; run i uses seed+i")
+    p_bench.add_argument("--budget-evals", type=int, default=SolverConfig.budget_evals)
+    p_bench.add_argument("--budget-seconds", type=float, default=SolverConfig.budget_seconds)
+    p_bench.add_argument("--population", type=int, default=SolverConfig.population)
     p_bench.add_argument("--out", type=Path, required=True, help="results matrix CSV")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -103,30 +105,31 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--side", type=float, default=20.0)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--maturity", type=float, default=0.4)
-    p.add_argument("--capacity", type=float, default=300.0)
-    p.add_argument("--yield-low", type=int, default=40)
-    p.add_argument("--yield-high", type=int, default=70)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--capacity", type=float, default=OrchardSpec.capacity)
+    p.add_argument("--yield-low", type=int, default=OrchardSpec.yield_low)
+    p.add_argument("--yield-high", type=int, default=OrchardSpec.yield_high)
+    p.add_argument("--seed", type=int, default=OrchardSpec.seed)
     p.add_argument("--grid", action="store_true", help="plant trees on a lattice")
     p.add_argument("--suite", choices=["paper18"], help="generate the 6x3 size/maturity suite")
     p.add_argument("--config", type=Path, help="JSON file with OrchardSpec fields")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--population", type=int, default=10)
-    p.add_argument("--top-fraction", type=float, default=0.6)
-    p.add_argument("--intensity", type=float, default=0.2)
-    p.add_argument("--crossover-rate", type=float, default=0.9)
-    p.add_argument("--mutation-rate", type=float, default=0.2)
-    p.add_argument("--budget-evals", type=int)
-    p.add_argument("--budget-seconds", type=float)
-    p.add_argument("--stagnation-evals", type=int)
-    p.add_argument("--framework", choices=[f.value for f in Framework], default="Fr1")
-    p.add_argument("--robots", type=int)
-    p.add_argument("--emax", type=float)
-    p.add_argument("--init", choices=["ilbim", "random"], default="ilbim")
-    p.add_argument("--no-clsm", action="store_true")
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
+    p.add_argument("--population", type=int, default=SolverConfig.population)
+    p.add_argument("--top-fraction", type=float, default=SolverConfig.top_fraction)
+    p.add_argument("--intensity", type=float, default=SolverConfig.intensity)
+    p.add_argument("--crossover-rate", type=float, default=SolverConfig.crossover_rate)
+    p.add_argument("--mutation-rate", type=float, default=SolverConfig.mutation_rate)
+    p.add_argument("--budget-evals", type=int, default=SolverConfig.budget_evals)
+    p.add_argument("--budget-seconds", type=float, default=SolverConfig.budget_seconds)
+    p.add_argument("--stagnation-evals", type=int, default=SolverConfig.stagnation_evals)
+    p.add_argument("--framework", choices=[f.value for f in Framework],
+                   default=SolverConfig.framework.value)
+    p.add_argument("--robots", type=int, default=SolverConfig.robots)
+    p.add_argument("--emax", type=float, default=SolverConfig.energy_bound)
+    p.add_argument("--init", choices=["ilbim", "random"], default=SolverConfig.init)
+    p.add_argument("--no-clsm", action="store_true", default=not SolverConfig.use_clsm)
     p.add_argument("--config", type=Path, help="JSON file with SolverConfig fields")
 
 
@@ -141,7 +144,7 @@ def _from_config_file(path: Path, cls: type):
 
 
 def _reject_flags_beside_config(
-    args: argparse.Namespace, add_flags: Callable[[argparse.ArgumentParser], None], fields: str
+    args: argparse.Namespace, add_flags: Callable[[argparse.ArgumentParser], None], kind: str
 ) -> None:
     """--config sets every field that the flags of `add_flags` set, so any of
     those flags off its parser default is an error rather than ignored."""
@@ -156,7 +159,7 @@ def _reject_flags_beside_config(
     ]
     if args.config and overridden:
         raise ValueError(
-            f"--config sets every {fields} field, so {', '.join(overridden)} would be "
+            f"--config sets every {kind} field, so {', '.join(overridden)} would be "
             f"ignored; set them in {args.config} instead"
         )
 
@@ -165,22 +168,10 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
     if args.config:
         cfg = _from_config_file(args.config, SolverConfig)
     else:
-        cfg = SolverConfig(
-            population=args.population,
-            top_fraction=args.top_fraction,
-            intensity=args.intensity,
-            crossover_rate=args.crossover_rate,
-            mutation_rate=args.mutation_rate,
-            budget_seconds=args.budget_seconds,
-            budget_evals=args.budget_evals,
-            stagnation_evals=args.stagnation_evals,
-            framework=Framework(args.framework),
-            robots=args.robots,
-            energy_bound=args.emax,
-            init=args.init,
-            use_clsm=not args.no_clsm,
-            seed=args.seed,
-        )
+        # Every solver flag is named after its field, except these two.
+        by_hand = {"energy_bound": args.emax, "use_clsm": not args.no_clsm}
+        names = [f.name for f in fields(SolverConfig) if f.name not in by_hand]
+        cfg = SolverConfig(**{name: getattr(args, name) for name in names}, **by_hand)
     if (cfg.robots is None) != (cfg.energy_bound is None):
         raise ValueError("--robots and --emax (robots, energy_bound) must be given together")
     _reject_flags_beside_config(args, _add_solver_flags, "solver")
@@ -188,9 +179,8 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
 
 
 def _config_hash(cfg: SolverConfig) -> str:
-    payload = asdict(cfg)
-    payload["framework"] = cfg.framework.value
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    # Framework is a str enum, so JSON writes its value.
+    blob = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -199,40 +189,17 @@ def _dump_json(obj: object) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    specs: list[OrchardSpec] = []
     _reject_flags_beside_config(args, _add_gen_flags, "orchard")
     if args.config:
-        specs.append(_from_config_file(args.config, OrchardSpec))
-    elif args.suite == "paper18":
-        index = 0
-        for side, trees in zip(SUITE_SIDES, SUITE_TREES):
-            for maturity in SUITE_MATURITIES:
-                specs.append(
-                    OrchardSpec(
-                        side_length=side,
-                        tree_count=trees,
-                        maturity_rate=maturity,
-                        capacity=args.capacity,
-                        yield_low=args.yield_low,
-                        yield_high=args.yield_high,
-                        seed=args.seed + index,
-                        grid=args.grid,
-                    )
-                )
-                index += 1
+        specs = [_from_config_file(args.config, OrchardSpec)]
     else:
-        specs.append(
-            OrchardSpec(
-                side_length=args.side,
-                tree_count=args.trees,
-                maturity_rate=args.maturity,
-                capacity=args.capacity,
-                yield_low=args.yield_low,
-                yield_high=args.yield_high,
-                seed=args.seed,
-                grid=args.grid,
-            )
-        )
+        sizes = PAPER18 if args.suite == "paper18" else [((args.side, args.trees), args.maturity)]
+        names = ("capacity", "yield_low", "yield_high", "grid")
+        shared = {name: getattr(args, name) for name in names}
+        specs = [
+            OrchardSpec(side, trees, maturity, seed=args.seed + index, **shared)
+            for index, ((side, trees), maturity) in enumerate(sizes)
+        ]
 
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = args.out / "manifest.csv"
@@ -324,24 +291,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _method_config(method: str, args: argparse.Namespace, seed: int) -> SolverConfig:
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return SolverConfig(
-        population=args.population,
-        budget_evals=args.budget_evals,
-        budget_seconds=args.budget_seconds,
-        init="random" if method == "aedga-randinit" else "ilbim",
-        use_clsm=method != "aedga-noclsm",
-        seed=seed,
-    )
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    flags = {name: getattr(args, name) for name in ("population", "budget_evals", "budget_seconds")}
+    return SolverConfig(seed=seed, **flags, **METHODS[method])
 
 
-def _bench_job(job: tuple[str, str, int, dict]) -> tuple[str, str, int, float]:
-    inst_path, method, seed, flags = job
-    ns = argparse.Namespace(**flags)
-    inst = _load_instance(Path(inst_path))
-    cfg = _method_config(method, ns, seed)
-    result = run_aedga(inst, cfg)
-    return inst_path, method, seed, result.best_energy
+def _bench_job(job: tuple[str, SolverConfig]) -> float:
+    inst_path, cfg = job
+    return run_aedga(_load_instance(Path(inst_path)), cfg).best_energy
+
 
 def _max_workers() -> int:
     raw = os.environ.get("ORCHARD_MTVRP_THREADS", "1")
@@ -356,22 +314,14 @@ def _max_workers() -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     workers = _max_workers()
+    if args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     paths = sorted(glob.glob(args.instances))
     if not paths:
         raise ValueError(f"no instances match {args.instances!r}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    flags = {
-        "population": args.population,
-        "budget_evals": args.budget_evals,
-        "budget_seconds": args.budget_seconds,
-    }
-    jobs = [
-        (path, method, args.seed + run, flags)
-        for path in paths
-        for method in methods
-        for run in range(args.runs)
-    ]
-    results: dict[tuple[str, str], list[tuple[int, float]]] = {}
+    runs = [(p, m, args.seed + i) for p in paths for m in methods for i in range(args.runs)]
+    jobs = [(path, _method_config(method, args, seed)) for path, method, seed in runs]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -379,13 +329,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             outcomes = list(pool.map(_bench_job, jobs))
     else:
         outcomes = [_bench_job(job) for job in jobs]
+    results: dict[tuple[str, str], list[float]] = {}
     failures = 0
-    for inst_path, method, seed, energy in outcomes:
+    for (inst_path, method, seed), energy in zip(runs, outcomes):
         if energy == math.inf:
             failures += 1
             print(f"warning: infeasible run {inst_path} {method} seed={seed}", file=sys.stderr)
             continue
-        results.setdefault((inst_path, method), []).append((seed, energy))
+        results.setdefault((inst_path, method), []).append(energy)
 
     with args.out.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -393,12 +344,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for path in paths:
             row: list[str] = [Path(path).stem]
             for method in methods:
-                values = [e for _, e in sorted(results.get((path, method), []))]
+                values = results.get((path, method))
                 if not values:
                     row.append("")
                     continue
                 mean = statistics.fmean(values)
-                std = statistics.pstdev(values) if len(values) > 1 else 0.0
+                std = statistics.pstdev(values)
                 row.append(f"{mean:.6e} ({std:.6e})")
             writer.writerow(row)
     print(args.out)
@@ -416,22 +367,24 @@ def _parse_cell(cell: str) -> float:
     return float(cell)
 
 
-def read_matrix(path: Path) -> tuple[list[str], list[str], list[list[float]]]:
+def read_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
+    """The method columns and the rows of values of a results matrix."""
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise ValueError(f"matrix {path} needs a header and at least one row")
     header = rows[0]
-    methods = header[1:]
-    problems = [r[0] for r in rows[1:]]
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"matrix {path} line {line} has {len(row)} cells, the header {len(header)}"
+            )
     values = [[_parse_cell(c) for c in r[1:]] for r in rows[1:]]
-    return problems, methods, values
+    return header[1:], values
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    problems, methods, values = read_matrix(args.matrix)
-    lines_csv: list[list[str]] = []
-    lines_md: list[str] = []
+    methods, values = read_matrix(args.matrix)
     if args.test == "wilcoxon":
         if not args.baseline:
             raise ValueError("wilcoxon needs --baseline")
@@ -439,9 +392,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             raise ValueError(f"baseline column {args.baseline!r} not in {methods}")
         base_idx = methods.index(args.baseline)
         base = [row[base_idx] for row in values]
-        lines_csv.append(["VS", "R+", "R-", "Asymptotic P-value", "+", "-", "="])
-        lines_md.append("| VS | R+ | R- | Asymptotic P-value | + | - | = |")
-        lines_md.append("|---|---|---|---|---|---|---|")
+        rows = [["VS", "R+", "R-", "Asymptotic P-value", "+", "-", "="]]
         for j, method in enumerate(methods):
             if j == base_idx:
                 continue
@@ -455,28 +406,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
                     plus += 1
                 else:
                     minus += 1
-            row = [method, f"{res.r_plus:g}", f"{res.r_minus:g}", f"{res.p_asymptotic:.6g}",
-                   str(plus), str(minus), str(equal)]
-            lines_csv.append(row)
-            lines_md.append("| " + " | ".join(row) + " |")
+            rows.append([method, f"{res.r_plus:g}", f"{res.r_minus:g}",
+                         f"{res.p_asymptotic:.6g}", str(plus), str(minus), str(equal)])
     else:
         res = friedman(values)
-        lines_csv.append(["method", "mean rank"])
-        lines_md.append("| method | mean rank |")
-        lines_md.append("|---|---|")
-        for method, rank in zip(methods, res.mean_ranks):
-            lines_csv.append([method, f"{rank:.4f}"])
-            lines_md.append(f"| {method} | {rank:.4f} |")
-        lines_csv.append(["chi-square", f"{res.chi_square:.6g}"])
-        lines_csv.append(["p-value", f"{res.p_value:.6g}"])
-        lines_md.append(f"| chi-square | {res.chi_square:.6g} |")
-        lines_md.append(f"| p-value | {res.p_value:.6g} |")
+        rows = [
+            ["method", "mean rank"],
+            *([method, f"{rank:.4f}"] for method, rank in zip(methods, res.mean_ranks)),
+            ["chi-square", f"{res.chi_square:.6g}"],
+            ["p-value", f"{res.p_value:.6g}"],
+        ]
 
-    markdown = "\n".join(lines_md) + "\n"
+    lines = ["| " + " | ".join(row) + " |" for row in rows]
+    lines.insert(1, "|" + "---|" * len(rows[0]))
+    markdown = "\n".join(lines) + "\n"
     sys.stdout.write(markdown)
     if args.out:
         with Path(f"{args.out}.csv").open("w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(lines_csv)
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         Path(f"{args.out}.md").write_text(markdown)
     return EXIT_OK
 
@@ -498,7 +445,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_export_routes(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     payload = json.loads(args.result.read_text())
-    sol = GiantSolution(tuple(payload["tokens"]))
+    tokens = payload.get("tokens") if isinstance(payload, dict) else None
+    if not (isinstance(tokens, list) and all(isinstance(t, int) for t in tokens)):
+        raise ValueError(f"{args.result} is not a solve result: no 'tokens' list of task ids")
+    sol = GiantSolution(tuple(tokens))
     ev = evaluate(sol, inst)
     depot = list(inst.coords[0])
     routes = [

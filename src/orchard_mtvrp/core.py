@@ -214,10 +214,6 @@ class Evaluation:
     trips: tuple[Trip, ...]
     penalized: bool
 
-    @property
-    def capacity_feasible(self) -> bool:
-        return not self.penalized
-
 
 def expand_overloads(
     trips: Iterable[Sequence[int]], inst: Instance

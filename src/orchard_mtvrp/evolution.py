@@ -41,8 +41,6 @@ class Archive:
     @staticmethod
     def fresh(top_fraction: float, population: int) -> "Archive":
         width = round(top_fraction * 10)
-        if not 1 <= width <= 10:
-            raise ConfigurationError("top fraction must lie in [0.1, 1]")
         return Archive(
             ranges=tuple(i / 10 for i in range(1, width + 1)),
             counts=tuple(0 for _ in range(width)),

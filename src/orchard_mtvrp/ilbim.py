@@ -15,22 +15,13 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ConfigurationError, GiantSolution, Instance
 
 
-@dataclass(frozen=True)
-class CompositeRanking:
-    """Task ids sorted by ascending blended rank."""
-
-    order: tuple[int, ...]
-
-
-def composite_ranking(inst: Instance, distance_weight: float) -> CompositeRanking:
-    """Blend the rank positions from the two sort orders.
+def composite_ranking(inst: Instance, distance_weight: float) -> tuple[int, ...]:
+    """Task ids sorted by ascending blended rank of the two sort orders.
 
     distance_weight = 1 reproduces the distance-descending order, 0 the
     yield-ascending order. Rank positions are 1-based; ties everywhere break
@@ -43,11 +34,11 @@ def composite_ranking(inst: Instance, distance_weight: float) -> CompositeRankin
     pos_y = {t: i for i, t in enumerate(by_yield, start=1)}
     w = distance_weight
     blended = sorted(tasks, key=lambda t: (w * pos_d[t] + (1 - w) * pos_y[t], t))
-    return CompositeRanking(tuple(blended))
+    return tuple(blended)
 
 
 def construct_solution(
-    ranking: CompositeRanking, distance_weight: float, inst: Instance
+    ranking: tuple[int, ...], distance_weight: float, inst: Instance
 ) -> GiantSolution:
     """Greedy trip construction over the ranked task list.
 
@@ -66,7 +57,7 @@ def construct_solution(
     pos_p = np.empty(len(yields) - 1)
     pos_s = np.empty(len(yields) - 1)
     trips: list[list[int]] = []
-    for current in ranking.order:
+    for current in ranking:
         if not alive[current]:
             continue
         alive[current] = False

@@ -43,6 +43,15 @@ class Schedule:
         return out
 
 
+@dataclass(frozen=True)
+class Individual:
+    """A solution with its score and, when it was scheduled, its schedule."""
+
+    solution: GiantSolution
+    energy: float
+    schedule: Schedule | None = None
+
+
 class Framework(str, Enum):
     FR1 = "Fr1"  # schedule + repair every individual, every generation
     FR2 = "Fr2"  # drop unschedulable individuals, refill
@@ -208,7 +217,7 @@ def repair(
     m: int,
     e_max: float,
     _move_trace: list[tuple[float, float]] | None = None,
-) -> tuple[GiantSolution, RepairStatus]:
+) -> tuple[Individual, RepairStatus]:
     """Split trips until the trip set fits the robots, following the
     move-accept rule: walking the trips from most to least expensive, peel
     tasks off the tail of a trip onto the front of a fresh trip while the
@@ -220,16 +229,25 @@ def repair(
     as a list with their energies kept in step, so a move computes just its
     two trips' energies. _move_trace, when given, collects
     (previous_combined, new_combined) per accepted move.
+
+    The result comes scored: once repaired, its energy is the fsum of those
+    energies, bit for bit `evaluate`'s (fsum rounds exactly and every trip
+    fits the capacity), and its schedule the last check's witness; else its
+    energy is infinite and it has no schedule.
     """
     expanded, _ = expand_overloads(sol.trips, inst)
     trips: list[list[int]] = [list(t) for t in expanded]
     energies = [trip_energy(t, inst) for t in trips]
 
-    def feasible() -> bool:
-        return makespan_assign(energies, m, e_max) is not None
+    def done(schedule: Schedule | None) -> tuple[Individual, RepairStatus]:
+        solution = GiantSolution.from_trips(trips)
+        if schedule is None:
+            return Individual(solution, math.inf), RepairStatus.INFEASIBLE
+        return Individual(solution, math.fsum(energies), schedule), RepairStatus.REPAIRED
 
-    if feasible():
-        return GiantSolution.from_trips(trips), RepairStatus.REPAIRED
+    schedule = makespan_assign(energies, m, e_max)
+    if schedule is not None:
+        return done(schedule)
 
     queue = sorted(range(len(trips)), key=lambda i: (-energies[i], i))
     originals = [trips[i] for i in queue]
@@ -253,10 +271,10 @@ def repair(
                 trips.insert(index + 1, trip_b)
                 energies.insert(index + 1, e_b)
             energies[index : index + 2] = e_a, e_b
-            if feasible():
-                return GiantSolution.from_trips(trips), RepairStatus.REPAIRED
-    status = RepairStatus.REPAIRED if feasible() else RepairStatus.INFEASIBLE
-    return GiantSolution.from_trips(trips), status
+            schedule = makespan_assign(energies, m, e_max)
+            if schedule is not None:
+                return done(schedule)
+    return done(makespan_assign(energies, m, e_max))
 
 
 def thresholds(mean_energy: float, m: int) -> tuple[float, float]:
@@ -266,23 +284,15 @@ def thresholds(mean_energy: float, m: int) -> tuple[float, float]:
     return 1.5 * mean_energy / m, 1.7 * mean_energy / m
 
 
-@dataclass(frozen=True)
-class Individual:
-    """A solution with its score and, when it was scheduled, its schedule."""
-
-    solution: GiantSolution
-    energy: float
-    schedule: Schedule | None = None
-
-
 def score_with_framework(
     sol: GiantSolution, inst: Instance, m: int, e_max: float, framework: Framework
 ) -> Individual:
     """Score one individual under the given framework's per-generation rule.
 
-    Fr1 repairs unschedulable individuals in place (still-unschedulable ones
-    keep infinite energy); Fr2 marks them infeasible for deletion by the
-    caller; Fr3 ignores the bound here entirely.
+    Fr1 returns unschedulable individuals as `repair` scored them
+    (still-unschedulable ones keep infinite energy); Fr2 marks them
+    infeasible for deletion by the caller; Fr3 ignores the bound here
+    entirely.
     """
     ev = evaluate(sol, inst)
     if framework is Framework.FR3:
@@ -292,12 +302,7 @@ def score_with_framework(
         return Individual(sol, ev.energy, schedule)
     if framework is Framework.FR2:
         return Individual(sol, math.inf)
-    repaired, status = repair(sol, inst, m, e_max)
-    if status is RepairStatus.INFEASIBLE:
-        return Individual(repaired, math.inf)
-    rev = evaluate(repaired, inst)
-    schedule = makespan_assign([t.energy for t in rev.trips], m, e_max)
-    return Individual(repaired, rev.energy, schedule)
+    return repair(sol, inst, m, e_max)[0]
 
 
 def finalize_fr3(

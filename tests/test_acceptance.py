@@ -84,7 +84,7 @@ def test_criterion_02_evaluation_decomposition():
         ev = evaluate(sol, inst)
         recomputed = math.fsum(trip_energy(t.tasks, inst) for t in ev.trips)
         worst = max(worst, abs(ev.energy - recomputed) / max(recomputed, 1e-12))
-        if ev.capacity_feasible:
+        if not ev.penalized:
             feasible_seen += 1
             unpenalized = math.fsum(
                 trip_energy(t, inst) for t in decode_trips(sol)
@@ -186,7 +186,7 @@ def test_criterion_06_repair_contract():
         checked += 1
         trace: list[tuple[float, float]] = []
         out, status = repair(sol, inst, m, e_max, _move_trace=trace)
-        trips = decode_trips(out)
+        trips = decode_trips(out.solution)
         multiset_ok = sorted(t for trip in trips for t in trip) == sorted(
             t for trip in decode_trips(sol) for t in trip
         )

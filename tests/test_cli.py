@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from orchard_mtvrp import cli
 from orchard_mtvrp.cli import main
 from orchard_mtvrp.core import Instance
 from orchard_mtvrp.instances import emit_instance
@@ -279,6 +280,33 @@ class TestBench:
                    "--out", str(tmp_path / "u.csv")])
         assert rc == 1
 
+    def test_unknown_method_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        write_instance(tmp_path / "u.vrp", n=3)
+        solves = []
+        monkeypatch.setattr(cli, "run_aedga", lambda *args: solves.append(args))
+        out = tmp_path / "u.csv"
+        rc = main(["bench", "--instances", str(tmp_path / "u.vrp"),
+                   "--methods", "aedga,nope", "--runs", "1", "--budget-evals", "10",
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "nope" in captured.err
+        assert captured.err.count("\n") == 1
+        assert solves == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_nonpositive_runs_one_line_error(self, tmp_path, capsys, runs):
+        write_instance(tmp_path / "r.vrp", n=3)
+        out = tmp_path / "r.csv"
+        rc = main(["bench", "--instances", str(tmp_path / "r.vrp"), "--runs", runs,
+                   "--budget-evals", "10", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--runs" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestStats:
     def test_reference_fixture_row(self, capsys):
@@ -331,6 +359,22 @@ class TestStats:
         report = capsys.readouterr().out
         assert "| x | 1.0000 |" in report
 
+    @pytest.mark.parametrize("test", ["wilcoxon", "friedman"])
+    def test_row_of_wrong_width_one_line_error(self, tmp_path, capsys, test):
+        matrix = tmp_path / "short.csv"
+        with matrix.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["instance", "a", "b"])
+            for i in range(6):
+                writer.writerow([i, 10.0 + i, 11.0 + i])
+            writer.writerow(["p7", 12.0])
+        rc = main(["stats", "--matrix", str(matrix), "--test", test, "--baseline", "a"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "line 8" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_report_files_written(self, tmp_path, capsys):
         out = tmp_path / "report"
         main(["stats", "--matrix", str(FIXTURES / "rg_means.csv"),
@@ -371,6 +415,19 @@ class TestExportRoutes:
             poly = route["polyline"]
             assert poly[0] == [0.0, 0.0] and poly[-1] == [0.0, 0.0]
             assert len(poly) == len(route["tasks"]) + 2
+
+    @pytest.mark.parametrize("result", [{"instance": "x"}, [1, 2], {"tokens": "0 1 0"},
+                                        {"tokens": [0, None, 0]}])
+    def test_bad_result_file_one_line_error(self, tmp_path, capsys, result):
+        write_instance(tmp_path / "e.vrp", n=1)
+        (tmp_path / "bad.json").write_text(json.dumps(result))
+        rc = main(["export-routes", "--instance", str(tmp_path / "e.vrp"),
+                   "--result", str(tmp_path / "bad.json")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "tokens" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 def test_solve_config_file(tmp_path, capsys):

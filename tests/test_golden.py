@@ -18,6 +18,7 @@ import pytest
 from orchard_mtvrp import (
     OrchardSpec,
     SolverConfig,
+    core,
     evolution,
     generate_orchard,
     run_aedga,
@@ -100,6 +101,22 @@ def test_repair_config_repairs(monkeypatch):
     z = float(json.loads(GOLDEN.read_text())["default"]["best_energy"])
     _solve(generate_orchard(SPEC), z, CONFIGS[REPAIR_CONFIG])
     assert repaired > 0
+
+
+def test_fr1_evaluates_once_per_counted_evaluation(monkeypatch):
+    original = core.evaluate
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for module in (core, evolution, scheduler):
+        monkeypatch.setattr(module, "evaluate", counting)
+    z = float(json.loads(GOLDEN.read_text())["default"]["best_energy"])
+    out = _solve(generate_orchard(SPEC), z, CONFIGS[REPAIR_CONFIG])
+    assert calls == out["evaluations"]
 
 
 def test_fr3_scores_each_distinct_candidate_once(monkeypatch):

@@ -84,7 +84,7 @@ class TestExactRouteGeneration:
         assert result.energy == pytest.approx(exhaustive_best_energy(inst), rel=1e-12)
         ev = evaluate(result.solution, inst)
         assert ev.energy == pytest.approx(result.energy, rel=1e-12)
-        assert ev.capacity_feasible
+        assert not ev.penalized
 
     def test_invariant_under_relabeling_and_rigid_motion(self):
         rng = random.Random(5)
@@ -129,7 +129,7 @@ class TestExactRouteGeneration:
                     tokens.append(0)
                 tokens.append(t)
             ev = evaluate(GiantSolution(tuple(tokens)), inst)
-            if ev.capacity_feasible:
+            if not ev.penalized:
                 assert optimum <= ev.energy + 1e-9
 
 

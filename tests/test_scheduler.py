@@ -109,7 +109,7 @@ class TestRepair:
         sol = GiantSolution((1, 0, 2))
         out, status = repair(sol, inst, 2, 1e6)
         assert status is RepairStatus.REPAIRED
-        assert out == sol
+        assert out.solution == sol
 
     def test_long_trip_split_to_meet_bound(self):
         inst = self._line()
@@ -117,7 +117,7 @@ class TestRepair:
         # two robots, bound below 1050 but above each singleton trip energy
         out, status = repair(sol, inst, 2, 1000.0)
         assert status is RepairStatus.REPAIRED
-        trips = decode_trips(out)
+        trips = decode_trips(out.solution)
         assert sorted(t for trip in trips for t in trip) == [1, 2]
         energies = [trip_energy(t, inst) for t in trips]
         assert makespan_assign(energies, 2, 1000.0) is not None
@@ -127,7 +127,7 @@ class TestRepair:
         sol = GiantSolution((1, 2))
         out, status = repair(sol, inst, 2, 100.0)
         assert status is RepairStatus.INFEASIBLE
-        assert sorted(t for trip in decode_trips(out) for t in trip) == [1, 2]
+        assert sorted(t for trip in decode_trips(out.solution) for t in trip) == [1, 2]
 
     def test_contracts_on_constructed_infeasible_fixtures(self):
         rng = random.Random(7)
@@ -153,7 +153,7 @@ class TestRepair:
             checked += 1
             trace: list[tuple[float, float]] = []
             out, status = repair(sol, inst, m, e_max, _move_trace=trace)
-            out_trips = decode_trips(out)
+            out_trips = decode_trips(out.solution)
             assert sorted(t for trip in out_trips for t in trip) == sorted(perm)
             for trip in out_trips:
                 assert sum(inst.yields[t] for t in trip) <= inst.capacity + 1e-9
@@ -170,7 +170,7 @@ class TestRepair:
         sol = GiantSolution((1, 2))  # load 10 > 8, expansion forced
         out, status = repair(sol, inst, 2, 1e6)
         assert status is RepairStatus.REPAIRED
-        assert decode_trips(out) == [(1,), (2,)]
+        assert decode_trips(out.solution) == [(1,), (2,)]
 
 
 def _reference_repair(sol, inst, m, e_max):
@@ -254,7 +254,7 @@ class TestRepairAgainstRecomputingReference:
             checks.clear()
             got_trace: list[tuple[float, float]] = []
             got, got_status = repair(sol, inst, m, e_max, _move_trace=got_trace)
-            assert (got, got.trips, got_status, got_trace, checks) == reference
+            assert (got.solution, got.solution.trips, got_status, got_trace, checks) == reference
             statuses.add(status)
         assert statuses == set(RepairStatus)
         assert overloaded > 50
@@ -280,6 +280,24 @@ class TestRepairAgainstRecomputingReference:
             monkeypatch.undo()
             assert calls == charged + 2 * tried
         assert moved > 50
+
+
+class TestRepairScoresItsResult:
+    def test_energy_and_witness_match_a_fresh_scoring(self):
+        rng = random.Random(21)
+        statuses = set()
+        for sol, inst, m, e_max in _repair_cases(rng, 400):
+            out, status = repair(sol, inst, m, e_max)
+            statuses.add(status)
+            if status is RepairStatus.INFEASIBLE:
+                assert out.energy == math.inf
+                assert out.schedule is None
+                continue
+            ev = evaluate(out.solution, inst)
+            assert not ev.penalized
+            assert out.energy == ev.energy
+            _validate(out.schedule, [t.energy for t in ev.trips], m, e_max)
+        assert statuses == set(RepairStatus)
 
 
 class TestThresholds:
