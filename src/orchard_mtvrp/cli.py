@@ -320,6 +320,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not paths:
         raise ValueError(f"no instances match {args.instances!r}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"--methods must name each method once, got {args.methods!r}")
     runs = [(p, m, args.seed + i) for p in paths for m in methods for i in range(args.runs)]
     jobs = [(path, _method_config(method, args, seed)) for path, method, seed in runs]
     if workers > 1:
@@ -448,7 +450,7 @@ def cmd_export_routes(args: argparse.Namespace) -> int:
     tokens = payload.get("tokens") if isinstance(payload, dict) else None
     if not (isinstance(tokens, list) and all(isinstance(t, int) for t in tokens)):
         raise ValueError(f"{args.result} is not a solve result: no 'tokens' list of task ids")
-    sol = GiantSolution(tuple(tokens))
+    sol = GiantSolution.from_tokens(tokens)
     ev = evaluate(sol, inst)
     depot = list(inst.coords[0])
     routes = [

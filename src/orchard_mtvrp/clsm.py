@@ -316,7 +316,7 @@ def clsm_step(
         energy = math.fsum(itertools.chain.from_iterable(pieces))
         if energy < best_energy:
             best_energy = energy
-            best_sol = GiantSolution.from_trips(trips)
+            best_sol = GiantSolution(trips)
     return best_sol
 
 

@@ -1,12 +1,14 @@
 """Problem data types and the load-dependent energy objective.
 
 A robot of weight W carries its accumulated load, so the cost of an arc is
-distance * (W + load carried on that arc). A solution is a giant tour over
-all task ids with 0-markers separating depot-to-depot trips.
+distance * (W + load carried on that arc). A solution is kept as its
+depot-to-depot trips; its giant tour lists all task ids with 0-markers
+between the trips.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -42,6 +44,8 @@ def build_distance_matrix(coords: Sequence[tuple[float, float]]) -> np.ndarray:
     if len(coords) < 1:
         raise ConfigurationError("need at least the depot coordinate")
     pts = np.asarray(coords, dtype=float)
+    if not np.isfinite(pts).all():
+        raise ConfigurationError("coordinates must be finite")
     n = len(pts)
     if n * n * 8 < _DIST_MAP_BYTES:
         dist = np.empty((n, n))
@@ -67,16 +71,14 @@ class Instance:
     """An orchard routing problem.
 
     coords[0] is the depot; coords[i] and yields[i] for i >= 1 describe task i.
-    yields[0] is a placeholder and must be 0. fleet_size and energy_bound are
-    only needed once trips get assigned to robots.
+    yields[0] is a placeholder and must be 0. The coordinates (checked when
+    the distance matrix is built), capacity and robot weight must be finite.
     """
 
     coords: tuple[tuple[float, float], ...]
     yields: tuple[float, ...]
     capacity: float
     robot_weight: float
-    fleet_size: int | None = None
-    energy_bound: float | None = None
     name: str = "instance"
     provenance: str | None = None
     dist: np.ndarray = field(init=False, compare=False, repr=False)
@@ -88,15 +90,15 @@ class Instance:
             raise ConfigurationError("need at least the depot coordinate")
         if self.yields[0] != 0:
             raise ConfigurationError("depot yield slot must be 0")
+        if not 0 < self.capacity < math.inf:
+            raise ConfigurationError(f"capacity must be positive and finite, got {self.capacity}")
         for i, q in enumerate(self.yields[1:], start=1):
             if not 0 < q <= self.capacity:
                 raise ConfigurationError(
                     f"yield of task {i} must be in (0, capacity], got {q}"
                 )
-        if self.robot_weight <= 0:
-            raise ConfigurationError("robot weight must be positive")
-        if self.fleet_size is not None and self.fleet_size < 1:
-            raise ConfigurationError("fleet size must be >= 1")
+        if not 0 < self.robot_weight < math.inf:
+            raise ConfigurationError("robot weight must be positive and finite")
         object.__setattr__(self, "dist", build_distance_matrix(self.coords))
 
     @property
@@ -110,53 +112,43 @@ class Instance:
 
 @dataclass(frozen=True)
 class GiantSolution:
-    """A permutation of task ids with 0-markers between trips.
+    """A solution as its depot-to-depot trips, in visit order.
 
-    Stored in canonical form: no leading/trailing zeros and no adjacent
-    zeros, so trips are exactly the maximal 0-free runs. The tokens are split
-    into `trips` once, at construction; equality and hashing use `tokens`
-    alone. An empty token tuple is allowed only for the degenerate zero-task
-    instance.
+    Empty trips are dropped, and a task id below 1 or seen twice is
+    rejected. The giant tour, the task ids with a 0-marker between
+    consecutive trips, is derived once at construction as `tokens`, with no
+    leading, trailing or doubled zeros; canonical tokens and trips map one
+    to one, and equality and hashing use `trips`. `from_tokens` reads a
+    giant tour. No trips at all is allowed only for the degenerate
+    zero-task instance.
     """
 
-    tokens: tuple[int, ...]
-    trips: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    trips: tuple[tuple[int, ...], ...]
+    tokens: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         trips: list[tuple[int, ...]] = []
-        current: list[int] = []
-        seen: set[int] = set()
-        for t in map(int, self.tokens):
-            if t:
-                if t in seen:
-                    raise RepresentationError(f"task {t} appears more than once")
-                seen.add(t)
-                current.append(t)
-            elif current:
-                trips.append(tuple(current))
-                current = []
-        if current:
-            trips.append(tuple(current))
-        object.__setattr__(self, "tokens", _join(trips))
+        tokens: list[int] = []
+        for given in self.trips:
+            trip = tuple(map(int, given))
+            if trip:
+                trips.append(trip)
+                tokens.append(0)
+                tokens.extend(trip)
+        # Every trip opens with a 0-marker here, so a 0 inside a trip repeats one.
+        if tokens and (len(set(tokens)) != len(tokens) - len(trips) + 1 or min(tokens) < 0):
+            raise RepresentationError("task ids must be distinct and at least 1")
         object.__setattr__(self, "trips", tuple(trips))
+        object.__setattr__(self, "tokens", tuple(tokens[1:]))
+
+    @classmethod
+    def from_tokens(cls, tokens: Iterable[int]) -> "GiantSolution":
+        """The solution whose trips are the maximal 0-free runs of a giant tour."""
+        return cls([tuple(run) for nonzero, run in itertools.groupby(tokens, bool) if nonzero])
 
     def task_sequence(self) -> tuple[int, ...]:
         """Task ids in visit order, separators stripped."""
         return tuple(t for trip in self.trips for t in trip)
-
-    @staticmethod
-    def from_trips(trips: Iterable[Sequence[int]]) -> "GiantSolution":
-        return GiantSolution(_join(trips))
-
-
-def _join(trips: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """The trips' task ids with a 0-marker between consecutive trips."""
-    tokens: list[int] = []
-    for trip in trips:
-        if tokens:
-            tokens.append(0)
-        tokens.extend(trip)
-    return tuple(tokens)
 
 
 def ordered_sum(values: Iterable[float]) -> float:

@@ -146,7 +146,7 @@ def _resplit(perm: Sequence[int], inst: Instance) -> GiantSolution:
         start = cut_before[end]
         trips.append(tuple(perm[start:end]))
         end = start
-    return GiantSolution.from_trips(reversed(trips))
+    return GiantSolution(reversed(trips))
 
 
 def crossover(
@@ -307,9 +307,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig, rng: random.Random | None = Non
     scheduling framework."""
     if rng is None:
         rng = random.Random(cfg.seed)
-    robots = cfg.robots if cfg.robots is not None else inst.fleet_size
-    e_max = cfg.energy_bound if cfg.energy_bound is not None else inst.energy_bound
-    rs_active = robots is not None and e_max is not None
+    rs_active = cfg.robots is not None and cfg.energy_bound is not None
     framework = cfg.framework
 
     budget_evals = cfg.budget_evals
@@ -325,7 +323,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig, rng: random.Random | None = Non
         nonlocal evals
         evals += 1
         if rs_active:
-            return score_with_framework(sol, inst, robots, e_max, framework)
+            return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework)
         return Individual(sol, evaluate(sol, inst).energy)
 
     def fresh_population() -> list[GiantSolution]:
@@ -433,7 +431,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig, rng: random.Random | None = Non
     if rs_active and framework is Framework.FR3 and status == "ok":
         # The incumbent is usually pop[0] as well; score each genome once.
         candidates = dict.fromkeys([best.solution] + [ind.solution for ind in pop])
-        final = finalize_fr3(list(candidates), inst, robots, e_max)
+        final = finalize_fr3(list(candidates), inst, cfg.robots, cfg.energy_bound)
         if final is None:
             status = "infeasible"
             best = Individual(best.solution, math.inf)

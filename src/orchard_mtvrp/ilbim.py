@@ -81,7 +81,7 @@ def construct_solution(
             alive[pick] = False
             current = pick
         trips.append(trip)
-    return GiantSolution.from_trips(trips)
+    return GiantSolution(trips)
 
 
 def init_population(inst: Instance, population: int) -> list[GiantSolution]:

@@ -146,7 +146,7 @@ def exact_route_generation(inst: Instance) -> OracleResult:
     ordered = [solved_block(b)[0] for b in best_blocks]
     return OracleResult(
         energy=best_energy,
-        solution=GiantSolution.from_trips(ordered),
+        solution=GiantSolution(ordered),
         partitions_explored=stats["partitions"],
         tours_solved=stats["tours"],
     )

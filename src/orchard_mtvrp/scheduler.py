@@ -240,7 +240,7 @@ def repair(
     energies = [trip_energy(t, inst) for t in trips]
 
     def done(schedule: Schedule | None) -> tuple[Individual, RepairStatus]:
-        solution = GiantSolution.from_trips(trips)
+        solution = GiantSolution(trips)
         if schedule is None:
             return Individual(solution, math.inf), RepairStatus.INFEASIBLE
         return Individual(solution, math.fsum(energies), schedule), RepairStatus.REPAIRED
@@ -274,7 +274,7 @@ def repair(
             schedule = makespan_assign(energies, m, e_max)
             if schedule is not None:
                 return done(schedule)
-    return done(makespan_assign(energies, m, e_max))
+    return done(None)
 
 
 def thresholds(mean_energy: float, m: int) -> tuple[float, float]:

@@ -45,7 +45,7 @@ def _random_solution(inst: Instance, rng: random.Random) -> GiantSolution:
         if tokens and rng.random() < 0.3:
             tokens.append(0)
         tokens.append(t)
-    return GiantSolution(tuple(tokens))
+    return GiantSolution.from_tokens(tuple(tokens))
 
 
 def test_criterion_01_oracle_optimality_desk_scale():

@@ -94,6 +94,17 @@ class TestGen:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags", [["--side", "nan"], ["--capacity", "inf"]])
+    def test_non_finite_spec_one_line_error(self, tmp_path, capsys, flags):
+        rc = main(["gen", "--side", "20", "--trees", "25", "--maturity", "0.6",
+                   "--seed", "3", *flags, "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not list(tmp_path.glob("*.vrp"))
+
+
 class TestSolve:
     def test_single_task_closed_form(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "one.vrp", n=1)
@@ -154,6 +165,18 @@ class TestSolve:
         bad.write_text("NOT AN INSTANCE\n")
         rc = main(["solve", str(bad)])
         assert rc == 1
+
+    @pytest.mark.parametrize("old, new", [("2 10 0", "2 nan 0"), ("CAPACITY : 12", "CAPACITY : inf")])
+    def test_non_finite_instance_one_line_error(self, tmp_path, capsys, old, new):
+        path = tmp_path / "nf.vrp"
+        write_instance(path, n=2)
+        path.write_text(path.read_text().replace(old, new))
+        rc = main(["solve", str(path), "--budget-evals", "10"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_config_unknown_key_one_line_error(self, tmp_path, capsys):
         write_instance(tmp_path / "c.vrp", n=2)
@@ -291,6 +314,22 @@ class TestBench:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "nope" in captured.err
+        assert captured.err.count("\n") == 1
+        assert solves == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", [",", "aedga,aedga", "aedga, aedga-randinit,aedga"])
+    def test_empty_or_repeated_methods_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                                 methods):
+        write_instance(tmp_path / "u.vrp", n=3)
+        solves = []
+        monkeypatch.setattr(cli, "run_aedga", lambda *args: solves.append(args))
+        out = tmp_path / "u.csv"
+        rc = main(["bench", "--instances", str(tmp_path / "u.vrp"), "--methods", methods,
+                   "--runs", "1", "--budget-evals", "10", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--methods" in captured.err
         assert captured.err.count("\n") == 1
         assert solves == []
         assert not out.exists()

@@ -219,12 +219,12 @@ class TestKmeansTwo:
 class TestChooseTargetTrip:
     def test_all_singletons_gives_nothing(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0)], [1.0, 1.0], 10.0)
-        sol = GiantSolution((1, 0, 2))
+        sol = GiantSolution.from_tokens((1, 0, 2))
         assert target_of(sol.trips, inst) is None
 
     def test_unique_multi_task_trip_wins(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [1.0] * 3, 10.0)
-        sol = GiantSolution((1, 2, 0, 3))
+        sol = GiantSolution.from_tokens((1, 2, 0, 3))
         picked = target_of(sol.trips, inst)
         assert picked is not None
         assert picked[0] == 0
@@ -236,7 +236,7 @@ class TestChooseTargetTrip:
             [1.0] * 4,
             10.0,
         )
-        sol = GiantSolution((1, 2, 0, 3, 4))
+        sol = GiantSolution.from_tokens((1, 2, 0, 3, 4))
         picked = target_of(sol.trips, inst)
         assert picked[0] == 0
         assert picked[1].separation == pytest.approx(10.0)
@@ -247,8 +247,8 @@ class TestChooseTargetTrip:
             [1.0] * 4,
             10.0,
         )
-        a = target_of(GiantSolution((1, 2, 0, 3, 4)).trips, inst)
-        b = target_of(GiantSolution((3, 4, 0, 1, 2)).trips, inst)
+        a = target_of(GiantSolution.from_tokens((1, 2, 0, 3, 4)).trips, inst)
+        b = target_of(GiantSolution.from_tokens((3, 4, 0, 1, 2)).trips, inst)
         assert a[1].separation == pytest.approx(b[1].separation)
         assert set(a[1].members_a + a[1].members_b) == {1, 2}
         assert set(b[1].members_a + b[1].members_b) == {1, 2}
@@ -257,7 +257,7 @@ class TestChooseTargetTrip:
 class TestChooseCandidateTrip:
     def test_two_trips_picks_the_other(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0), (9.0, 9.0)], [1.0] * 3, 10.0)
-        sol = GiantSolution((1, 2, 0, 3))
+        sol = GiantSolution.from_tokens((1, 2, 0, 3))
         assert candidate_of(sol.trips, 0, (1.5, 0.0), inst) == 1
 
     def test_nearest_centroid_wins(self):
@@ -266,13 +266,13 @@ class TestChooseCandidateTrip:
             [1.0] * 4,
             10.0,
         )
-        sol = GiantSolution((1, 2, 0, 3, 0, 4))
+        sol = GiantSolution.from_tokens((1, 2, 0, 3, 0, 4))
         # far centroid around (0.5, 10): trip (3,) at distance ~1, trip (4,) ~7
         assert candidate_of(sol.trips, 0, (0.5, 10.0), inst) == 1
 
     def test_single_trip_has_no_candidate(self):
         inst = _instance([(1.0, 0.0), (2.0, 0.0)], [1.0] * 2, 10.0)
-        sol = GiantSolution((1, 2))
+        sol = GiantSolution.from_tokens((1, 2))
         assert candidate_of(sol.trips, 0, (1.5, 0.0), inst) is None
 
     def test_far_cluster_tie_breaks_on_id_sum(self):
@@ -355,7 +355,7 @@ class TestAcoTour:
 class TestClsmStep:
     def test_single_singleton_trip_unchanged(self):
         inst = _instance([(1.0, 0.0)], [1.0], 10.0)
-        sol = GiantSolution((1,))
+        sol = GiantSolution.from_tokens((1,))
         assert clsm_step(sol, inst, 0.2, 10, random.Random(0)) == sol
 
     def test_stretched_trip_recombined_with_nearest(self):
@@ -366,7 +366,7 @@ class TestClsmStep:
             [2.0] * 5,
             8.0,
         )
-        sol = GiantSolution((1, 5, 0, 2, 3, 0, 4))
+        sol = GiantSolution.from_tokens((1, 5, 0, 2, 3, 0, 4))
         out = clsm_step(sol, inst, 0.2, 10, random.Random(1))
         before = evaluate(sol, inst).energy
         after = evaluate(out, inst).energy
@@ -385,7 +385,7 @@ class TestClsmStep:
                 if tokens and rng.random() < 0.35:
                     tokens.append(0)
                 tokens.append(t)
-            sol = GiantSolution(tuple(tokens))
+            sol = GiantSolution.from_tokens(tuple(tokens))
             out = clsm_step(sol, inst, 0.2, 6, rng)
             assert sorted(t for trip in decode_trips(out) for t in trip) == sorted(perm)
             assert (
@@ -399,7 +399,7 @@ def _random_split(rng, tasks, cut_probability):
         if tokens and rng.random() < cut_probability:
             tokens.append(0)
         tokens.append(t)
-    return GiantSolution(tuple(tokens))
+    return GiantSolution.from_tokens(tuple(tokens))
 
 
 class TestStepMemos:
@@ -415,7 +415,7 @@ class TestStepMemos:
             rng.shuffle(perm)
             first = _random_split(rng, perm, 0.2)
             merged = [first.trips[0] + first.trips[1]] if len(first.trips) > 1 else []
-            second = GiantSolution.from_trips([*merged, *first.trips[len(merged) * 2 :]])
+            second = GiantSolution([*merged, *first.trips[len(merged) * 2 :]])
             memo = {}
             for sol in (first, second):
                 expected = evaluate(sol, inst)
@@ -438,7 +438,7 @@ class TestStepMemos:
             # the second solution keeps all but the first two trips
             pooled = [t for trip in first.trips[:2] for t in trip]
             rng.shuffle(pooled)
-            second = GiantSolution.from_trips(
+            second = GiantSolution(
                 [tuple(pooled[:1]), tuple(pooled[1:]), *first.trips[2:]]
             )
             memo = {}
@@ -502,7 +502,7 @@ def _reference_clsm_step(sol, inst, intensity, population, rng):
         rebuilt = list(current)
         rebuilt[target_index] = new_a
         rebuilt[candidate_index] = new_b
-        work = GiantSolution.from_trips(rebuilt)
+        work = GiantSolution(rebuilt)
         energy = evaluate(work, inst).energy
         if energy < best_energy:
             best_energy = energy
@@ -654,4 +654,4 @@ def _random_split_by(perm, cuts):
         if tokens and cut:
             tokens.append(0)
         tokens.append(t)
-    return GiantSolution(tuple(tokens))
+    return GiantSolution.from_tokens(tuple(tokens))

@@ -74,25 +74,58 @@ class TestDistanceMatrix:
 
 class TestGiantSolution:
     def test_decode_splits_on_depot(self):
-        sol = GiantSolution((0, 2, 8, 0, 5, 0))
+        sol = GiantSolution.from_tokens((0, 2, 8, 0, 5, 0))
         assert decode_trips(sol) == [(2, 8), (5,)]
 
     def test_singleton(self):
-        assert decode_trips(GiantSolution((0, 1, 0))) == [(1,)]
+        assert decode_trips(GiantSolution.from_tokens((0, 1, 0))) == [(1,)]
 
     def test_single_trip(self):
-        assert decode_trips(GiantSolution((0, 1, 2, 3, 0))) == [(1, 2, 3)]
+        assert decode_trips(GiantSolution.from_tokens((0, 1, 2, 3, 0))) == [(1, 2, 3)]
 
     def test_duplicate_rejected(self):
         with pytest.raises(RepresentationError):
-            GiantSolution((1, 2, 0, 1))
+            GiantSolution.from_tokens((1, 2, 0, 1))
 
     def test_canonical_form_strips_boundary_and_doubled_zeros(self):
-        assert GiantSolution((0, 0, 1, 0, 0, 2, 0)).tokens == (1, 0, 2)
+        assert GiantSolution.from_tokens((0, 0, 1, 0, 0, 2, 0)).tokens == (1, 0, 2)
 
-    def test_from_trips_round_trip(self):
+    def test_trips_round_trip(self):
         trips = [(4, 2), (3,), (1, 5)]
-        assert decode_trips(GiantSolution.from_trips(trips)) == trips
+        assert decode_trips(GiantSolution(trips)) == trips
+
+    @pytest.mark.parametrize("trips", [[(1, 0, 2)], [(2,), (0,)], [(-1, 2)]])
+    def test_id_below_one_rejected(self, trips):
+        with pytest.raises(RepresentationError):
+            GiantSolution(trips)
+
+    @given(st.data())
+    def test_trips_and_tokens_agree(self, data):
+        perm = data.draw(st.permutations(range(1, data.draw(st.integers(0, 8)) + 1)))
+        # zeros[i] markers go before perm[i], zeros[-1] after the last task;
+        # every marker also opens a trip, so runs of markers give empty trips
+        zeros = data.draw(st.lists(st.integers(0, 3), min_size=len(perm) + 1,
+                                   max_size=len(perm) + 1))
+        tokens: list[int] = []
+        trips: list[list[int]] = [[]]
+        for t, before in zip([*perm, None], zeros):
+            tokens += [0] * before
+            trips += [[] for _ in range(before)]
+            if t is not None:
+                tokens.append(t)
+                trips[-1].append(t)
+        built, read = GiantSolution(trips), GiantSolution.from_tokens(tokens)
+        assert built == read and hash(built) == hash(read)
+        assert built.trips == read.trips == tuple(tuple(trip) for trip in trips if trip)
+        assert built.tokens == read.tokens
+        assert read.tokens[:1] != (0,) and read.tokens[-1:] != (0,)
+        assert all(a or b for a, b in zip(read.tokens, read.tokens[1:]))
+        if perm:
+            again = data.draw(st.sampled_from(perm))
+            with pytest.raises(RepresentationError):
+                GiantSolution([*trips, [again]])
+            with pytest.raises(RepresentationError):
+                GiantSolution.from_tokens([*tokens, again])
 
     @given(
         st.lists(st.integers(min_value=0, max_value=6), max_size=12).filter(
@@ -100,8 +133,8 @@ class TestGiantSolution:
         )
     )
     def test_canonicalization_idempotent(self, tokens):
-        sol = GiantSolution(tuple(tokens))
-        again = GiantSolution(sol.tokens)
+        sol = GiantSolution.from_tokens(tuple(tokens))
+        again = GiantSolution.from_tokens(sol.tokens)
         assert again.tokens == sol.tokens
         assert 0 not in (sol.tokens[:1] + sol.tokens[-1:])
 
@@ -144,7 +177,7 @@ class TestTripEnergy:
 
 class TestEvaluate:
     def test_two_singleton_trips(self, line_instance):
-        ev = evaluate(GiantSolution((1, 0, 2)), line_instance)
+        ev = evaluate(GiantSolution.from_tokens((1, 0, 2)), line_instance)
         assert ev.energy == pytest.approx(450.0 + 900.0)
         assert not ev.penalized
         assert not ev.penalized
@@ -156,7 +189,7 @@ class TestEvaluate:
             capacity=8.0,
             robot_weight=20.0,
         )
-        ev = evaluate(GiantSolution((1, 2)), inst)
+        ev = evaluate(GiantSolution.from_tokens((1, 2)), inst)
         # expands to [1],[2]: 450 + (20*20 + 20*25)
         assert ev.energy == pytest.approx(1350.0)
         assert ev.penalized
@@ -165,13 +198,13 @@ class TestEvaluate:
 
     def test_zero_task_instance(self):
         inst = Instance(coords=((0.0, 0.0),), yields=(0.0,), capacity=10.0, robot_weight=1.0)
-        ev = evaluate(GiantSolution(()), inst)
+        ev = evaluate(GiantSolution.from_tokens(()), inst)
         assert ev.energy == 0.0
         assert not ev.penalized
 
     def test_missing_task_rejected(self, line_instance):
         with pytest.raises(RepresentationError):
-            evaluate(GiantSolution((1,)), line_instance)
+            evaluate(GiantSolution.from_tokens((1,)), line_instance)
 
     def test_decomposition_identity(self):
         rng = random.Random(11)
@@ -184,7 +217,7 @@ class TestEvaluate:
                 if tokens and rng.random() < 0.3:
                     tokens.append(0)
                 tokens.append(t)
-            sol = GiantSolution(tuple(tokens))
+            sol = GiantSolution.from_tokens(tuple(tokens))
             ev = evaluate(sol, inst)
             assert ev.energy == pytest.approx(
                 sum(trip_energy(t.tasks, inst) for t in ev.trips), rel=1e-12
@@ -194,7 +227,7 @@ class TestEvaluate:
         rng = random.Random(13)
         for _ in range(25):
             inst = random_instance(rng, rng.randint(1, 8))
-            sol = GiantSolution.from_trips([(t,) for t in inst.task_ids])
+            sol = GiantSolution([(t,) for t in inst.task_ids])
             ev = evaluate(sol, inst)
             assert not ev.penalized
             assert not ev.penalized
@@ -202,8 +235,8 @@ class TestEvaluate:
     def test_splitting_never_breaks_per_trip_loads(self):
         rng = random.Random(17)
         inst = random_instance(rng, 8)
-        single = GiantSolution(tuple(inst.task_ids))
-        split = GiantSolution.from_trips([(1, 2, 3), (4, 5), (6, 7, 8)])
+        single = GiantSolution.from_tokens(tuple(inst.task_ids))
+        split = GiantSolution([(1, 2, 3), (4, 5), (6, 7, 8)])
         def loads(sol):
             return [sum(inst.yields[task] for task in t.tasks) for t in evaluate(sol, inst).trips]
 
@@ -249,6 +282,17 @@ class TestInstanceValidation:
                 robot_weight=0.0,
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("coords", ((0.0, 0.0), (math.nan, 0.0))), ("coords", ((0.0, math.inf), (1.0, 0.0))),
+        ("capacity", math.inf), ("capacity", math.nan), ("robot_weight", math.inf),
+        ("robot_weight", math.nan),
+    ])
+    def test_non_finite_data_rejected(self, field, value):
+        data = dict(coords=((0.0, 0.0), (1.0, 0.0)), yields=(0.0, 1.0), capacity=10.0,
+                    robot_weight=1.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            Instance(**{**data, field: value})
+
     def test_triangle_inequality_from_euclidean(self):
         rng = random.Random(23)
         inst = random_instance(rng, 6)
@@ -267,8 +311,8 @@ def test_depot_insertion_preserves_coverage(n, seed):
     inst = random_instance(rng, n)
     perm = list(inst.task_ids)
     rng.shuffle(perm)
-    sol = GiantSolution(tuple(perm))
+    sol = GiantSolution.from_tokens(tuple(perm))
     cut = rng.randint(0, len(perm))
-    with_sep = GiantSolution(tuple(perm[:cut]) + (0,) + tuple(perm[cut:]))
+    with_sep = GiantSolution.from_tokens(tuple(perm[:cut]) + (0,) + tuple(perm[cut:]))
     tasks_of = lambda s: sorted(t for trip in decode_trips(s) for t in trip)
     assert tasks_of(with_sep) == tasks_of(sol)

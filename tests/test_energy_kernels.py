@@ -26,7 +26,7 @@ def resplit_reference(perm: Sequence[int], inst: Instance) -> GiantSolution:
     """The optimal split, indexing the numpy matrix once or twice per arc."""
     n = len(perm)
     if n == 0:
-        return GiantSolution(())
+        return GiantSolution.from_tokens(())
     d = inst.dist
     w = inst.robot_weight
     best = [math.inf] * (n + 1)
@@ -53,7 +53,7 @@ def resplit_reference(perm: Sequence[int], inst: Instance) -> GiantSolution:
         start = cut_before[end]
         trips.append(tuple(perm[start:end]))
         end = start
-    return GiantSolution.from_trips(reversed(trips))
+    return GiantSolution(reversed(trips))
 
 
 def trip_energy_reference(trip_tasks: Sequence[int], inst: Instance) -> float:
@@ -117,7 +117,7 @@ class TestResplitMatchesReference:
         assert _resplit([1], inst).tokens == resplit_reference([1], inst).tokens == (1,)
 
     def test_empty_permutation(self, line_instance):
-        assert _resplit([], line_instance) == GiantSolution(())
+        assert _resplit([], line_instance) == GiantSolution.from_tokens(())
 
     def test_exactly_full_trips_are_kept_whole(self):
         # Four tasks of yield capacity/2 on one line: the split may pair

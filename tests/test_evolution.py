@@ -67,7 +67,7 @@ class TestSelectionProbabilities:
 
 def _fake_population(energies):
     return [
-        Individual(GiantSolution.from_trips([(i + 1,)]), e)
+        Individual(GiantSolution([(i + 1,)]), e)
         for i, e in enumerate(energies)
     ]
 
@@ -127,7 +127,7 @@ class TestVariation:
     def test_identical_parents_preserve_order(self):
         rng = random.Random(1)
         inst = random_instance(rng, 8)
-        parent = GiantSolution(tuple(inst.task_ids))
+        parent = GiantSolution.from_tokens(tuple(inst.task_ids))
         c1, c2 = crossover(parent, parent, inst, rng)
         assert c1.task_sequence() == parent.task_sequence()
         assert c2.task_sequence() == parent.task_sequence()
@@ -135,8 +135,8 @@ class TestVariation:
     def test_full_span_cut_gives_parent_order(self):
         rng = random.Random(2)
         inst = random_instance(rng, 6)
-        p1 = GiantSolution(tuple(inst.task_ids))
-        p2 = GiantSolution(tuple(reversed(inst.task_ids)))
+        p1 = GiantSolution.from_tokens(tuple(inst.task_ids))
+        p2 = GiantSolution.from_tokens(tuple(reversed(inst.task_ids)))
 
         class FullSpan(random.Random):
             def __init__(self):
@@ -160,7 +160,7 @@ class TestVariation:
             rng.shuffle(perm1)
             rng.shuffle(perm2)
             c1, c2 = crossover(
-                GiantSolution(tuple(perm1)), GiantSolution(tuple(perm2)), inst, rng
+                GiantSolution.from_tokens(tuple(perm1)), GiantSolution.from_tokens(tuple(perm2)), inst, rng
             )
             for child in (c1, c2):
                 assert sorted(child.task_sequence()) == list(inst.task_ids)
@@ -169,12 +169,12 @@ class TestVariation:
     def test_mutation_rate_zero_is_identity(self):
         rng = random.Random(4)
         inst = random_instance(rng, 7)
-        sol = GiantSolution(tuple(inst.task_ids))
+        sol = GiantSolution.from_tokens(tuple(inst.task_ids))
         assert mutate(sol, inst, rng, 0.0) is sol
 
     def test_self_swap_is_identity(self):
         inst = random_instance(random.Random(5), 4)
-        sol = GiantSolution((1, 0, 2, 3, 0, 4))
+        sol = GiantSolution.from_tokens((1, 0, 2, 3, 0, 4))
 
         class SelfSwap(random.Random):
             def random(self):
@@ -191,7 +191,7 @@ class TestVariation:
             inst = random_instance(rng, rng.randint(2, 12))
             perm = list(inst.task_ids)
             rng.shuffle(perm)
-            out = mutate(GiantSolution(tuple(perm)), inst, rng, 1.0)
+            out = mutate(GiantSolution.from_tokens(tuple(perm)), inst, rng, 1.0)
             assert sorted(out.task_sequence()) == list(inst.task_ids)
             assert not evaluate(out, inst).penalized
 
@@ -210,8 +210,8 @@ class TestEnvironmentalSelection:
         assert [k.energy for k in kept] == [1.0]
 
     def test_tie_break_prefers_fewer_trips(self):
-        a = Individual(GiantSolution((1, 0, 2)), 7.0)
-        b = Individual(GiantSolution((1, 2)), 7.0)
+        a = Individual(GiantSolution.from_tokens((1, 0, 2)), 7.0)
+        b = Individual(GiantSolution.from_tokens((1, 2)), 7.0)
         kept = environmental_selection([a], [b], 1)
         assert kept[0] is b
 
@@ -401,4 +401,4 @@ def test_scoring_and_selection_share_one_individual_type():
     from orchard_mtvrp import scheduler
 
     assert Individual is scheduler.Individual
-    assert Individual(GiantSolution((1,)), 1.0).schedule is None
+    assert Individual(GiantSolution.from_tokens((1,)), 1.0).schedule is None

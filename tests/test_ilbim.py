@@ -55,7 +55,7 @@ def reference_construct_solution(ranking, distance_weight, inst):
             remaining.remove(pick)
             current = pick
         trips.append(trip)
-    return GiantSolution.from_trips(trips)
+    return GiantSolution(trips)
 
 
 class TestCompositeRanking:

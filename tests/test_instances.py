@@ -38,8 +38,6 @@ class TestParse:
         assert inst.dist[0, 1] == 5.0
         assert inst.capacity == 10
         assert inst.robot_weight == pytest.approx(10 / 3)
-        assert inst.fleet_size is None
-        assert inst.energy_bound is None
 
     def test_demand_above_capacity(self):
         bad = MINIMAL.replace("2 4\n", "2 11\n")

@@ -128,7 +128,7 @@ class TestExactRouteGeneration:
                 if tokens and rng.random() < 0.4:
                     tokens.append(0)
                 tokens.append(t)
-            ev = evaluate(GiantSolution(tuple(tokens)), inst)
+            ev = evaluate(GiantSolution.from_tokens(tuple(tokens)), inst)
             if not ev.penalized:
                 assert optimum <= ev.energy + 1e-9
 

@@ -106,14 +106,14 @@ class TestRepair:
 
     def test_feasible_input_unchanged(self):
         inst = self._line()
-        sol = GiantSolution((1, 0, 2))
+        sol = GiantSolution.from_tokens((1, 0, 2))
         out, status = repair(sol, inst, 2, 1e6)
         assert status is RepairStatus.REPAIRED
         assert out.solution == sol
 
     def test_long_trip_split_to_meet_bound(self):
         inst = self._line()
-        sol = GiantSolution((1, 2))  # single trip, energy 1050
+        sol = GiantSolution.from_tokens((1, 2))  # single trip, energy 1050
         # two robots, bound below 1050 but above each singleton trip energy
         out, status = repair(sol, inst, 2, 1000.0)
         assert status is RepairStatus.REPAIRED
@@ -124,7 +124,7 @@ class TestRepair:
 
     def test_unsatisfiable_bound_reports_infeasible(self):
         inst = self._line()
-        sol = GiantSolution((1, 2))
+        sol = GiantSolution.from_tokens((1, 2))
         out, status = repair(sol, inst, 2, 100.0)
         assert status is RepairStatus.INFEASIBLE
         assert sorted(t for trip in decode_trips(out.solution) for t in trip) == [1, 2]
@@ -141,7 +141,7 @@ class TestRepair:
                 if tokens and rng.random() < 0.25:
                     tokens.append(0)
                 tokens.append(t)
-            sol = GiantSolution(tuple(tokens))
+            sol = GiantSolution.from_tokens(tuple(tokens))
             ev = evaluate(sol, inst)
             energies = [t.energy for t in ev.trips]
             m = rng.randint(1, 3)
@@ -167,7 +167,7 @@ class TestRepair:
 
     def test_capacity_overflow_expanded_before_split(self):
         inst = self._line(capacity=8.0)
-        sol = GiantSolution((1, 2))  # load 10 > 8, expansion forced
+        sol = GiantSolution.from_tokens((1, 2))  # load 10 > 8, expansion forced
         out, status = repair(sol, inst, 2, 1e6)
         assert status is RepairStatus.REPAIRED
         assert decode_trips(out.solution) == [(1,), (2,)]
@@ -176,7 +176,8 @@ class TestRepair:
 def _reference_repair(sol, inst, m, e_max):
     """repair as it was before it kept the trip energies in step with the
     trips: every feasibility check and the queue order recompute every trip
-    energy. Returns the result, the status, the accepted moves as
+    energy. Like `repair`, a failed repair makes no closing re-check of the
+    trips its last check rejected. Returns the result, the status, the accepted moves as
     (previous_combined, new_combined) and the number of moves tried."""
     expanded, _ = expand_overloads(sol.trips, inst)
     trips = [list(t) for t in expanded]
@@ -187,7 +188,7 @@ def _reference_repair(sol, inst, m, e_max):
         return scheduler.makespan_assign([trip_energy(t, inst) for t in trips], m, e_max) is not None
 
     def done(status):
-        return GiantSolution.from_trips(trips), status, trace, tried
+        return GiantSolution(trips), status, trace, tried
 
     if feasible():
         return done(RepairStatus.REPAIRED)
@@ -210,7 +211,7 @@ def _reference_repair(sol, inst, m, e_max):
                 trips.insert(trips.index(trip_a) + 1, trip_b)
             if feasible():
                 return done(RepairStatus.REPAIRED)
-    return done(RepairStatus.REPAIRED if feasible() else RepairStatus.INFEASIBLE)
+    return done(RepairStatus.INFEASIBLE)
 
 
 def _repair_cases(rng, count):
@@ -225,7 +226,7 @@ def _repair_cases(rng, count):
             if tokens and rng.random() < 0.2:
                 tokens.append(0)
             tokens.append(t)
-        sol = GiantSolution(tuple(tokens))
+        sol = GiantSolution.from_tokens(tuple(tokens))
         energies = [t.energy for t in evaluate(sol, inst).trips]
         m = rng.randint(1, 4)
         e_max = max(energies) * rng.uniform(0.3, 1.1)
@@ -324,7 +325,7 @@ class TestFrameworkScoring:
     def test_unbounded_emax_matches_plain_evaluation(self):
         rng = random.Random(3)
         inst = random_instance(rng, 6)
-        sol = GiantSolution.from_trips([(t,) for t in inst.task_ids])
+        sol = GiantSolution([(t,) for t in inst.task_ids])
         plain = evaluate(sol, inst).energy
         for fw in Framework:
             scored = score_with_framework(sol, inst, 2, math.inf, fw)
@@ -338,7 +339,7 @@ class TestFrameworkScoring:
             capacity=100.0,
             robot_weight=20.0,
         )
-        sol = GiantSolution((1, 2))
+        sol = GiantSolution.from_tokens((1, 2))
         scored = score_with_framework(sol, inst, 2, 1000.0, Framework.FR1)
         assert scored.schedule is not None
         assert scored.energy < math.inf
@@ -351,7 +352,7 @@ class TestFrameworkScoring:
             capacity=100.0,
             robot_weight=20.0,
         )
-        sol = GiantSolution((1, 2))
+        sol = GiantSolution.from_tokens((1, 2))
         scored = score_with_framework(sol, inst, 2, 100.0, Framework.FR1)
         assert scored.energy == math.inf
         assert scored.schedule is None
@@ -363,7 +364,7 @@ class TestFrameworkScoring:
             capacity=100.0,
             robot_weight=20.0,
         )
-        sol = GiantSolution((1, 2))
+        sol = GiantSolution.from_tokens((1, 2))
         scored = score_with_framework(sol, inst, 2, 1000.0, Framework.FR2)
         assert scored.energy == math.inf
         assert scored.solution == sol
@@ -375,7 +376,7 @@ class TestFrameworkScoring:
             capacity=100.0,
             robot_weight=20.0,
         )
-        sol = GiantSolution((1, 2))
+        sol = GiantSolution.from_tokens((1, 2))
         scored = score_with_framework(sol, inst, 2, 100.0, Framework.FR3)
         assert scored.energy == pytest.approx(1050.0)
         assert scored.schedule is None
