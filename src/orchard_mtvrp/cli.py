@@ -172,8 +172,6 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
         by_hand = {"energy_bound": args.emax, "use_clsm": not args.no_clsm}
         names = [f.name for f in fields(SolverConfig) if f.name not in by_hand]
         cfg = SolverConfig(**{name: getattr(args, name) for name in names}, **by_hand)
-    if (cfg.robots is None) != (cfg.energy_bound is None):
-        raise ValueError("--robots and --emax (robots, energy_bound) must be given together")
     _reject_flags_beside_config(args, _add_solver_flags, "solver")
     return cfg
 
@@ -402,7 +400,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             res = wilcoxon_signed_rank(other, base)
             plus = minus = equal = 0
             for o, b in zip(other, base):
-                if abs(o - b) <= args.tol * abs(b):
+                if o == b or abs(o - b) <= args.tol * abs(b):
                     equal += 1
                 elif o < b:
                     plus += 1

@@ -126,8 +126,6 @@ def _resplit(perm: Sequence[int], inst: Instance) -> GiantSolution:
     cut_before = [0] * (n + 1)
     best[0] = 0.0
     for i in range(n):
-        if best[i] == math.inf:
-            continue
         load = 0.0
         open_energy = out_leg[i] * w
         for j in range(i, n):
@@ -236,9 +234,10 @@ def environmental_selection(
 class SolverConfig:
     """Run parameters.
 
-    Exactly one budget applies: wall-clock seconds (checked once per
-    generation) or a count of solution scorings; when neither is given the
-    wall-clock default of n seconds is used. `init="random"` swaps the
+    The run stops at the first budget reached: wall-clock seconds (checked
+    once per generation) or a count of solution scorings; when neither is
+    given the wall-clock default of n seconds is used. `robots` and
+    `energy_bound` come together or not at all. `init="random"` swaps the
     balanced initializer for uniform shuffles and `use_clsm=False` disables
     the local search (the two ablation variants).
     """
@@ -275,6 +274,9 @@ class SolverConfig:
                 raise ConfigurationError(f"{name} must be >= {least}")
         if self.energy_bound is not None and not self.energy_bound > 0:
             raise ConfigurationError("energy_bound must be positive")
+        if (self.robots is None) != (self.energy_bound is None):
+            raise ConfigurationError(
+                "--robots and --emax (robots, energy_bound) must be given together")
         if isinstance(self.framework, str):
             self.framework = Framework(self.framework)
 
@@ -300,14 +302,13 @@ class RunResult:
 _FR2_RETRIES = 3
 
 
-def run_aedga(inst: Instance, cfg: SolverConfig, rng: random.Random | None = None) -> RunResult:
+def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     """Full solver run: balanced initialization, then generations of
     experience-targeted local search, crossover/mutation, elitist selection,
     and (when a robot count and energy bound are set) the configured
-    scheduling framework."""
-    if rng is None:
-        rng = random.Random(cfg.seed)
-    rs_active = cfg.robots is not None and cfg.energy_bound is not None
+    scheduling framework. Every random draw comes from `cfg.seed`."""
+    rng = random.Random(cfg.seed)
+    rs_active = cfg.robots is not None
     framework = cfg.framework
 
     budget_evals = cfg.budget_evals

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import ConfigurationError, Instance
+from .core import ConfigurationError, Instance, ordered_sum
 
 ROBOT_WEIGHT_FRACTION = 3.0  # robot self-weight = capacity / 3
 
@@ -64,9 +64,9 @@ def instance_stats(inst: Instance) -> InstanceStats:
     yields = [inst.yields[i] for i in inst.task_ids]
     return InstanceStats(
         n=inst.n,
-        mean_depot_distance=sum(depot_d) / len(depot_d),
+        mean_depot_distance=ordered_sum(depot_d) / len(depot_d),
         max_depot_distance=max(depot_d),
-        mean_yield=sum(yields) / len(yields),
+        mean_yield=ordered_sum(yields) / len(yields),
         max_yield=max(yields),
         capacity=inst.capacity,
     )
@@ -232,11 +232,9 @@ def parse_instance(text: str) -> Instance:
     )
 
 
-def emit_instance(inst: Instance, comments: tuple[str, ...] = ()) -> str:
+def emit_instance(inst: Instance) -> str:
     """Render an Instance back into the supported file subset."""
     lines = [f"NAME : {inst.name}"]
-    for comment in comments:
-        lines.append(f"COMMENT : {comment}")
     if inst.provenance and inst.provenance.startswith("generated"):
         lines.append(f"COMMENT : {inst.provenance}")
     lines += [

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import GiantSolution, Instance, trip_energy
+from .core import GiantSolution, Instance, ordered_sum, trip_energy
 
 MAX_TOUR_TASKS = 12
 MAX_PARTITION_TASKS = 8
@@ -197,8 +197,8 @@ def exhaustive_best_energy(inst: Instance) -> float:
                 if sep_mask & (1 << (i - 1)):
                     trips.append([])
                 trips[-1].append(perm[i])
-            if any(sum(inst.yields[t] for t in trip) > inst.capacity for trip in trips):
+            if any(ordered_sum(inst.yields[t] for t in trip) > inst.capacity for trip in trips):
                 continue
-            energy = sum(trip_energy(trip, inst) for trip in trips)
+            energy = ordered_sum(trip_energy(trip, inst) for trip in trips)
             best = min(best, energy)
     return best

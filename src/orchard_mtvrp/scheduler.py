@@ -21,6 +21,7 @@ from .core import (
     Instance,
     evaluate,
     expand_overloads,
+    ordered_sum,
     trip_energy,
 )
 
@@ -73,7 +74,7 @@ def makespan_assign(
         raise ValueError("need at least one robot")
     if any(e > e_max for e in trip_energies):
         return None
-    if sum(trip_energies) > m * e_max * (1 + 1e-12):
+    if ordered_sum(trip_energies) > m * e_max * (1 + 1e-12):
         return None
     if t == 0:
         return Schedule((), tuple(0.0 for _ in range(m)))
@@ -111,8 +112,8 @@ def _robots_lower_bound(energies: Sequence[float], e_max: float) -> int:
         huge = [e for e in items if e > e_max - alpha]
         large = [e for e in items if e_max - alpha >= e > e_max / 2]
         medium = [e for e in items if e_max / 2 >= e >= alpha]
-        spare = len(large) * e_max - sum(large)
-        overflow = sum(medium) - spare
+        spare = len(large) * e_max - ordered_sum(large)
+        overflow = ordered_sum(medium) - spare
         bound = len(huge) + len(large)
         if overflow > 0:
             bound += math.ceil(overflow / e_max - 1e-12)
@@ -158,7 +159,7 @@ def _exact_search(
                 assignment[i] = robot
                 robot += 1
             return True
-        if sum(e for e, _ in remaining) > robots_left * e_max * (1 + 1e-12):
+        if ordered_sum(e for e, _ in remaining) > robots_left * e_max * (1 + 1e-12):
             return False
         key = (frozenset(i for _, i in remaining), robots_left)
         if key in dead:

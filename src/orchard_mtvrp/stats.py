@@ -1,11 +1,12 @@
 """Nonparametric comparison machinery for the benchmark harness.
 
 Wilcoxon signed-rank follows the usual benchmarking conventions: zero
-differences are dropped, tied absolute differences get average ranks, and
-the normal approximation carries the tie correction. The exact p-value
-(small samples) enumerates the conditional subset-sum distribution of the
-observed ranks. Friedman ranks methods per problem (1 = best, i.e. lowest
-value) and admits infinite entries, which share the worst ranks.
+differences (equal infinities included) are dropped, NaN is rejected, tied
+absolute differences get average ranks, and the normal approximation
+carries the tie correction. The exact p-value (small samples) enumerates
+the conditional subset-sum distribution of the observed ranks. Friedman
+ranks methods per problem (1 = best, i.e. lowest value) and admits
+infinite entries, which share the worst ranks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.stats import chi2, rankdata
 
 EXACT_LIMIT = 25
 
@@ -29,19 +30,6 @@ class WilcoxonResult:
     p_exact: float | None
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
-
-
 def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
     """Two-sided paired test on d = a - b."""
     x = np.asarray(a, dtype=float)
@@ -50,13 +38,15 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
         raise ValueError("inputs must be equal-length vectors")
     if len(x) < 5:
         raise ValueError("need at least 5 pairs")
-    d = x - y
-    d = d[d != 0]
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("NaN entries are not rankable")
+    differs = x != y  # not x - y != 0: inf - inf is NaN, but equal infinities tie
+    d = x[differs] - y[differs]
     n = len(d)
     if n == 0:
         return WilcoxonResult(0.0, 0.0, 0, 1.0, 1.0)
 
-    ranks = _average_ranks(np.abs(d))
+    ranks = rankdata(np.abs(d))
     r_plus = float(ranks[d > 0].sum())
     r_minus = float(ranks[d < 0].sum())
 
@@ -106,7 +96,7 @@ def friedman(results: Sequence[Sequence[float]]) -> FriedmanResult:
     if np.isnan(matrix).any():
         raise ValueError("NaN entries are not rankable")
 
-    ranks = np.vstack([_average_ranks(row) for row in matrix])
+    ranks = rankdata(matrix, axis=1)
     mean_ranks = ranks.mean(axis=0)
     chi_sq = float(
         12 * n_problems / (k * (k + 1)) * ((mean_ranks - (k + 1) / 2) ** 2).sum()

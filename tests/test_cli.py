@@ -477,3 +477,43 @@ def test_solve_config_file(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["seed"] == 12
+
+
+class TestStatsNonFinite:
+    def _report_row(self, tmp_path, capsys, extra_rows):
+        matrix = tmp_path / "m.csv"
+        with matrix.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["instance", "a", "b"])
+            for i in range(5):
+                writer.writerow([f"p{i + 2}", 10.0 + i, 11.0 + 2 * i])
+            writer.writerows(extra_rows)
+        rc = main(["stats", "--matrix", str(matrix), "--test", "wilcoxon", "--baseline", "a"])
+        assert rc == 0
+        report = capsys.readouterr().out
+        row = next(l for l in report.splitlines() if l.startswith("| b"))
+        return [c.strip() for c in row.strip("|").split("|")]
+
+    @pytest.mark.filterwarnings("error")
+    def test_two_infeasible_runs_tie(self, tmp_path, capsys):
+        without = self._report_row(tmp_path, capsys, [])
+        with_tie = self._report_row(tmp_path, capsys, [["p1", "inf", "inf"]])
+        assert with_tie[:4] == without[:4]  # R+, R- and p-value
+        assert without[4:] == ["0", "5", "0"]
+        assert with_tie[4:] == ["0", "5", "1"]
+
+    @pytest.mark.parametrize("test", ["wilcoxon", "friedman"])
+    def test_nan_cell_one_line_error(self, tmp_path, capsys, test):
+        matrix = tmp_path / "nan.csv"
+        with matrix.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["instance", "a", "b"])
+            for i in range(5):
+                writer.writerow([i, 10.0 + i, 11.0 + i])
+            writer.writerow(["p6", "nan", 12.0])
+        rc = main(["stats", "--matrix", str(matrix), "--test", test, "--baseline", "a"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "NaN" in captured.err
+        assert captured.err.count("\n") == 1

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from orchard_mtvrp.core import GiantSolution, Instance, evaluate
+from orchard_mtvrp.core import ConfigurationError, GiantSolution, Instance, evaluate
 from orchard_mtvrp.evolution import (
     Archive,
     Individual,
@@ -402,3 +402,9 @@ def test_scoring_and_selection_share_one_individual_type():
 
     assert Individual is scheduler.Individual
     assert Individual(GiantSolution.from_tokens((1,)), 1.0).schedule is None
+
+
+@pytest.mark.parametrize("settings", [{"robots": 1}, {"energy_bound": 1.0}])
+def test_robots_and_energy_bound_only_together(settings):
+    with pytest.raises(ConfigurationError, match="together"):
+        SolverConfig(**settings)

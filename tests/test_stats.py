@@ -167,3 +167,19 @@ class TestFriedman:
             friedman([[1.0, 2.0]])
         with pytest.raises(ValueError):
             friedman(np.array([1.0, 2.0]))
+
+
+class TestWilcoxonNonFinite:
+    @pytest.mark.filterwarnings("error")
+    def test_equal_infinities_are_a_zero_difference(self):
+        a = [1.0, 2.0, 3.0, 4.0, 5.0]
+        b = [2.0, 4.0, 6.0, 8.0, 10.0]
+        with_tie = wilcoxon_signed_rank(a + [math.inf], b + [math.inf])
+        assert with_tie == wilcoxon_signed_rank(a, b)
+        assert with_tie.n_effective == 5
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nan_rejected(self, side):
+        pair = [[1.0, 2.0, 3.0, math.nan, 5.0], [2.0, 4.0, 6.0, 8.0, 10.0]]
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank(pair[side], pair[1 - side])
