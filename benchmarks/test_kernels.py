@@ -22,7 +22,7 @@ import random
 import pytest
 
 from orchard_mtvrp import scheduler
-from orchard_mtvrp.clsm import AcoParams, aco_tour, clsm_step
+from orchard_mtvrp.clsm import aco_tour, clsm_step
 from orchard_mtvrp.core import GiantSolution, evaluate, trip_energy
 from orchard_mtvrp.evolution import SolverConfig, _resplit, mutate
 from orchard_mtvrp.ilbim import init_population
@@ -114,8 +114,7 @@ def test_trip_energy_six_tasks(benchmark):
 def test_aco_tour(benchmark, tasks, iterations):
     inst = _orchard("n965")
     trip = tuple(random.Random(tasks).sample(list(inst.task_ids), tasks))
-    params = AcoParams(SolverConfig().population, iterations)
-    out = benchmark(aco_tour, trip, inst, params, random.Random(0))
+    out = benchmark(aco_tour, trip, inst, SolverConfig().population, iterations, random.Random(0))
     assert trip_energy(out, inst) <= trip_energy(trip, inst)
 
 

@@ -400,7 +400,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             res = wilcoxon_signed_rank(other, base)
             plus = minus = equal = 0
             for o, b in zip(other, base):
-                if o == b or abs(o - b) <= args.tol * abs(b):
+                if o == b or abs(o - b) <= args.tol * abs(b) < math.inf:
                     equal += 1
                 elif o < b:
                     plus += 1

@@ -180,19 +180,15 @@ _PHEROMONE_FLOOR = 0.01
 _PHEROMONE_CEILING = 10.0
 
 
-@dataclass(frozen=True)
-class AcoParams:
-    colony_size: int = 10
-    iterations: int = 50
-
-
 def aco_tour(
     trip_tasks: Sequence[int],
     inst: Instance,
-    params: AcoParams,
+    colony_size: int,
+    iterations: int,
     rng: random.Random,
 ) -> tuple[int, ...]:
-    """Ant-colony reordering of one trip, scored by load-dependent energy.
+    """Ant-colony reordering of one trip, scored by load-dependent energy:
+    `colony_size` ants build a tour in each of `iterations` iterations.
 
     The incoming order seeds the incumbent, so the result is never worse
     than the input. Every constructed tour is scored in both directions:
@@ -227,11 +223,11 @@ def aco_tour(
     tau = [[1.0] * (k + 1) for _ in range(k + 1)]
     weight = eta_beta
     best = list(range(1, k + 1))
-    for iteration in range(params.iterations):
+    for iteration in range(iterations):
         if iteration:
             _update_pheromone(tau, best)
             weight = [[t ** alpha * e for t, e in zip(ts, es)] for ts, es in zip(tau, eta_beta)]
-        for _ in range(params.colony_size):
+        for _ in range(colony_size):
             current = 0
             remaining = list(range(1, k + 1))
             order: list[int] = []
@@ -310,8 +306,8 @@ def clsm_step(
         stale = (target_index, candidate_index)
         recombined = recombine(trips[target_index], trips[candidate_index], inst)
         for index, tasks in zip(stale, recombined):
-            params = AcoParams(population, max(1, math.ceil(len(tasks) * intensity)))
-            trips[index] = trip = aco_tour(tasks, inst, params, rng)
+            iterations = max(1, math.ceil(len(tasks) * intensity))
+            trips[index] = trip = aco_tour(tasks, inst, population, iterations, rng)
             pieces[index] = _piece_energies(trip, inst, piece_memo)
         energy = math.fsum(itertools.chain.from_iterable(pieces))
         if energy < best_energy:

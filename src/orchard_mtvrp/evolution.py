@@ -9,6 +9,8 @@ route-scheduling frameworks hook in as per-generation scoring policies.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 import time
@@ -27,7 +29,7 @@ from .core import (
     expand_overloads,
     ordered_sum,
 )
-from .scheduler import Framework, Individual, Schedule, finalize_fr3, score_with_framework
+from .scheduler import Framework, Individual, Schedule, score_with_framework
 
 
 @dataclass(frozen=True)
@@ -74,15 +76,9 @@ def eass_select(
     probabilities and a uniform pick is made among the top of that window."""
     if generation <= 1:
         return population[0], None
-    probs = selection_probabilities(archive)
-    spin = rng.random()
-    acc = 0.0
-    index = len(probs) - 1
-    for i, p in enumerate(probs):
-        acc += p
-        if spin <= acc:
-            index = i
-            break
+    # Roulette: the first window whose running total reaches the spin.
+    running = list(itertools.accumulate(selection_probabilities(archive)))
+    index = min(bisect.bisect_left(running, rng.random()), len(running) - 1)
     width = archive.ranges[index]
     k = max(1, math.ceil(width * len(population)))
     k = min(k, len(population))
@@ -277,8 +273,7 @@ class SolverConfig:
         if (self.robots is None) != (self.energy_bound is None):
             raise ConfigurationError(
                 "--robots and --emax (robots, energy_bound) must be given together")
-        if isinstance(self.framework, str):
-            self.framework = Framework(self.framework)
+        self.framework = Framework(self.framework)
 
 
 @dataclass(frozen=True)
@@ -306,15 +301,18 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     """Full solver run: balanced initialization, then generations of
     experience-targeted local search, crossover/mutation, elitist selection,
     and (when a robot count and energy bound are set) the configured
-    scheduling framework. Every random draw comes from `cfg.seed`."""
-    rng = random.Random(cfg.seed)
-    rs_active = cfg.robots is not None
-    framework = cfg.framework
+    scheduling framework. Every random draw comes from `cfg.seed`.
 
-    budget_evals = cfg.budget_evals
-    budget_seconds = cfg.budget_seconds
-    if budget_evals is None and budget_seconds is None:
+    A bounded run is infeasible exactly when its best individual has no
+    schedule; an unbounded run has no framework and is never infeasible."""
+    rng = random.Random(cfg.seed)
+    framework = cfg.framework if cfg.robots is not None else None
+
+    budget_evals = math.inf if cfg.budget_evals is None else cfg.budget_evals
+    budget_seconds = math.inf if cfg.budget_seconds is None else cfg.budget_seconds
+    if cfg.budget_evals is None and cfg.budget_seconds is None:
         budget_seconds = float(max(1, inst.n))
+    patience = cfg.stagnation_evals or math.inf
     start = time.monotonic()
 
     evals = 0
@@ -323,49 +321,37 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     def score(sol: GiantSolution) -> Individual:
         nonlocal evals
         evals += 1
-        if rs_active:
-            return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework)
-        return Individual(sol, evaluate(sol, inst).energy)
+        if framework is None:
+            return Individual(sol, evaluate(sol, inst).energy)
+        return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework)
 
-    def fresh_population() -> list[GiantSolution]:
+    def fresh_population() -> list[Individual]:
         if cfg.init == "random":
             out = []
             for _ in range(cfg.population):
                 perm = list(inst.task_ids)
                 rng.shuffle(perm)
                 out.append(_resplit(perm, inst))
-            return out
-        return ilbim.init_population(inst, cfg.population)
+        else:
+            out = ilbim.init_population(inst, cfg.population)
+        return [score(s) for s in out]
 
-    def fr2_refill(pop: list[Individual]) -> list[Individual] | None:
-        """Keep only schedulable individuals, topping back up to size with
-        clones of the best survivors, or fresh individuals when none survive."""
-        alive = [ind for ind in pop if ind.energy != math.inf]
+    def fr2_survivors(pop: list[Individual]) -> list[Individual]:
+        """The schedulable individuals by energy, then clones of them in
+        turn up to the population size; empty when none is schedulable."""
+        alive = sorted((ind for ind in pop if ind.schedule is not None), key=lambda ind: ind.energy)
+        return (alive * cfg.population)[: max(cfg.population, len(alive))]
+
+    pop = fresh_population()
+    if framework is Framework.FR2:
+        # Fresh starts are drawn while none is schedulable; when all fail,
+        # the first start is kept and reported.
+        alive = fr2_survivors(pop)
         for _ in range(_FR2_RETRIES):
             if alive:
                 break
-            alive = [
-                ind
-                for ind in (score(s) for s in fresh_population())
-                if ind.energy != math.inf
-            ]
-        if not alive:
-            return None
-        alive.sort(key=lambda ind: ind.energy)
-        i = 0
-        while len(alive) < cfg.population:
-            alive.append(alive[i % len(alive)])
-            i += 1
-        return alive
-
-    pop = [score(s) for s in fresh_population()]
-    status = "ok"
-    if rs_active and framework is Framework.FR2:
-        refilled = fr2_refill(pop)
-        if refilled is None:
-            status = "infeasible"
-        else:
-            pop = refilled
+            alive = fr2_survivors(fresh_population())
+        pop = alive or pop
     pop.sort(key=_rank)
     pop = pop[: cfg.population]
     best = pop[0]
@@ -373,21 +359,14 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     history = [GenerationStat(1, best.energy, archive.counts)]
     generation = 1
 
-    def budget_left() -> bool:
-        if status != "ok":
-            return False
-        if budget_evals is not None and evals >= budget_evals:
-            return False
-        if budget_seconds is not None and time.monotonic() - start >= budget_seconds:
-            return False
-        if (
-            cfg.stagnation_evals is not None
-            and evals - last_improvement_eval >= cfg.stagnation_evals
-        ):
-            return False
-        return True
-
-    while budget_left():
+    # Under Fr2 every individual is schedulable once a start is; the first
+    # clause ends a run that found no schedulable start.
+    while (
+        (framework is not Framework.FR2 or best.schedule is not None)
+        and evals < budget_evals
+        and time.monotonic() - start < budget_seconds
+        and evals - last_improvement_eval < patience
+    ):
         generation += 1
         target, range_index = eass_select(pop, archive, generation, rng)
         if cfg.use_clsm:
@@ -415,38 +394,28 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
             lone = pop[order[-1]].solution
             offspring.append(score(mutate(lone, inst, rng, cfg.mutation_rate)))
 
-        if rs_active and framework is Framework.FR2:
-            refilled = fr2_refill(pop + offspring)
-            if refilled is None:
-                status = "infeasible"
-                break
-            pop = environmental_selection(refilled, (), cfg.population)
-        else:
-            pop = environmental_selection(pop, offspring, cfg.population)
+        if framework is Framework.FR2:
+            pop, offspring = fr2_survivors(pop + offspring), []
+        pop = environmental_selection(pop, offspring, cfg.population)
         if pop[0].energy < best.energy:
             best = pop[0]
             last_improvement_eval = evals
         history.append(GenerationStat(generation, best.energy, archive.counts))
 
-    schedule = best.schedule
-    if rs_active and framework is Framework.FR3 and status == "ok":
-        # The incumbent is usually pop[0] as well; score each genome once.
+    if framework is Framework.FR3:
+        # Repair each distinct final genome once (the incumbent is usually
+        # pop[0] as well) and keep the first minimum among the scheduled.
         candidates = dict.fromkeys([best.solution] + [ind.solution for ind in pop])
-        final = finalize_fr3(list(candidates), inst, cfg.robots, cfg.energy_bound)
-        if final is None:
-            status = "infeasible"
-            best = Individual(best.solution, math.inf)
-        else:
-            best = final
-            schedule = final.schedule
-    elif rs_active and status == "ok" and (best.energy == math.inf or best.schedule is None):
-        status = "infeasible"
+        scored = (score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, Framework.FR1)
+                  for sol in candidates)
+        best = min((ind for ind in scored if ind.schedule is not None),
+                   key=lambda ind: ind.energy, default=Individual(best.solution, math.inf))
 
     return RunResult(
         best=best.solution,
         best_energy=best.energy,
-        schedule=schedule,
-        status=status,
+        schedule=best.schedule,
+        status="infeasible" if framework is not None and best.schedule is None else "ok",
         history=tuple(history),
         evaluations=evals,
         generations=generation,

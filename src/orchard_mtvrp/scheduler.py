@@ -304,19 +304,3 @@ def score_with_framework(
     if framework is Framework.FR2:
         return Individual(sol, math.inf)
     return repair(sol, inst, m, e_max)[0]
-
-
-def finalize_fr3(
-    population: Sequence[GiantSolution], inst: Instance, m: int, e_max: float
-) -> Individual | None:
-    """Fr3 termination step: repair every final individual and return the
-    feasible minimum, or None when nothing can be made feasible."""
-    best: Individual | None = None
-    for sol in population:
-        scored = score_with_framework(sol, inst, m, e_max, Framework.FR1)
-        if scored.schedule is None:
-            continue
-        if best is None or scored.energy < best.energy:
-            best = scored
-    return best
-

@@ -10,7 +10,7 @@ from pathlib import Path
 
 
 from orchard_mtvrp.cli import main
-from orchard_mtvrp.clsm import AcoParams, aco_tour, clsm_step
+from orchard_mtvrp.clsm import aco_tour, clsm_step
 from orchard_mtvrp.core import GiantSolution, Instance, decode_trips, evaluate, trip_energy
 from orchard_mtvrp.evolution import Archive, SolverConfig, run_aedga, selection_probabilities
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
@@ -216,7 +216,7 @@ def test_criterion_07_local_search_quality():
         inst = Instance(tuple(coords), tuple(yields), 100.0, 20.0)
         tasks = list(inst.task_ids)
         rng.shuffle(tasks)
-        out = aco_tour(tuple(tasks), inst, AcoParams(), rng)
+        out = aco_tour(tuple(tasks), inst, 10, 50, rng)
         _, optimum = exact_tour(tuple(tasks), inst)
         if trip_energy(out, inst) <= optimum * 1.02 + 1e-9:
             hits += 1

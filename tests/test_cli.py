@@ -189,6 +189,16 @@ class TestSolve:
         assert captured.err.startswith("error: ") and "populaton" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_config_framework_not_a_framework_one_line_error(self, tmp_path, capsys):
+        write_instance(tmp_path / "c.vrp", n=2)
+        cfg = tmp_path / "solver.json"
+        cfg.write_text(json.dumps({"framework": 1, "robots": 2, "energy_bound": 100.0}))
+        rc = main(["solve", str(tmp_path / "c.vrp"), "--config", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 1 is not a valid Framework\n"
+
     @pytest.mark.parametrize("flags, config", [
         (["--robots", "2"], None),
         (["--emax", "100"], None),
@@ -501,6 +511,20 @@ class TestStatsNonFinite:
         assert with_tie[:4] == without[:4]  # R+, R- and p-value
         assert without[4:] == ["0", "5", "0"]
         assert with_tie[4:] == ["0", "5", "1"]
+
+    def test_feasible_run_beats_infeasible_baseline(self, tmp_path, capsys):
+        # Within the tolerance of an infinite baseline is not a tie: 5 < inf.
+        matrix = tmp_path / "m.csv"
+        with matrix.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["instance", "p1", "base"])
+            for i in range(5):
+                writer.writerow([f"r{i}", 20.0 + i, 10.0 + i])
+            writer.writerow(["ix", 5, "inf"])
+        rc = main(["stats", "--matrix", str(matrix), "--test", "wilcoxon", "--baseline", "base"])
+        assert rc == 0
+        row = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("| p1"))
+        assert [c.strip() for c in row.strip("|").split("|")][4:] == ["1", "5", "0"]
 
     @pytest.mark.parametrize("test", ["wilcoxon", "friedman"])
     def test_nan_cell_one_line_error(self, tmp_path, capsys, test):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from orchard_mtvrp import clsm
 from orchard_mtvrp.clsm import (
-    AcoParams,
     ClusterSplit,
     aco_tour,
     choose_candidate_trip,
@@ -42,7 +41,7 @@ def _instance(points, yields, capacity, weight=10.0, depot=(0.0, 0.0)):
 # numbers.
 
 
-def aco_tour_reference(trip_tasks, inst, params, rng):
+def aco_tour_reference(trip_tasks, inst, colony_size, iterations, rng):
     k = len(trip_tasks)
     if k == 1:
         return tuple(trip_tasks)
@@ -58,8 +57,8 @@ def aco_tour_reference(trip_tasks, inst, params, rng):
     ]
     tau = [[1.0] * (k + 1) for _ in range(k + 1)]
     alpha, beta = clsm._PHEROMONE_WEIGHT, clsm._HEURISTIC_WEIGHT
-    for _ in range(params.iterations):
-        for _ in range(params.colony_size):
+    for _ in range(iterations):
+        for _ in range(colony_size):
             current = 0
             remaining = list(range(1, k + 1))
             order = []
@@ -317,11 +316,11 @@ class TestRecombine:
 class TestAcoTour:
     def test_single_task_unchanged(self, line_instance):
         rng = random.Random(0)
-        assert aco_tour((1,), line_instance, AcoParams(), rng) == (1,)
+        assert aco_tour((1,), line_instance, 10, 50, rng) == (1,)
 
     def test_two_tasks_keeps_better_direction(self, line_instance):
         rng = random.Random(0)
-        out = aco_tour((2, 1), line_instance, AcoParams(), rng)
+        out = aco_tour((2, 1), line_instance, 10, 50, rng)
         assert trip_energy(out, line_instance) <= trip_energy((2, 1), line_instance)
         assert trip_energy(out, line_instance) == pytest.approx(
             min(trip_energy((1, 2), line_instance), trip_energy((2, 1), line_instance))
@@ -333,7 +332,7 @@ class TestAcoTour:
             inst = random_instance(rng, rng.randint(3, 8))
             tasks = list(inst.task_ids)
             rng.shuffle(tasks)
-            out = aco_tour(tuple(tasks), inst, AcoParams(iterations=5), rng)
+            out = aco_tour(tuple(tasks), inst, 10, 5, rng)
             assert sorted(out) == sorted(tasks)
             assert trip_energy(out, inst) <= trip_energy(tuple(tasks), inst) + 1e-9
 
@@ -345,7 +344,7 @@ class TestAcoTour:
             inst = random_instance(rng, 8)
             tasks = list(inst.task_ids)
             rng.shuffle(tasks)
-            out = aco_tour(tuple(tasks), inst, AcoParams(), rng)
+            out = aco_tour(tuple(tasks), inst, 10, 50, rng)
             _, optimal = exact_tour(tuple(tasks), inst)
             if trip_energy(out, inst) <= optimal * 1.02 + 1e-9:
                 hits += 1
@@ -494,10 +493,10 @@ def _reference_clsm_step(sol, inst, intensity, population, rng):
         current = work.trips
         new_a, new_b = clsm.recombine(current[target_index], current[candidate_index], inst)
         new_a = aco_tour_reference(
-            new_a, inst, AcoParams(population, max(1, math.ceil(len(new_a) * intensity))), rng
+            new_a, inst, population, max(1, math.ceil(len(new_a) * intensity)), rng
         )
         new_b = aco_tour_reference(
-            new_b, inst, AcoParams(population, max(1, math.ceil(len(new_b) * intensity))), rng
+            new_b, inst, population, max(1, math.ceil(len(new_b) * intensity)), rng
         )
         rebuilt = list(current)
         rebuilt[target_index] = new_a
@@ -566,12 +565,12 @@ class TestAcoMatchesReference:
     def test_same_tour_and_draws(self, data):
         inst = data.draw(lattice_instances(max_n=8))
         trip = tuple(data.draw(st.permutations(list(inst.task_ids))))
-        params = AcoParams(data.draw(st.integers(1, 10)), data.draw(st.integers(1, 5)))
+        colony_size, iterations = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 5))
         seed = data.draw(st.integers(0, 2**32))
         runs = []
         for tour in (aco_tour_reference, aco_tour):
             rng = random.Random(seed)
-            runs.append((tour(trip, inst, params, rng), rng.random()))
+            runs.append((tour(trip, inst, colony_size, iterations, rng), rng.random()))
         assert runs[1] == runs[0]
 
     def test_coincident_tasks(self):
@@ -582,7 +581,7 @@ class TestAcoMatchesReference:
             runs = []
             for tour in (aco_tour_reference, aco_tour):
                 rng = random.Random(seed)
-                runs.append((tour(trip, inst, AcoParams(6, 4), rng), rng.random()))
+                runs.append((tour(trip, inst, 6, 4, rng), rng.random()))
             assert runs[1] == runs[0]
 
     @settings(max_examples=300, deadline=None)
@@ -607,7 +606,7 @@ class TestAcoMatchesReference:
 
         monkeypatch.setattr(clsm, "_update_pheromone", counting)
         inst = random_instance(random.Random(4), 6)
-        aco_tour(tuple(inst.task_ids), inst, AcoParams(3, iterations), random.Random(0))
+        aco_tour(tuple(inst.task_ids), inst, 3, iterations, random.Random(0))
         assert calls == iterations - 1
 
 

@@ -396,6 +396,11 @@ class TestSolverConfigValidation:
         SolverConfig(budget_evals=0, crossover_rate=0.0, mutation_rate=1.0)
         SolverConfig(robots=1, energy_bound=math.inf, stagnation_evals=1)
 
+    @pytest.mark.parametrize("framework", [1, None])
+    def test_framework_must_name_a_framework(self, framework):
+        with pytest.raises(ValueError, match="is not a valid Framework"):
+            SolverConfig(framework=framework, robots=2, energy_bound=1e9)
+
 
 def test_scoring_and_selection_share_one_individual_type():
     from orchard_mtvrp import scheduler

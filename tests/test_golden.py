@@ -47,6 +47,12 @@ CONFIGS: dict[str, dict] = {
         for bound in (0.9, 1.5)
     },
     REPAIR_CONFIG: {"framework": "Fr1", "bound": 1.4, "robots": 8},
+    # An odd population mutates its lone parent each generation; Fr2 with
+    # random init redraws its start after an unschedulable one and reports the
+    # first start's best; the stagnation stop ends the run before the budget.
+    "population-7": {"population": 7},
+    "Fr2-0.9-random-init": {"framework": "Fr2", "bound": 0.9, "init": "random"},
+    "stagnation-100": {"stagnation_evals": 100},
 }
 
 
@@ -120,31 +126,20 @@ def test_fr1_evaluates_once_per_counted_evaluation(monkeypatch):
 
 
 def test_fr3_scores_each_distinct_candidate_once(monkeypatch):
-    original_finalize = evolution.finalize_fr3
-    original_score = scheduler.score_with_framework
-    candidates: list = []
-    final_scores = 0
-    finalizing = False
+    """Fr3's closing step scores each distinct final genome once under Fr1."""
+    original = scheduler.score_with_framework
+    final_tokens: list = []
 
-    def finalize(population, *args):
-        nonlocal finalizing
-        candidates.extend(population)
-        finalizing = True
-        try:
-            return original_finalize(population, *args)
-        finally:
-            finalizing = False
+    def score(sol, *args):
+        if args[-1] is scheduler.Framework.FR1:
+            final_tokens.append(sol.tokens)
+        return original(sol, *args)
 
-    def score(*args, **kwargs):
-        nonlocal final_scores
-        final_scores += finalizing
-        return original_score(*args, **kwargs)
-
-    monkeypatch.setattr(evolution, "finalize_fr3", finalize)
-    monkeypatch.setattr(scheduler, "score_with_framework", score)
+    for module in (evolution, scheduler):
+        monkeypatch.setattr(module, "score_with_framework", score)
     z = float(json.loads(GOLDEN.read_text())["default"]["best_energy"])
     _solve(generate_orchard(SPEC), z, CONFIGS["Fr3-1.5"])
-    assert final_scores == len({sol.tokens for sol in candidates}) == 10
+    assert len(final_tokens) == len(set(final_tokens)) == 10
 
 
 if __name__ == "__main__":

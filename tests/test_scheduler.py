@@ -393,3 +393,27 @@ class TestLargeTripFallback:
     def test_sum_bound_still_exact_beyond_limit(self):
         energies = [2.0] * 25
         assert makespan_assign(energies, 2, 20.0) is None
+
+    def test_restart_finds_witness_after_first_fit_decreasing_fails(self):
+        energies = [0.34, 0.27, 0.42, 0.12, 0.4, 0.47, 0.37, 0.53, 0.13, 0.37, 0.11, 0.29,
+                    0.48, 0.13, 0.53, 0.56, 0.14, 0.57, 0.27, 0.23, 0.17, 0.48, 0.11, 0.34]
+        assert len(energies) > scheduler.EXACT_TRIP_LIMIT
+        decreasing = sorted(range(len(energies)), key=lambda i: (-energies[i], i))
+        assert scheduler._first_fit(decreasing, energies, 8, 1.0) is None
+        assert scheduler._robots_lower_bound(energies, 1.0) <= 8
+        s = makespan_assign(energies, 8, 1.0)
+        assert s is not None
+        _validate(s, energies, 8, 1.0)
+
+    # ROADMAP item 5 (bin completion under a node budget) is the fix.
+    @pytest.mark.xfail(strict=True, reason="restarts above EXACT_TRIP_LIMIT miss this witness")
+    def test_assignable_input_beyond_limit_is_placed(self):
+        energies = [0.45, 0.44, 0.43, 0.42, 0.41, 0.41, 0.39, 0.38, 0.35, 0.35, 0.34, 0.32,
+                    0.32, 0.31, 0.3, 0.3, 0.27, 0.27, 0.27, 0.26, 0.26, 0.21, 0.21, 0.21]
+        decreasing = sorted(range(len(energies)), key=lambda i: (-energies[i], i))
+        witness = scheduler._exact_search(decreasing, energies, 8, 1.0)
+        assert witness is not None
+        _validate(witness, energies, 8, 1.0)
+        s = makespan_assign(energies, 8, 1.0)
+        assert s is not None
+        _validate(s, energies, 8, 1.0)
