@@ -7,7 +7,8 @@ Outside the default test paths, so the test suite does not run them. Run:
 The instances are generated from fixed seeds: n=59 (`side 20, 100 trees,
 maturity 0.6, seed 42`) and n=965 (`side 70, 1225 trees, maturity 0.8,
 seed 1`, the largest maturity-0.8 size of the paper18 suite).
-`makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
+The split prices the trips it keeps; its energies are checked against
+`evaluate`'s. `makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
 e_max = 0.55 * Z_single / 8, the bound of perfbench's `sched-n60-fr1`
 workload, where Z_single is the energy of serving every task on a trip of
 its own.
@@ -80,13 +81,15 @@ def _shuffled_tasks(inst):
 
 
 def test_resplit(benchmark, instance):
+    """The priced split of a shuffled task order."""
     perm = _shuffled_tasks(instance)
-    sol = benchmark(_resplit, perm, instance)
+    sol, energies = benchmark(_resplit, perm, instance)
     assert sol.task_sequence() == tuple(perm)
+    assert energies == [trip.energy for trip in evaluate(sol, instance).trips]
 
 
 def test_giant_solution_from_resplit_trips(benchmark, instance):
-    trips = list(_resplit(_shuffled_tasks(instance), instance).trips)
+    trips = list(_resplit(_shuffled_tasks(instance), instance)[0].trips)
     sol = benchmark(GiantSolution, trips)
     assert sol.trips == tuple(trips)
 
@@ -128,6 +131,12 @@ def test_clsm_step(benchmark, instance):
     assert evaluate(out, instance).energy <= evaluate(sol, instance).energy
 
 
+def _mutant(sol, inst, seed):
+    """The split of the solution's task order after one mutation drawn
+    from `seed`."""
+    return _resplit(mutate(sol.task_sequence(), random.Random(seed), 1.0), inst)[0]
+
+
 def _makespan_input(case):
     if case == "fallback":
         return [0.34 * _bound()] * 23
@@ -136,7 +145,7 @@ def _makespan_input(case):
     sol = {
         "ffd": pop[-1],
         "l2": pop[-2],
-        "exact": mutate(pop[-2], inst, random.Random(1058), 1.0),
+        "exact": _mutant(pop[-2], inst, 1058),
     }[case]
     return [trip.energy for trip in evaluate(sol, inst).trips]
 
@@ -167,7 +176,7 @@ def _fr1_input(case):
     pop = _population(inst)
     sol = {
         "fits": pop[-1],
-        "split": mutate(pop[-1], inst, random.Random(15), 1.0),
+        "split": _mutant(pop[-1], inst, 15),
         "infeasible": pop[0],
     }[case]
     return sol, inst, ROBOTS, _bound()
@@ -184,3 +193,13 @@ def test_repair(benchmark, case):
 def test_score_with_framework_fr1(benchmark, case):
     out = benchmark(score_with_framework, *_fr1_input(case), Framework.FR1)
     assert (out.energy == math.inf) == (REPAIR_CASES[case] is RepairStatus.INFEASIBLE)
+
+
+def test_score_split_fr1(benchmark):
+    """Fr1 scoring of a split, from the energies the split priced, at the
+    sched-n60-fr1 bound."""
+    inst = _orchard("n59")
+    sol, energies = _resplit(_shuffled_tasks(inst), inst)
+    out = benchmark(score_with_framework, sol, inst, ROBOTS, _bound(), Framework.FR1, energies)
+    assert out == score_with_framework(sol, inst, ROBOTS, _bound(), Framework.FR1)
+    assert math.fsum(energies) == evaluate(sol, inst).energy

@@ -231,10 +231,10 @@ def expand_overloads(
     return expanded, inserted
 
 
-def evaluate(sol: GiantSolution, inst: Instance) -> Evaluation:
-    """Total energy of a solution, applying the overload penalty expansion
-    when a trip exceeds capacity. Requires every task to appear exactly once."""
-    covered = set(sol.task_sequence())
+def check_cover(tasks: Sequence[int], inst: Instance) -> None:
+    """Raise RepresentationError unless `tasks` lists every task id of the
+    instance exactly once."""
+    covered = set(tasks)
     expected = set(inst.task_ids)
     if covered != expected:
         missing = sorted(expected - covered)
@@ -242,6 +242,14 @@ def evaluate(sol: GiantSolution, inst: Instance) -> Evaluation:
         raise RepresentationError(
             f"solution does not cover the task set (missing={missing}, unknown={extra})"
         )
+    if len(tasks) != len(covered):
+        raise RepresentationError("task ids must be distinct")
+
+
+def evaluate(sol: GiantSolution, inst: Instance) -> Evaluation:
+    """Total energy of a solution, applying the overload penalty expansion
+    when a trip exceeds capacity. Requires every task to appear exactly once."""
+    check_cover(sol.task_sequence(), inst)
     scored_tasks, penalized = expand_overloads(sol.trips, inst)
     trips = tuple(Trip(t, trip_energy(t, inst)) for t in scored_tasks)
     total = math.fsum(t.energy for t in trips)

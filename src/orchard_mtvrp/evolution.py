@@ -9,13 +9,14 @@ route-scheduling frameworks hook in as per-generation scoring policies.
 
 from __future__ import annotations
 
+import array
 import bisect
 import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .core import (
     ConfigurationError,
     GiantSolution,
     Instance,
+    check_cover,
     evaluate,
     expand_overloads,
     ordered_sum,
@@ -93,9 +95,15 @@ def update_archive(archive: Archive, range_index: int | None, improved_best: boo
     return replace(archive, counts=tuple(counts))
 
 
-def _resplit(perm: Sequence[int], inst: Instance) -> GiantSolution:
+# What `run_aedga` scores: a task permutation, scored through its optimal
+# split, or a solution scored as it is.
+ScoringInput = tuple[int, ...] | GiantSolution
+
+
+def _resplit(perm: Sequence[int], inst: Instance) -> tuple[GiantSolution, list[float]]:
     """Optimal separator placement for a fixed task order: a shortest-path
     dynamic program over cut positions restricted to capacity-feasible trips.
+    Returns the split solution and the energy of each of its trips.
 
     Greedy splitting (cut only on overflow) cannot express solutions that
     deliberately run an extra light trip, which the load-dependent energy
@@ -106,10 +114,17 @@ def _resplit(perm: Sequence[int], inst: Instance) -> GiantSolution:
     the distance matrix once per call, as Python floats, so the O(n*L) inner
     loop does plain float arithmetic; the operations and their order are
     those of indexing the matrix per arc, so the split is the same.
+
+    The kept trips are priced from the same lists with `trip_energy`'s
+    operations in its order, so each energy is `trip_energy`'s bit for bit
+    (as Prins's split returns each trip's cost with the trips). A kept trip
+    never overflows, since the program breaks on the same left-to-right
+    load that `expand_overloads` adds up, so these are also the energies
+    `evaluate` charges, and their `math.fsum` is its energy.
     """
     n = len(perm)
     if n == 0:
-        return GiantSolution(())
+        return GiantSolution(()), []
     d = inst.dist
     order = np.asarray(perm)
     out_leg = d[0, order].tolist()
@@ -135,29 +150,33 @@ def _resplit(perm: Sequence[int], inst: Instance) -> GiantSolution:
                 best[j + 1] = total
                 cut_before[j + 1] = i
     trips: list[tuple[int, ...]] = []
+    energies: list[float] = []
     end = n
     while end > 0:
         start = cut_before[end]
+        energy = out_leg[start] * w
+        load = y[start]
+        for k in range(start + 1, end):
+            energy += arc[k - 1] * (w + load)
+            load += y[k]
+        energy += back_leg[end - 1] * (w + load)
         trips.append(tuple(perm[start:end]))
+        energies.append(energy)
         end = start
-    return GiantSolution(reversed(trips))
+    return GiantSolution(reversed(trips)), energies[::-1]
 
 
 def crossover(
-    parent1: GiantSolution,
-    parent2: GiantSolution,
-    inst: Instance,
-    rng: random.Random,
-) -> tuple[GiantSolution, GiantSolution]:
-    """Order crossover on the separator-stripped permutations; separators are
-    re-derived by the optimal-split program so children stay capacity-feasible."""
-    p1 = parent1.task_sequence()
-    p2 = parent2.task_sequence()
+    p1: tuple[int, ...], p2: tuple[int, ...], rng: random.Random
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Order crossover of two task permutations (a parent's separator-stripped
+    `task_sequence`). The caller splits each child, after mutation, with the
+    optimal-split program, so children stay capacity-feasible."""
     n = len(p1)
     a, b = rng.randint(0, n), rng.randint(0, n)
     lo, hi = min(a, b), max(a, b)
 
-    def ox(donor: tuple[int, ...], filler: tuple[int, ...]) -> list[int]:
+    def ox(donor: tuple[int, ...], filler: tuple[int, ...]) -> tuple[int, ...]:
         middle = donor[lo:hi]
         used = set(middle)
         rest = [t for t in filler[hi:] + filler[:hi] if t not in used]
@@ -166,22 +185,22 @@ def crossover(
         positions = list(range(hi, n)) + list(range(0, lo))
         for pos, t in zip(positions, rest):
             child[pos] = t
-        return child
+        return tuple(child)
 
-    return _resplit(ox(p1, p2), inst), _resplit(ox(p2, p1), inst)
+    return ox(p1, p2), ox(p2, p1)
 
 
-def mutate(sol: GiantSolution, inst: Instance, rng: random.Random, rate: float) -> GiantSolution:
+def mutate(given: tuple[int, ...], rng: random.Random, rate: float) -> tuple[int, ...]:
     """With probability `rate`, one of swap / segment reversal / relocation
-    on the task permutation, separators re-derived by the optimal split. A
-    draw that leaves the permutation of a feasible input unchanged returns
-    the input untouched."""
+    on a task permutation. Returns `given` itself when the draw does not
+    fire or there is no task, else a new tuple, which equals `given` when
+    the move changes nothing (a swap of a position with itself)."""
     if rng.random() >= rate:
-        return sol
-    perm = list(sol.task_sequence())
+        return given
+    perm = list(given)
     n = len(perm)
     if n == 0:
-        return sol
+        return given
     op = rng.randrange(3)
     if op == 0:
         i, j = rng.randrange(n), rng.randrange(n)
@@ -193,9 +212,21 @@ def mutate(sol: GiantSolution, inst: Instance, rng: random.Random, rate: float) 
         i = rng.randrange(n)
         t = perm.pop(i)
         perm.insert(rng.randrange(n), t)
-    if tuple(perm) == sol.task_sequence() and not expand_overloads(sol.trips, inst)[1]:
-        return sol
-    return _resplit(perm, inst)
+    return tuple(perm)
+
+
+def passed_on(
+    parent: GiantSolution, inst: Instance, rng: random.Random, rate: float
+) -> ScoringInput:
+    """The scoring input of a parent that no crossover touched, after
+    mutation: the parent itself when the draw did not fire, or left its
+    permutation as it was and the parent is not overloaded; else the
+    mutated permutation, to be split."""
+    perm = parent.task_sequence()
+    mutant = mutate(perm, rng, rate)
+    if mutant is perm or (mutant == perm and not expand_overloads(parent.trips, inst)[1]):
+        return parent
+    return mutant
 
 
 def _rank(ind: Individual) -> tuple:
@@ -295,6 +326,43 @@ class RunResult:
 
 
 _FR2_RETRIES = 3
+_MEMO_GENERATIONS = 10
+
+
+class _Memo:
+    """The individuals scored from the last `size` distinct scoring inputs,
+    least recently used first out, keyed on the input and never on the
+    scored solution: Fr1 can hand back a solution other than its input, and
+    scoring that solution anew can split it further.
+
+    Most entries outlive their individual, tens of KB of tuples at n≈1000.
+    So a permutation (of checked task ids) is kept as 4-byte ids, and its
+    individual, when the trips keep the permutation's order (a split's and
+    `repair`'s do), as trip lengths, energy and schedule."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.entries: dict[GiantSolution | bytes, Individual | tuple] = {}
+
+    def get(self, given: ScoringInput, fresh: Callable[[ScoringInput], Individual]) -> Individual:
+        """The individual scored from `given`, from `fresh(given)` unless held."""
+        key = given if isinstance(given, GiantSolution) else array.array("i", given).tobytes()
+        entry = self.entries.pop(key, None)
+        if entry is None:
+            ind = entry = fresh(given)
+            if key is not given and ind.solution.task_sequence() == given:
+                entry = (tuple(map(len, ind.solution.trips)), ind.energy, ind.schedule)
+            if len(self.entries) >= self.size:
+                del self.entries[next(iter(self.entries))]
+        elif isinstance(entry, Individual):
+            ind = entry
+        else:
+            lengths, energy, schedule = entry
+            tasks = iter(given)
+            trips = [tuple(itertools.islice(tasks, k)) for k in lengths]
+            ind = Individual(GiantSolution(trips), energy, schedule)
+        self.entries[key] = entry
+        return ind
 
 
 def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
@@ -317,24 +385,38 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
 
     evals = 0
     last_improvement_eval = 0
+    # Scoring is deterministic and draws nothing from `rng`, so a repeated
+    # input may take its earlier result; a generation scores population + 1.
+    memo = _Memo(_MEMO_GENERATIONS * (cfg.population + 1))
 
-    def score(sol: GiantSolution) -> Individual:
+    def fresh_score(given: ScoringInput) -> Individual:
+        if isinstance(given, GiantSolution):
+            sol, energies = given, None
+        else:
+            sol, energies = _resplit(given, inst)
+        if framework is None:
+            energy = evaluate(sol, inst).energy if energies is None else math.fsum(energies)
+            return Individual(sol, energy)
+        return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework, energies)
+
+    def score(given: ScoringInput) -> Individual:
+        """One counted evaluation, whether or not the memo holds its result."""
         nonlocal evals
         evals += 1
-        if framework is None:
-            return Individual(sol, evaluate(sol, inst).energy)
-        return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework)
+        if not isinstance(given, GiantSolution):
+            check_cover(given, inst)
+        return memo.get(given, fresh_score)
 
     def fresh_population() -> list[Individual]:
         if cfg.init == "random":
-            out = []
+            out: list[ScoringInput] = []
             for _ in range(cfg.population):
                 perm = list(inst.task_ids)
                 rng.shuffle(perm)
-                out.append(_resplit(perm, inst))
+                out.append(tuple(perm))
         else:
             out = ilbim.init_population(inst, cfg.population)
-        return [score(s) for s in out]
+        return [score(given) for given in out]
 
     def fr2_survivors(pop: list[Individual]) -> list[Individual]:
         """The schedulable individuals by energy, then clones of them in
@@ -383,16 +465,16 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         offspring: list[Individual] = [new_ind]
         order = list(range(len(pop)))
         rng.shuffle(order)
+        # Each offspring is split once, after mutation, when it is scored.
+        rate = cfg.mutation_rate
         for a, b in zip(order[::2], order[1::2]):
             if rng.random() < cfg.crossover_rate:
-                c1, c2 = crossover(pop[a].solution, pop[b].solution, inst, rng)
+                children = crossover(pop[a].solution.task_sequence(), pop[b].solution.task_sequence(), rng)
+                offspring.extend(score(mutate(child, rng, rate)) for child in children)
             else:
-                c1, c2 = pop[a].solution, pop[b].solution
-            for child in (c1, c2):
-                offspring.append(score(mutate(child, inst, rng, cfg.mutation_rate)))
+                offspring.extend(score(passed_on(pop[i].solution, inst, rng, rate)) for i in (a, b))
         if len(order) % 2:
-            lone = pop[order[-1]].solution
-            offspring.append(score(mutate(lone, inst, rng, cfg.mutation_rate)))
+            offspring.append(score(passed_on(pop[order[-1]].solution, inst, rng, rate)))
 
         if framework is Framework.FR2:
             pop, offspring = fr2_survivors(pop + offspring), []

@@ -286,21 +286,29 @@ def thresholds(mean_energy: float, m: int) -> tuple[float, float]:
 
 
 def score_with_framework(
-    sol: GiantSolution, inst: Instance, m: int, e_max: float, framework: Framework
+    sol: GiantSolution, inst: Instance, m: int, e_max: float, framework: Framework,
+    energies: Sequence[float] | None = None,
 ) -> Individual:
     """Score one individual under the given framework's per-generation rule.
+
+    `energies`, when given, are the energies `evaluate` charges for the
+    trips of `sol`, in trip order, as the optimal split prices them; else
+    `evaluate` computes them. The energy is their `math.fsum`, which is
+    `evaluate`'s.
 
     Fr1 returns unschedulable individuals as `repair` scored them
     (still-unschedulable ones keep infinite energy); Fr2 marks them
     infeasible for deletion by the caller; Fr3 ignores the bound here
     entirely.
     """
-    ev = evaluate(sol, inst)
+    if energies is None:
+        energies = [t.energy for t in evaluate(sol, inst).trips]
+    energy = math.fsum(energies)
     if framework is Framework.FR3:
-        return Individual(sol, ev.energy)
-    schedule = makespan_assign([t.energy for t in ev.trips], m, e_max)
+        return Individual(sol, energy)
+    schedule = makespan_assign(energies, m, e_max)
     if schedule is not None:
-        return Individual(sol, ev.energy, schedule)
+        return Individual(sol, energy, schedule)
     if framework is Framework.FR2:
         return Individual(sol, math.inf)
     return repair(sol, inst, m, e_max)[0]

@@ -4,7 +4,8 @@
 whatever way is fastest, but must do the same floating-point operations in
 the same order as the straightforward versions below, which index the numpy
 matrix once per arc. Results are compared exactly: equal tokens for the
-split, equal Python floats for the energy.
+split, equal Python floats for the energy, and the split's trip energies
+equal to `trip_energy`'s.
 """
 
 from __future__ import annotations
@@ -106,18 +107,19 @@ class TestResplitMatchesReference:
         inst, perm = case
         expected = resplit_reference(perm, inst)
         for given_perm in (perm, tuple(perm)):
-            got = _resplit(given_perm, inst)
+            got, energies = _resplit(given_perm, inst)
             assert got.tokens == expected.tokens
             assert got.trips == expected.trips
+            assert energies == [trip_energy_reference(trip, inst) for trip in got.trips]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_single_task(self, data):
         inst = data.draw(instances(max_n=1))
-        assert _resplit([1], inst).tokens == resplit_reference([1], inst).tokens == (1,)
+        assert _resplit([1], inst)[0].tokens == resplit_reference([1], inst).tokens == (1,)
 
     def test_empty_permutation(self, line_instance):
-        assert _resplit([], line_instance) == GiantSolution.from_tokens(())
+        assert _resplit([], line_instance) == (GiantSolution.from_tokens(()), [])
 
     def test_exactly_full_trips_are_kept_whole(self):
         # Four tasks of yield capacity/2 on one line: the split may pair
@@ -129,8 +131,9 @@ class TestResplitMatchesReference:
             robot_weight=1.0,
         )
         for perm in ([1, 2, 3, 4], [4, 3, 2, 1], [1, 3, 2, 4]):
-            got = _resplit(perm, inst)
+            got, energies = _resplit(perm, inst)
             assert got == resplit_reference(perm, inst)
+            assert energies == [trip_energy(trip, inst) for trip in got.trips]
             assert all(sum(inst.yields[t] for t in trip) <= inst.capacity for trip in got.trips)
 
     @pytest.mark.parametrize("spec", [OrchardSpec(20, 100, 0.6, seed=42), OrchardSpec(40, 400, 0.8, seed=1)])
@@ -140,7 +143,9 @@ class TestResplitMatchesReference:
         for _ in range(10):
             perm = list(inst.task_ids)
             rng.shuffle(perm)
-            assert _resplit(perm, inst).tokens == resplit_reference(perm, inst).tokens
+            got, energies = _resplit(perm, inst)
+            assert got.tokens == resplit_reference(perm, inst).tokens
+            assert energies == [trip_energy(trip, inst) for trip in got.trips]
 
 
 @st.composite

@@ -9,9 +9,11 @@ from orchard_mtvrp.evolution import (
     Individual,
     SolverConfig,
     crossover,
+    _resplit,
     eass_select,
     environmental_selection,
     mutate,
+    passed_on,
     run_aedga,
     selection_probabilities,
     update_archive,
@@ -123,20 +125,28 @@ class TestUpdateArchive:
         assert update_archive(archive, None, True).counts == archive.counts
 
 
+class SelfSwap(random.Random):
+    """Fires every mutation as a swap of position 0 with itself."""
+
+    def random(self):
+        return 0.0
+
+    def randrange(self, *a):
+        return 0
+
+
 class TestVariation:
     def test_identical_parents_preserve_order(self):
         rng = random.Random(1)
         inst = random_instance(rng, 8)
-        parent = GiantSolution.from_tokens(tuple(inst.task_ids))
-        c1, c2 = crossover(parent, parent, inst, rng)
-        assert c1.task_sequence() == parent.task_sequence()
-        assert c2.task_sequence() == parent.task_sequence()
+        parent = tuple(inst.task_ids)
+        assert crossover(parent, parent, rng) == (parent, parent)
 
     def test_full_span_cut_gives_parent_order(self):
         rng = random.Random(2)
         inst = random_instance(rng, 6)
-        p1 = GiantSolution.from_tokens(tuple(inst.task_ids))
-        p2 = GiantSolution.from_tokens(tuple(reversed(inst.task_ids)))
+        p1 = tuple(inst.task_ids)
+        p2 = tuple(reversed(inst.task_ids))
 
         class FullSpan(random.Random):
             def __init__(self):
@@ -147,9 +157,7 @@ class TestVariation:
                 self.calls += 1
                 return a if self.calls == 1 else b
 
-        c1, c2 = crossover(p1, p2, inst, FullSpan())
-        assert c1.task_sequence() == p1.task_sequence()
-        assert c2.task_sequence() == p2.task_sequence()
+        assert crossover(p1, p2, FullSpan()) == (p1, p2)
 
     def test_children_conserve_tasks_and_feasibility(self):
         rng = random.Random(3)
@@ -159,31 +167,34 @@ class TestVariation:
             perm2 = list(inst.task_ids)
             rng.shuffle(perm1)
             rng.shuffle(perm2)
-            c1, c2 = crossover(
-                GiantSolution.from_tokens(tuple(perm1)), GiantSolution.from_tokens(tuple(perm2)), inst, rng
-            )
-            for child in (c1, c2):
-                assert sorted(child.task_sequence()) == list(inst.task_ids)
-                assert not evaluate(child, inst).penalized
+            for child in crossover(tuple(perm1), tuple(perm2), rng):
+                assert sorted(child) == list(inst.task_ids)
+                assert not evaluate(_resplit(child, inst)[0], inst).penalized
 
     def test_mutation_rate_zero_is_identity(self):
         rng = random.Random(4)
         inst = random_instance(rng, 7)
-        sol = GiantSolution.from_tokens(tuple(inst.task_ids))
-        assert mutate(sol, inst, rng, 0.0) is sol
+        perm = tuple(inst.task_ids)
+        assert mutate(perm, rng, 0.0) is perm
+        sol = GiantSolution.from_tokens(perm)
+        assert passed_on(sol, inst, rng, 0.0) is sol
 
     def test_self_swap_is_identity(self):
         inst = random_instance(random.Random(5), 4)
         sol = GiantSolution.from_tokens((1, 0, 2, 3, 0, 4))
+        assert mutate(sol.task_sequence(), SelfSwap(), 1.0) == sol.task_sequence()
+        assert passed_on(sol, inst, SelfSwap(), 1.0) is sol
 
-        class SelfSwap(random.Random):
-            def random(self):
-                return 0.0  # always fire
-
-            def randrange(self, *a):
-                return 0  # op=swap, i=j=0
-
-        assert mutate(sol, inst, SelfSwap(), 1.0) is sol
+    def test_overloaded_parent_is_split_after_a_move_that_changes_nothing(self):
+        inst = Instance(
+            coords=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+            yields=(0.0, 6.0, 6.0),
+            capacity=10.0,
+            robot_weight=1.0,
+        )
+        sol = GiantSolution([(1, 2)])  # one trip over the capacity
+        assert passed_on(sol, inst, random.Random(0), 0.0) is sol
+        assert passed_on(sol, inst, SelfSwap(), 1.0) == (1, 2)
 
     def test_mutants_valid_and_feasible(self):
         rng = random.Random(6)
@@ -191,9 +202,9 @@ class TestVariation:
             inst = random_instance(rng, rng.randint(2, 12))
             perm = list(inst.task_ids)
             rng.shuffle(perm)
-            out = mutate(GiantSolution.from_tokens(tuple(perm)), inst, rng, 1.0)
-            assert sorted(out.task_sequence()) == list(inst.task_ids)
-            assert not evaluate(out, inst).penalized
+            out = mutate(tuple(perm), rng, 1.0)
+            assert sorted(out) == list(inst.task_ids)
+            assert not evaluate(_resplit(out, inst)[0], inst).penalized
 
 
 class TestEnvironmentalSelection:

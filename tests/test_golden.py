@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
 from orchard_mtvrp import (
+    GiantSolution,
     OrchardSpec,
     SolverConfig,
     core,
@@ -109,20 +111,74 @@ def test_repair_config_repairs(monkeypatch):
     assert repaired > 0
 
 
-def test_fr1_evaluates_once_per_counted_evaluation(monkeypatch):
-    original = core.evaluate
-    calls = 0
+def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
+    """Each counted evaluation either takes the memo's result, with no
+    scoring, or scores its input once: one `evaluate` for a solution, one
+    `_resplit` (which prices the trips) for a permutation. An input is
+    scored only when it is not among the memo's most recently used ones."""
+    calls = {"evaluate": 0, "split": 0}
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    for module in (core, evolution, scheduler):
-        monkeypatch.setattr(module, "evaluate", counting)
+    for module in (evolution, scheduler):
+        monkeypatch.setattr(module, "evaluate", counting("evaluate", core.evaluate))
+    monkeypatch.setattr(evolution, "_resplit", counting("split", evolution._resplit))
+    log: list[tuple] = []
+
+    class Recording(evolution._Memo):
+        def get(self, key, fresh):
+            before = dict(calls)
+            ind = super().get(key, fresh)
+            log.append((key, calls["evaluate"] - before["evaluate"], calls["split"] - before["split"]))
+            return ind
+
+    monkeypatch.setattr(evolution, "_Memo", Recording)
     z = float(json.loads(GOLDEN.read_text())["default"]["best_energy"])
     out = _solve(generate_orchard(SPEC), z, CONFIGS[REPAIR_CONFIG])
-    assert calls == out["evaluations"]
+    assert len(log) == out["evaluations"]
+    size = evolution._MEMO_GENERATIONS * (SolverConfig.population + 1)
+    held: OrderedDict = OrderedDict()
+    hits = 0
+    for key, evaluates, splits in log:
+        if key in held:
+            hits += 1
+            assert (evaluates, splits) == (0, 0)
+            held.move_to_end(key)
+        else:
+            assert (evaluates, splits) == ((1, 0) if isinstance(key, GiantSolution) else (0, 1))
+            held[key] = None
+            if len(held) > size:
+                held.popitem(last=False)
+    assert 0 < hits < len(log)
+
+
+@pytest.mark.parametrize("name", ["default", REPAIR_CONFIG])
+def test_no_offspring_permutation_is_split_twice_in_a_generation(monkeypatch, name):
+    """A generation splits each offspring permutation once, after mutation:
+    at most one split per offspring, and never the same permutation twice."""
+    splits: list[list[tuple[int, ...]]] = [[]]
+    select, split = evolution.eass_select, evolution._resplit
+
+    def selecting(*args, **kwargs):
+        splits.append([])
+        return select(*args, **kwargs)
+
+    def splitting(perm, inst):
+        splits[-1].append(tuple(perm))
+        return split(perm, inst)
+
+    monkeypatch.setattr(evolution, "eass_select", selecting)
+    monkeypatch.setattr(evolution, "_resplit", splitting)
+    z = float(json.loads(GOLDEN.read_text())["default"]["best_energy"])
+    _solve(generate_orchard(SPEC), z, CONFIGS[name])
+    generations = splits[1:]
+    assert sum(map(len, generations)) > 0
+    for perms in generations:
+        assert len(perms) == len(set(perms)) <= SolverConfig.population
 
 
 def test_fr3_scores_each_distinct_candidate_once(monkeypatch):
