@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import glob
 import hashlib
 import itertools
@@ -262,13 +263,18 @@ def result_payload(inst_path: Path, inst: Instance, cfg: SolverConfig, result: R
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     cfg = _config_from_args(args)
+    if args.out:
+        trace_path = Path(f"{args.out}_trace.csv")
+        if not trace_path.parent.is_dir():
+            # the error opening the trace file would raise, before the budget is spent
+            code = errno.ENOTDIR if trace_path.parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), str(trace_path))
     started = time.monotonic()
     result = run_aedga(inst, cfg)
     elapsed = time.monotonic() - started
     payload = result_payload(args.instance, inst, cfg, result)
 
     if args.out:
-        trace_path = Path(f"{args.out}_trace.csv")
         payload["trace"] = str(trace_path)
         with trace_path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -6,14 +6,25 @@ symmetry pruning); beyond that it falls back to seeded first-fit restarts and
 may miss feasible assignments (incomplete, but deterministic). repair splits
 overweight trips task by task until an assignment exists or no trip can be
 split further.
+
+Both rejection steps are built to give the answers of their plain forms,
+only sooner. The L2 bound takes one pass over the sorted energies: its
+medium sums are left-to-right prefix sums from the first energy <= e_max/2,
+which equal `ordered_sum` of the same slices bit for bit. The exact search
+skips a robot's completion when an earlier sibling that already failed
+dominates it (no longer, and no larger rank by rank): whatever would fit
+after the skipped one would fit after the failed one, so the skipped subtree
+holds no witness, and the depth-first search returns the same first witness.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import le
 from typing import Sequence
 
 from .core import (
@@ -104,17 +115,44 @@ def makespan_assign(
 def _robots_lower_bound(energies: Sequence[float], e_max: float) -> int:
     """Martello-Toth L2 lower bound on the robots needed: big trips claim a
     robot each, and whatever medium volume their leftover space cannot absorb
-    forces extra robots."""
+    forces extra robots.
+
+    One pass over the descending energies. For each alpha (0 and every energy
+    <= e_max/2), the trips above e_max - alpha are huge, those up to e_max/2
+    large, and the rest down to alpha medium. Huge and large together are the
+    trips above e_max/2, a fixed prefix; the huge/large boundary only moves
+    right as alpha grows, so the large sum is re-added, over its slice, only
+    when it moves. The medium trips run from the first trip <= e_max/2 to the
+    last one >= alpha, so their sum is a prefix sum from that first trip;
+    adding left to right, it is `ordered_sum` of the same slice bit for bit.
+    """
     items = sorted(energies, reverse=True)
+    n = len(items)
+    half = e_max / 2
+    mid = 0  # items[:mid] are huge or large
+    while mid < n and items[mid] > half:
+        mid += 1
+    medium_sums = [0.0]  # medium_sums[j] == ordered_sum(items[mid:mid + j])
+    for e in items[mid:]:
+        medium_sums.append(medium_sums[-1] + e)
+    # (alpha, end of the medium slice): alpha = 0 takes every medium trip (no
+    # energy is negative), and each distinct medium energy, smallest first,
+    # its own trips and the larger ones.
+    cuts = [(0.0, n)]
+    for j in range(n - 1, mid - 1, -1):
+        if j == n - 1 or items[j] != items[j + 1]:
+            cuts.append((items[j], j + 1))
     best = 1
-    thresholds_ = sorted({e for e in items if e <= e_max / 2})
-    for alpha in [0.0, *thresholds_]:
-        huge = [e for e in items if e > e_max - alpha]
-        large = [e for e in items if e_max - alpha >= e > e_max / 2]
-        medium = [e for e in items if e_max / 2 >= e >= alpha]
-        spare = len(large) * e_max - ordered_sum(large)
-        overflow = ordered_sum(medium) - spare
-        bound = len(huge) + len(large)
+    huge_end, spare_end, spare = 0, -1, 0.0
+    for alpha, medium_end in cuts:
+        limit = e_max - alpha
+        while huge_end < mid and items[huge_end] > limit:
+            huge_end += 1
+        if huge_end != spare_end:
+            spare = (mid - huge_end) * e_max - ordered_sum(items[huge_end:mid])
+            spare_end = huge_end
+        overflow = medium_sums[medium_end - mid] - spare
+        bound = mid
         if overflow > 0:
             bound += math.ceil(overflow / e_max - 1e-12)
         best = max(best, bound)
@@ -144,41 +182,76 @@ def _exact_search(
     new robot is anchored by the largest unassigned trip). Completions are
     restricted to inclusion-maximal trip sets: any feasible assignment can be
     rewritten so the anchor's robot carries a maximal set, so the restriction
-    loses nothing and prunes enormously."""
+    loses nothing and prunes enormously.
+
+    Dominance (Martello and Toth; Korf's bin completion): a completion B is
+    skipped when an earlier sibling A already failed and dominates it, that
+    is, with both descending, len(B) <= len(A) and B[j] <= A[j] for every j.
+    Each trip left after A then maps onto a distinct trip at least as large
+    left after B, so any assignment of what B leaves gives one of what A
+    leaves: B's subtree holds no witness, and the search, which keeps its
+    depth-first order, finds the same first witness.
+
+    A state is keyed by the bitmask of the trips it has left, so a known dead
+    child is skipped, and counts as a failed sibling, before its list is
+    built. A child's energy sum is added up left to right as its list is
+    built, which is the float `ordered_sum` of the list gives.
+    """
     items = [(energies[i], i) for i in order]  # descending energy
     assignment = [-1] * len(energies)
-    dead: set[tuple[frozenset[int], int]] = set()
+    dead: set[tuple[int, int]] = set()
 
-    def solve(remaining: list[tuple[float, int]], robots_left: int, robot: int) -> bool:
+    def solve(
+        remaining: list[tuple[float, int]], mask: int, total: float, robots_left: int, robot: int
+    ) -> bool:
+        """`mask` has the bit of each trip in `remaining`, and `total` is the
+        left-to-right sum of their energies."""
         if not remaining:
             return True
         if robots_left <= 0:
             return False
         if len(remaining) <= robots_left:
-            for e, i in remaining:
+            for _, i in remaining:
                 assignment[i] = robot
                 robot += 1
             return True
-        if ordered_sum(e for e, _ in remaining) > robots_left * e_max * (1 + 1e-12):
-            return False
-        key = (frozenset(i for _, i in remaining), robots_left)
-        if key in dead:
+        if total > robots_left * e_max * (1 + 1e-12):
             return False
         anchor_e, anchor_i = remaining[0]
         pool = remaining[1:]
-        for chosen in _maximal_completions(pool, e_max - anchor_e):
+        room = e_max - anchor_e
+        # when not even the smallest trip fits, the anchor's robot is complete
+        completions = _maximal_completions(pool, room) if pool[-1][0] <= room else [[]]
+        failed: list[list[float]] = []
+        for chosen in completions:
+            taken = 1 << anchor_i
+            for _, i in chosen:
+                taken |= 1 << i
+            rest_mask = mask & ~taken
+            child = (rest_mask, robots_left - 1)
+            sizes = [e for e, _ in chosen]
+            if child in dead:
+                failed.append(sizes)
+                continue
+            if any(len(sizes) <= len(a) and all(map(le, sizes, a)) for a in failed):
+                continue
+            rest = []
+            rest_total = 0.0
+            for it in pool:
+                if rest_mask >> it[1] & 1:
+                    rest.append(it)
+                    rest_total += it[0]
             assignment[anchor_i] = robot
-            chosen_ids = set()
-            for e, i in chosen:
+            for _, i in chosen:
                 assignment[i] = robot
-                chosen_ids.add(i)
-            rest = [it for it in pool if it[1] not in chosen_ids]
-            if solve(rest, robots_left - 1, robot + 1):
+            if solve(rest, rest_mask, rest_total, robots_left - 1, robot + 1):
                 return True
-        dead.add(key)
+            dead.add(child)
+            failed.append(sizes)
         return False
 
-    if solve(items, m, 0):
+    # order holds every trip index once
+    if solve(items, (1 << len(items)) - 1, ordered_sum(e for e, _ in items), m, 0):
         loads = [0.0] * m
         for i, r in enumerate(assignment):
             if r >= 0:
@@ -191,20 +264,27 @@ def _maximal_completions(
     pool: list[tuple[float, int]], capacity: float
 ) -> list[list[tuple[float, int]]]:
     """All inclusion-maximal subsets of pool with total energy <= capacity,
-    fullest first. pool must be sorted by descending energy."""
+    fullest first. pool must be sorted by descending energy.
+
+    Items that do not fit what is left are jumped over (by bisection on the
+    descending pool): one too big now is too big for every later state, so it
+    can never make a set non-maximal, and once the smallest item does not fit
+    the set is complete."""
     out: list[tuple[float, list[tuple[float, int]]]] = []
     chosen: list[tuple[float, int]] = []
+    negated = [-e for e, _ in pool]  # ascending, for bisect
+    n = len(pool)
 
     def rec(i: int, cap_left: float, min_excluded: float) -> None:
-        if i == len(pool):
+        i = bisect_left(negated, -cap_left, i)  # first item from i that fits
+        if i == n:
             if min_excluded > cap_left:
                 out.append((capacity - cap_left, list(chosen)))
             return
         e, idx = pool[i]
-        if e <= cap_left:
-            chosen.append((e, idx))
-            rec(i + 1, cap_left - e, min_excluded)
-            chosen.pop()
+        chosen.append((e, idx))
+        rec(i + 1, cap_left - e, min_excluded)
+        chosen.pop()
         rec(i + 1, cap_left, min(min_excluded, e))
 
     rec(0, capacity, math.inf)

@@ -138,6 +138,20 @@ class TestSolve:
         assert rows[0] == ["generation", "best_energy", "archive_counts"]
         assert len(rows) > 1
 
+    def test_missing_out_directory_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        write_instance(tmp_path / "four.vrp", n=4)
+        solves = []
+        monkeypatch.setattr(cli, "run_aedga", lambda *args: solves.append(args))
+        out = tmp_path / "runs" / "first"
+        rc = main(["solve", str(tmp_path / "four.vrp"), "--budget-evals", "100",
+                   "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{out}_trace.csv'\n"
+        assert solves == []
+        assert not out.parent.exists()
+
     def test_framework_run_emits_schedule(self, tmp_path, capsys):
         write_instance(tmp_path / "six.vrp", n=6)
         rc = main(["solve", str(tmp_path / "six.vrp"), "--budget-evals", "200",

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from orchard_mtvrp.core import (
     decode_trips,
     evaluate,
     expand_overloads,
+    ordered_sum,
     trip_energy,
 )
 from orchard_mtvrp.oracle import exact_schedule
@@ -93,6 +96,202 @@ class TestMakespanAssign:
         s = makespan_assign([], 2, 1.0)
         assert s is not None
         assert s.assignment == ()
+
+
+# The rejection steps of makespan_assign as they were before the one-pass L2
+# bound and dominance pruning: the fast forms must give their answers.
+
+
+def _reference_robots_lower_bound(energies, e_max):
+    items = sorted(energies, reverse=True)
+    best = 1
+    thresholds_ = sorted({e for e in items if e <= e_max / 2})
+    for alpha in [0.0, *thresholds_]:
+        huge = [e for e in items if e > e_max - alpha]
+        large = [e for e in items if e_max - alpha >= e > e_max / 2]
+        medium = [e for e in items if e_max / 2 >= e >= alpha]
+        spare = len(large) * e_max - ordered_sum(large)
+        overflow = ordered_sum(medium) - spare
+        bound = len(huge) + len(large)
+        if overflow > 0:
+            bound += math.ceil(overflow / e_max - 1e-12)
+        best = max(best, bound)
+    return best
+
+
+def _reference_exact_search(order, energies, m, e_max):
+    items = [(energies[i], i) for i in order]
+    assignment = [-1] * len(energies)
+    dead = set()
+
+    def solve(remaining, robots_left, robot):
+        if not remaining:
+            return True
+        if robots_left <= 0:
+            return False
+        if len(remaining) <= robots_left:
+            for e, i in remaining:
+                assignment[i] = robot
+                robot += 1
+            return True
+        if ordered_sum(e for e, _ in remaining) > robots_left * e_max * (1 + 1e-12):
+            return False
+        key = (frozenset(i for _, i in remaining), robots_left)
+        if key in dead:
+            return False
+        anchor_e, anchor_i = remaining[0]
+        pool = remaining[1:]
+        for chosen in _reference_maximal_completions(pool, e_max - anchor_e):
+            assignment[anchor_i] = robot
+            chosen_ids = set()
+            for e, i in chosen:
+                assignment[i] = robot
+                chosen_ids.add(i)
+            rest = [it for it in pool if it[1] not in chosen_ids]
+            if solve(rest, robots_left - 1, robot + 1):
+                return True
+        dead.add(key)
+        return False
+
+    if solve(items, m, 0):
+        loads = [0.0] * m
+        for i, r in enumerate(assignment):
+            if r >= 0:
+                loads[r] += energies[i]
+        return Schedule(tuple(assignment), tuple(loads))
+    return None
+
+
+def _reference_maximal_completions(pool, capacity):
+    out = []
+    chosen = []
+
+    def rec(i, cap_left, min_excluded):
+        if i == len(pool):
+            if min_excluded > cap_left:
+                out.append((capacity - cap_left, list(chosen)))
+            return
+        e, idx = pool[i]
+        if e <= cap_left:
+            chosen.append((e, idx))
+            rec(i + 1, cap_left - e, min_excluded)
+            chosen.pop()
+        rec(i + 1, cap_left, min(min_excluded, e))
+
+    rec(0, capacity, math.inf)
+    out.sort(key=lambda pair: -pair[0])
+    return [subset for _, subset in out]
+
+
+def _assignment_case(rng):
+    """Up to 22 trip energies, none above e_max, and 1 to 8 robots, mostly
+    about as many as their volume needs, so the search has work to do.
+    A quarter of the cases draw whole numbers (many ties), a quarter one or
+    two decimals, whose sums land exactly on e_max, and a quarter fill 2 to
+    5 robots to exactly e_max with whole numbers; a fifth of the cases have
+    a trip of exactly e_max."""
+    t = rng.randint(1, 22)
+    kind = rng.randrange(4)
+    if kind == 3:
+        m, e_max = rng.randint(2, 5), float(rng.randint(10, 30))
+        energies = []
+        for _ in range(m):
+            left = int(e_max)
+            while left > 0 and len(energies) < 22:
+                part = min(left, rng.randint(1, int(e_max * 0.6)))
+                energies.append(float(part))
+                left -= part
+        rng.shuffle(energies)
+        return energies, m, e_max
+    if kind == 0:
+        e_max = rng.uniform(1.0, 100.0)
+        energies = [rng.uniform(0.02, 1.0) * e_max for _ in range(t)]
+    elif kind == 1:
+        e_max = rng.choice([0.7, 1.0, 1.2, 2.5])
+        energies = [round(rng.uniform(0.01, 1.0) * e_max, rng.choice([1, 2])) for _ in range(t)]
+    else:
+        e_max = float(rng.randint(5, 30))
+        energies = [float(rng.randint(1, int(e_max))) for _ in range(t)]
+    energies = [min(e, e_max) for e in energies if e > 0] or [e_max]
+    if rng.random() < 0.2:
+        energies[rng.randrange(len(energies))] = e_max
+    needed = math.ceil(ordered_sum(energies) / e_max)
+    m = min(8, max(1, needed + rng.choice((-1, 0, 0, 1))))
+    return energies, m, e_max
+
+
+def _decreasing(energies):
+    return sorted(range(len(energies)), key=lambda i: (-energies[i], i))
+
+
+class TestRejectionStepsMatchReference:
+    def test_lower_bound(self):
+        rng = random.Random(61)
+        above_m = 0
+        for _ in range(4000):
+            energies, m, e_max = _assignment_case(rng)
+            bound = scheduler._robots_lower_bound(energies, e_max)
+            assert bound == _reference_robots_lower_bound(energies, e_max), (energies, e_max)
+            above_m += bound > m
+        assert above_m > 500
+
+    def test_maximal_completions(self):
+        rng = random.Random(62)
+        for _ in range(3000):
+            energies, _, e_max = _assignment_case(rng)
+            pool = [(energies[i], i) for i in _decreasing(energies)][:16]
+            if rng.random() < 0.5:
+                capacity = e_max - pool[0][0]
+                pool = pool[1:]
+            else:
+                capacity = rng.choice([rng.uniform(0.0, 1.2) * e_max, e_max, 0.0])
+            got = scheduler._maximal_completions(pool, capacity)
+            assert got == _reference_maximal_completions(pool, capacity), (pool, capacity)
+
+    def test_exact_search_verdict_and_witness(self):
+        rng = random.Random(63)
+        verdicts = {True: 0, False: 0}
+        for _ in range(4000):
+            energies, m, e_max = _assignment_case(rng)
+            order = _decreasing(energies)
+            got = scheduler._exact_search(order, energies, m, e_max)
+            assert got == _reference_exact_search(order, energies, m, e_max), (energies, m, e_max)
+            verdicts[got is not None] += 1
+        assert min(verdicts.values()) > 1000
+
+    def test_a_longer_completion_is_not_dominated(self):
+        # The anchor 15 leaves 10: {5, 5} comes first and fails, since
+        # 11, 11, 9, 9, 4, 4, 2 do not fill two robots to exactly 25; {4, 4, 2}
+        # is no larger rank by rank but longer, and its remainder 11 + 9 + 5
+        # twice is the witness.
+        energies = [15.0, 11.0, 11.0, 9.0, 9.0, 5.0, 5.0, 4.0, 4.0, 2.0]
+        assert scheduler._first_fit(_decreasing(energies), energies, 3, 25.0) is None
+        assert scheduler._robots_lower_bound(energies, 25.0) == 3
+        witness = makespan_assign(energies, 3, 25.0)
+        assert witness == _reference_exact_search(_decreasing(energies), energies, 3, 25.0)
+        assert witness.robot_energies == (25.0, 25.0, 25.0)
+
+    def test_benchmark_exact_input_takes_at_most_half_the_completion_calls(self, monkeypatch):
+        # `benchmarks/test_kernels.py`'s "exact" input: 14 trips that the exact
+        # search proves unassignable to 8 robots. Before dominance pruning the
+        # proof called _maximal_completions 5 times.
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "test_kernels.py"
+        spec = importlib.util.spec_from_file_location("kernel_benchmarks", path)
+        kernels = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(kernels)
+        energies, e_max = kernels._makespan_input("exact"), kernels._bound()
+        assert kernels._deciding_step(energies, kernels.ROBOTS, e_max) == "exact"
+        calls = 0
+        original = scheduler._maximal_completions
+
+        def counting(pool, capacity):
+            nonlocal calls
+            calls += 1
+            return original(pool, capacity)
+
+        monkeypatch.setattr(scheduler, "_maximal_completions", counting)
+        assert makespan_assign(energies, kernels.ROBOTS, e_max) is None
+        assert 0 < calls <= 5 / 2
 
 
 class TestRepair:
