@@ -8,7 +8,9 @@ The instances are generated from fixed seeds: n=59 (`side 20, 100 trees,
 maturity 0.6, seed 42`) and n=965 (`side 70, 1225 trees, maturity 0.8,
 seed 1`, the largest maturity-0.8 size of the paper18 suite).
 The split prices the trips it keeps; its energies are checked against
-`evaluate`'s. `makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
+`evaluate`'s. The ant colony and the CLSM step run cold, on a trip cache
+of their own, and warm, on one that earlier calls from the same input
+filled, as the steps of a run fill the run's cache. `makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
 e_max = 0.55 * Z_single / 8, the bound of perfbench's `sched-n60-fr1`
 workload, where Z_single is the energy of serving every task on a trip of
 its own.
@@ -23,7 +25,7 @@ import random
 import pytest
 
 from orchard_mtvrp import scheduler
-from orchard_mtvrp.clsm import aco_tour, clsm_step
+from orchard_mtvrp.clsm import TripCache, aco_tour, clsm_step
 from orchard_mtvrp.core import GiantSolution, evaluate, trip_energy
 from orchard_mtvrp.evolution import SolverConfig, _resplit, mutate
 from orchard_mtvrp.ilbim import init_population
@@ -128,6 +130,39 @@ def test_clsm_step(benchmark, instance):
     sol = _population(instance)[0]
     rng = random.Random(0)
     out = benchmark(clsm_step, sol, instance, cfg.intensity, cfg.population, rng)
+    assert evaluate(out, instance).energy <= evaluate(sol, instance).energy
+
+
+def _warm_cache(call, seeds=range(1, 21)):
+    """A trip cache filled by `call(rng, cache)` under each seed."""
+    cache = TripCache()
+    for seed in seeds:
+        call(random.Random(seed), cache)
+    return cache
+
+
+@pytest.mark.parametrize("iterations", [1, 5])
+@pytest.mark.parametrize("tasks", [3, 6])
+def test_aco_tour_warm(benchmark, tasks, iterations):
+    """`aco_tour` on a cache that holds its input's colony tables."""
+    inst = _orchard("n965")
+    trip = tuple(random.Random(tasks).sample(list(inst.task_ids), tasks))
+    tour = functools.partial(aco_tour, trip, inst, SolverConfig().population, iterations)
+    cache = _warm_cache(tour)
+    assert tour(random.Random(0), cache) == tour(random.Random(0))
+    out = benchmark(tour, random.Random(0), cache)
+    assert trip_energy(out, inst) <= trip_energy(trip, inst)
+
+
+def test_clsm_step_warm(benchmark, instance):
+    """The step of `test_clsm_step` on a cache that earlier steps from the
+    same individual filled."""
+    cfg = SolverConfig()
+    sol = _population(instance)[0]
+    step = functools.partial(clsm_step, sol, instance, cfg.intensity, cfg.population)
+    cache = _warm_cache(step, range(1, 4))
+    assert step(random.Random(0), cache) == step(random.Random(0))
+    out = benchmark(step, random.Random(0), cache)
     assert evaluate(out, instance).energy <= evaluate(sol, instance).energy
 
 

@@ -9,9 +9,14 @@ ant colony scored by the load-dependent trip energy.
 Within one `clsm_step` the solution is a list of trips, with plain lists
 beside it indexed by trip slot: each trip's split, separation, centroid and
 the energies of its overload-expanded pieces. A round rewrites two slots
-and refreshes only those, through memos keyed by the trip tuple. A round is
-scored as the exactly rounded sum of the slots' piece energies, which equals
-a full `evaluate` bit for bit.
+and refreshes only those. A round is scored as the exactly rounded sum of
+the slots' piece energies, which equals a full `evaluate` bit for bit.
+
+Most trips and colony inputs recur across the steps of a run, so a
+`TripCache` that lives as long as the run holds what depends on a trip
+alone: its slot state, its piece energies and the colony's tables for it.
+Every value is a pure function of its key, so a cached run draws the same
+random numbers and gives the same answers as an uncached one.
 """
 
 from __future__ import annotations
@@ -77,15 +82,68 @@ def kmeans_two(points: Sequence[tuple[float, float]]) -> ClusterSplit:
     return ClusterSplit(members_a, members_b, c_a, c_b, math.dist(c_a, c_b))
 
 
-def slot_state(
-    trip: tuple[int, ...],
-    inst: Instance,
-    memo: dict[tuple[int, ...], tuple[ClusterSplit | None, float, tuple[float, float]]],
-) -> tuple[ClusterSplit | None, float, tuple[float, float]]:
+# A trip's split, separation and centroid.
+SlotState = tuple[ClusterSplit | None, float, tuple[float, float]]
+
+# Entries a `TripCache` holds before it starts afresh: trips, colony inputs,
+# roulette wheels and tour energies, one each. An entry takes about 400
+# bytes on the paper's orchards, so the cache stays below about 8 MB; a
+# 300-evaluation run at n=965 fills 4,400 entries.
+_TRIP_CACHE_ENTRIES = 20_000
+
+
+class _Colony:
+    """The tables of one `aco_tour` input that do not depend on the draws:
+    the input's energy, the local distance, load and eta ** beta tables, the
+    first iteration's roulette wheels, keyed by the current node and the
+    bitmask of the unvisited tasks, and the energies of complete tours, both
+    directions, keyed by the forward tour."""
+
+    __slots__ = ("energy", "dist", "loads", "eta_beta", "wheels", "tours")
+
+    def __init__(self, trip_tasks: tuple[int, ...], inst: Instance) -> None:
+        self.energy = trip_energy(trip_tasks, inst)
+        nodes = [0, *trip_tasks]
+        self.dist = dist = inst.dist[np.ix_(nodes, nodes)].tolist()
+        self.loads = [inst.yields[t] for t in nodes]
+        beta = _HEURISTIC_WEIGHT
+        self.eta_beta = [
+            [0.0 if i == j else (1.0 / max(d, 1e-12)) ** beta for j, d in enumerate(row)]
+            for i, row in enumerate(dist)
+        ]
+        self.wheels: dict[int, tuple[list[int], list[float]]] = {}
+        self.tours: dict[tuple[int, ...], tuple[float, float]] = {}
+
+
+class TripCache:
+    """What CLSM works out for a trip or a colony input, kept for a whole
+    run: slot states, piece energies and colony tables. Each value is a pure
+    function of its key. It holds at most `_TRIP_CACHE_ENTRIES` entries:
+    when a new one would pass the bound, every entry goes."""
+
+    def __init__(self) -> None:
+        self.slots: dict[tuple[int, ...], SlotState] = {}
+        self.pieces: dict[tuple[int, ...], tuple[float, ...]] = {}
+        self.colonies: dict[tuple[int, ...], _Colony] = {}
+        self.entries = 0
+
+    def admit(self) -> None:
+        """Count one new entry, first emptying the cache when it is full. A
+        colony dropped while `aco_tour` works on it serves to the end of
+        that call."""
+        if self.entries >= _TRIP_CACHE_ENTRIES:
+            self.slots.clear()
+            self.pieces.clear()
+            self.colonies.clear()
+            self.entries = 0
+        self.entries += 1
+
+
+def slot_state(trip: tuple[int, ...], inst: Instance, cache: TripCache) -> SlotState:
     """A trip's k-means split remapped onto task ids, its separation and its
-    task centroid; a singleton has no split and separation -inf. `memo`,
-    keyed by the trip, is filled on a miss."""
-    state = memo.get(trip)
+    task centroid; a singleton has no split and separation -inf. Kept in
+    `cache`."""
+    state = cache.slots.get(trip)
     if state is None:
         centroid = _centroid([inst.coords[t] for t in trip])
         state = (None, -math.inf, centroid)
@@ -94,7 +152,8 @@ def slot_state(
             members = tuple(trip[i] for i in split.members_a), tuple(trip[i] for i in split.members_b)
             remapped = ClusterSplit(*members, split.centroid_a, split.centroid_b, split.separation)
             state = (remapped, split.separation, centroid)
-        memo[trip] = state
+        cache.admit()
+        cache.slots[trip] = state
     return state
 
 
@@ -186,6 +245,7 @@ def aco_tour(
     colony_size: int,
     iterations: int,
     rng: random.Random,
+    cache: TripCache | None = None,
 ) -> tuple[int, ...]:
     """Ant-colony reordering of one trip, scored by load-dependent energy:
     `colony_size` ants build a tour in each of `iterations` iterations.
@@ -196,57 +256,77 @@ def aco_tour(
     orders front-load the far tasks while the robot runs empty.
 
     The colony runs on local indices (0 is the depot) over Python-float
-    tables made once per call: distances, yields and eta ** beta, which is
-    the weight itself until the first pheromone update. Tours are priced
-    with `trip_energy`'s operations in the same order. Trails are clamped as
-    in MAX-MIN Ant System (Stützle & Hoos 2000) and updated only between
-    iterations.
+    tables kept in `cache` (a fresh one when none is given): distances,
+    yields and eta ** beta, which is the weight itself until the first
+    pheromone update, so the first iteration's roulette wheels are kept too.
+    Later iterations build theirs afresh, since their pheromone depends on
+    the draws. Tours are priced with `trip_energy`'s operations in the same
+    order. Trails are clamped as in MAX-MIN Ant System (Stützle & Hoos 2000)
+    and updated only between iterations.
     """
     k = len(trip_tasks)
     if k == 0:
         raise ValueError("empty trip")
     if k == 1:
         return tuple(trip_tasks)
-    best_energy = trip_energy(trip_tasks, inst)
     if k == 2:
         flipped = (trip_tasks[1], trip_tasks[0])
-        return flipped if trip_energy(flipped, inst) < best_energy else tuple(trip_tasks)
+        keep = trip_energy(flipped, inst) >= trip_energy(trip_tasks, inst)
+        return tuple(trip_tasks) if keep else flipped
 
-    nodes = [0, *trip_tasks]
-    dist = inst.dist[np.ix_(nodes, nodes)].tolist()
-    loads = [inst.yields[t] for t in nodes]
-    alpha, beta = _PHEROMONE_WEIGHT, _HEURISTIC_WEIGHT
-    eta_beta = [
-        [0.0 if i == j else (1.0 / max(d, 1e-12)) ** beta for j, d in enumerate(row)]
-        for i, row in enumerate(dist)
-    ]
+    trip_tasks = tuple(trip_tasks)
+    cache = TripCache() if cache is None else cache
+    colony = cache.colonies.get(trip_tasks)
+    if colony is None:
+        colony = _Colony(trip_tasks, inst)
+        cache.admit()
+        cache.colonies[trip_tasks] = colony
+    dist, loads, tours, w = colony.dist, colony.loads, colony.tours, inst.robot_weight
+    alpha, eta_beta = _PHEROMONE_WEIGHT, colony.eta_beta
     tau = [[1.0] * (k + 1) for _ in range(k + 1)]
-    weight = eta_beta
+    weight, wheels = eta_beta, colony.wheels
+    best_energy = colony.energy
     best = list(range(1, k + 1))
     for iteration in range(iterations):
         if iteration:
             _update_pheromone(tau, best)
             weight = [[t ** alpha * e for t, e in zip(ts, es)] for ts, es in zip(tau, eta_beta)]
+            wheels = {}
         for _ in range(colony_size):
             current = 0
-            remaining = list(range(1, k + 1))
+            unvisited = (1 << (k + 1)) - 2  # bit j: local task j
             order: list[int] = []
-            while remaining:
+            while unvisited:
                 # Roulette: the first task whose running weight total reaches
                 # the spin. `accumulate` adds left to right, uncompensated.
-                row = weight[current]
-                running = list(itertools.accumulate([row[j] for j in remaining]))
+                key = unvisited * (k + 1) + current
+                wheel = wheels.get(key)
+                if wheel is None:
+                    row = weight[current]
+                    remaining = [j for j in range(1, k + 1) if unvisited >> j & 1]
+                    wheel = remaining, list(itertools.accumulate([row[j] for j in remaining]))
+                    if not iteration:
+                        cache.admit()
+                    wheels[key] = wheel
+                remaining, running = wheel
                 if running[-1] > 0:
                     current = remaining[bisect.bisect_left(running, rng.random() * running[-1])]
                 else:
                     current = remaining[rng.randrange(len(remaining))]
                 order.append(current)
-                remaining.remove(current)
-            for candidate in (order, order[::-1]):
-                energy = _local_energy(candidate, dist, loads, inst.robot_weight)
-                if energy < best_energy:
-                    best_energy, best = energy, candidate
-    return tuple(nodes[i] for i in best)
+                unvisited ^= 1 << current
+            key = tuple(order)
+            priced = tours.get(key)
+            if priced is None:
+                priced = _local_energy(order, dist, loads, w), _local_energy(order[::-1], dist, loads, w)
+                cache.admit()
+                tours[key] = priced
+            energy, reverse = priced
+            if energy < best_energy:
+                best_energy, best = energy, order
+            if reverse < best_energy:
+                best_energy, best = reverse, order[::-1]
+    return tuple(trip_tasks[i - 1] for i in best)
 
 
 def _local_energy(order: list[int], dist: list[list[float]], loads: list[float], w: float) -> float:
@@ -277,16 +357,17 @@ def clsm_step(
     intensity: float,
     population: int,
     rng: random.Random,
+    cache: TripCache | None = None,
 ) -> GiantSolution:
     """Run ceil(trips * intensity) recombination rounds on a working list of
     trips and return the best solution seen (the input included), so energy
-    never increases."""
+    never increases. A run passes the same `cache` to each of its steps;
+    without one, the step starts a fresh one."""
+    cache = TripCache() if cache is None else cache
     rounds = max(1, math.ceil(len(sol.trips) * intensity))
     best_sol = sol
-    slot_memo: dict = {}
-    piece_memo: dict[tuple[int, ...], tuple[float, ...]] = {}
     trips = list(sol.trips)
-    pieces = [_piece_energies(trip, inst, piece_memo) for trip in trips]
+    pieces = [_piece_energies(trip, inst, cache) for trip in trips]
     best_energy = math.fsum(itertools.chain.from_iterable(pieces))
     splits: list[ClusterSplit | None] = [None] * len(trips)
     separations = [-math.inf] * len(trips)
@@ -294,7 +375,7 @@ def clsm_step(
     stale: Sequence[int] = range(len(trips))  # refreshed when a round first reads them
     for _ in range(rounds):
         for index in stale:
-            splits[index], separations[index], centroids[index] = slot_state(trips[index], inst, slot_memo)
+            splits[index], separations[index], centroids[index] = slot_state(trips[index], inst, cache)
         target = choose_target_trip(separations, splits)
         if target is None:
             break
@@ -307,8 +388,8 @@ def clsm_step(
         recombined = recombine(trips[target_index], trips[candidate_index], inst)
         for index, tasks in zip(stale, recombined):
             iterations = max(1, math.ceil(len(tasks) * intensity))
-            trips[index] = trip = aco_tour(tasks, inst, population, iterations, rng)
-            pieces[index] = _piece_energies(trip, inst, piece_memo)
+            trips[index] = trip = aco_tour(tasks, inst, population, iterations, rng, cache)
+            pieces[index] = _piece_energies(trip, inst, cache)
         energy = math.fsum(itertools.chain.from_iterable(pieces))
         if energy < best_energy:
             best_energy = energy
@@ -316,13 +397,13 @@ def clsm_step(
     return best_sol
 
 
-def _piece_energies(
-    trip: tuple[int, ...], inst: Instance, memo: dict[tuple[int, ...], tuple[float, ...]]
-) -> tuple[float, ...]:
+def _piece_energies(trip: tuple[int, ...], inst: Instance, cache: TripCache) -> tuple[float, ...]:
     """Energies of the pieces `evaluate` charges for one trip: the trip split
-    wherever a pickup would overflow the capacity."""
-    energies = memo.get(trip)
+    wherever a pickup would overflow the capacity. Kept in `cache`."""
+    energies = cache.pieces.get(trip)
     if energies is None:
         pieces, _ = expand_overloads([trip], inst)
-        energies = memo[trip] = tuple(trip_energy(p, inst) for p in pieces)
+        energies = tuple(trip_energy(p, inst) for p in pieces)
+        cache.admit()
+        cache.pieces[trip] = energies
     return energies

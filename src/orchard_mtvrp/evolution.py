@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ilbim
-from .clsm import clsm_step
+from .clsm import TripCache, clsm_step
 from .core import (
     ConfigurationError,
     GiantSolution,
@@ -388,6 +388,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     # Scoring is deterministic and draws nothing from `rng`, so a repeated
     # input may take its earlier result; a generation scores population + 1.
     memo = _Memo(_MEMO_GENERATIONS * (cfg.population + 1))
+    trip_cache = TripCache()  # CLSM's work per trip, shared by every step
 
     def fresh_score(given: ScoringInput) -> Individual:
         if isinstance(given, GiantSolution):
@@ -452,7 +453,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         generation += 1
         target, range_index = eass_select(pop, archive, generation, rng)
         if cfg.use_clsm:
-            searched = clsm_step(target.solution, inst, cfg.intensity, cfg.population, rng)
+            searched = clsm_step(target.solution, inst, cfg.intensity, cfg.population, rng, trip_cache)
         else:
             searched = target.solution
         new_ind = score(searched)

@@ -298,6 +298,7 @@ def repair(
     m: int,
     e_max: float,
     _move_trace: list[tuple[float, float]] | None = None,
+    energies: Sequence[float] | None = None,
 ) -> tuple[Individual, RepairStatus]:
     """Split trips until the trip set fits the robots, following the
     move-accept rule: walking the trips from most to least expensive, peel
@@ -308,8 +309,10 @@ def repair(
     Capacity overflows are expanded first, so every emitted trip respects
     the capacity and the task multiset is preserved. The trips are worked on
     as a list with their energies kept in step, so a move computes just its
-    two trips' energies. _move_trace, when given, collects
-    (previous_combined, new_combined) per accepted move.
+    two trips' energies. `energies`, when given, are those of the expanded
+    trips in order, as `score_with_framework` takes them; else they are
+    computed. _move_trace, when given, collects (previous_combined,
+    new_combined) per accepted move.
 
     The result comes scored: once repaired, its energy is the fsum of those
     energies, bit for bit `evaluate`'s (fsum rounds exactly and every trip
@@ -318,7 +321,7 @@ def repair(
     """
     expanded, _ = expand_overloads(sol.trips, inst)
     trips: list[list[int]] = [list(t) for t in expanded]
-    energies = [trip_energy(t, inst) for t in trips]
+    energies = [trip_energy(t, inst) for t in trips] if energies is None else list(energies)
 
     def done(schedule: Schedule | None) -> tuple[Individual, RepairStatus]:
         solution = GiantSolution(trips)
@@ -391,4 +394,4 @@ def score_with_framework(
         return Individual(sol, energy, schedule)
     if framework is Framework.FR2:
         return Individual(sol, math.inf)
-    return repair(sol, inst, m, e_max)[0]
+    return repair(sol, inst, m, e_max, energies=energies)[0]

@@ -19,7 +19,10 @@ from orchard_mtvrp.clsm import (
     recombine,
 )
 from orchard_mtvrp.core import GiantSolution, Instance, decode_trips, evaluate, trip_energy
+from orchard_mtvrp.evolution import SolverConfig, run_aedga
+from orchard_mtvrp.instances import OrchardSpec, generate_orchard
 from orchard_mtvrp.oracle import exact_tour
+from orchard_mtvrp.scheduler import Framework
 
 from conftest import random_instance
 
@@ -146,7 +149,7 @@ def choose_candidate_trip_reference(trips, target_index, far_centroid, inst, cen
 
 def _slots(trips: Sequence[tuple[int, ...]], inst, memo=None):
     """The per-slot lists `clsm_step` keeps: splits, separations, centroids."""
-    memo = {} if memo is None else memo
+    memo = clsm.TripCache() if memo is None else memo
     states = [clsm.slot_state(trip, inst, memo) for trip in trips]
     return [s[0] for s in states], [s[1] for s in states], [s[2] for s in states]
 
@@ -415,7 +418,7 @@ class TestStepMemos:
             first = _random_split(rng, perm, 0.2)
             merged = [first.trips[0] + first.trips[1]] if len(first.trips) > 1 else []
             second = GiantSolution([*merged, *first.trips[len(merged) * 2 :]])
-            memo = {}
+            memo = clsm.TripCache()
             for sol in (first, second):
                 expected = evaluate(sol, inst)
                 overloaded += expected.penalized
@@ -440,7 +443,7 @@ class TestStepMemos:
             second = GiantSolution(
                 [tuple(pooled[:1]), tuple(pooled[1:]), *first.trips[2:]]
             )
-            memo = {}
+            memo = clsm.TripCache()
             _slots(first.trips, inst, memo)
             assert target_of(second.trips, inst, memo) == target_of(second.trips, inst)
             far_c = (rng.uniform(0, 50), rng.uniform(0, 50))
@@ -543,6 +546,135 @@ class TestAgainstRebuildingReference:
             improved += got[0] is not sol
         assert overloaded > 30
         assert improved > 30
+
+
+class TestSharedTripCache:
+    """A cache shared across calls, as `run_aedga` shares one across its
+    steps, must leave every tour, step and random draw as the uncached
+    references give them."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 11])
+    def test_aco_tour_on_a_warm_table_call_after_call(self, k):
+        # k = 3-5 takes one iteration at the solver's intensity; from k = 6
+        # on the later iterations build wheels of their own
+        rng = random.Random(100 + k)
+        inst = random_instance(rng, k + 4)
+        trip = tuple(rng.sample(list(inst.task_ids), k))
+        cache = clsm.TripCache()
+        ref_rng, got_rng = random.Random(k), random.Random(k)
+        for call in range(40):
+            iterations = max(1, math.ceil(k * rng.choice((0.2, 0.5))))
+            colony_size = rng.choice((1, 4, 10))
+            expected = aco_tour_reference(trip, inst, colony_size, iterations, ref_rng)
+            got = aco_tour(trip, inst, colony_size, iterations, got_rng, cache)
+            assert got == expected
+            assert got_rng.getstate() == ref_rng.getstate()
+        if k == 2:  # both orders are priced directly, with no colony
+            assert not cache.colonies
+            return
+        colony = cache.colonies[trip]
+        assert colony.tours and colony.wheels
+        self._assert_first_iteration_wheels(colony)
+
+    def test_one_input_reused_under_different_seeds(self):
+        inst = random_instance(random.Random(7), 12)
+        trip = (3, 9, 1, 12, 5, 7)
+        cache = clsm.TripCache()
+        for seed in range(60):
+            iterations = 1 + seed % 3
+            runs = []
+            for tour, extra in ((aco_tour_reference, ()), (aco_tour, (cache,))):
+                rng = random.Random(seed)
+                runs.append((tour(trip, inst, 10, iterations, rng, *extra), rng.getstate()))
+            assert runs[1] == runs[0]
+        self._assert_first_iteration_wheels(cache.colonies[trip])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_inputs_interleaved_on_one_cache(self, data):
+        # lattice instances tie distances and clamp coincident points
+        inst = data.draw(lattice_instances(min_n=2, max_n=8))
+        tasks = list(inst.task_ids)
+        trips = [
+            tuple(data.draw(st.permutations(tasks))[: data.draw(st.integers(2, len(tasks)))])
+            for _ in range(3)
+        ]
+        cache = clsm.TripCache()
+        ref_rng, got_rng = (random.Random(data.draw(st.integers(0, 2**32))) for _ in range(2))
+        got_rng.setstate(ref_rng.getstate())
+        for _ in range(data.draw(st.integers(1, 12))):
+            trip = data.draw(st.sampled_from(trips))
+            colony_size, iterations = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+            expected = aco_tour_reference(trip, inst, colony_size, iterations, ref_rng)
+            assert aco_tour(trip, inst, colony_size, iterations, got_rng, cache) == expected
+            assert got_rng.getstate() == ref_rng.getstate()
+
+    @staticmethod
+    def _assert_first_iteration_wheels(colony):
+        """Every kept wheel is the one the untouched pheromone gives."""
+        k = len(colony.dist) - 1
+        for key, (remaining, running) in colony.wheels.items():
+            unvisited, current = divmod(key, k + 1)
+            assert remaining == [j for j in range(1, k + 1) if unvisited >> j & 1]
+            assert running == list(itertools.accumulate(colony.eta_beta[current][j] for j in remaining))
+
+    def test_clsm_step_chain_on_one_cache(self):
+        # each step starts from the last result, or from another split of
+        # the same order, so consecutive steps share most of their trips
+        rng = random.Random(12)
+        steps = 0
+        for case in range(25):
+            capacity = rng.choice((10.0, 14.0, None))
+            inst = random_instance(rng, rng.randint(6, 30), capacity=capacity)
+            perm = list(inst.task_ids)
+            rng.shuffle(perm)
+            intensity = rng.choice((0.2, 0.5, 1.0))
+            cache = clsm.TripCache()
+            ref_rng, got_rng = random.Random(case), random.Random(case)
+            reference = got = _random_split(rng, perm, 0.3)
+            for _ in range(12):
+                if rng.random() < 0.25:
+                    kept = reference.trips[: len(reference.trips) // 2]
+                    rest = [t for trip in reference.trips[len(kept) :] for t in trip]
+                    reference = got = GiantSolution([*kept, *_random_split(rng, rest, 0.3).trips])
+                reference = _reference_clsm_step(reference, inst, intensity, 4, ref_rng)
+                got = clsm_step(got, inst, intensity, 4, got_rng, cache)
+                assert got.trips == reference.trips
+                assert got_rng.getstate() == ref_rng.getstate()
+                steps += 1
+            assert cache.slots and cache.pieces and cache.colonies
+        assert steps == 300
+
+
+    @pytest.mark.parametrize("framework", [None, Framework.FR1])
+    def test_run_that_evicts_matches_unbounded_run(self, monkeypatch, framework):
+        # n = 40; under Fr1 the bound is 0.6 Z_single / 8, where repair both
+        # fails and succeeds
+        inst = generate_orchard(OrchardSpec(20, 60, 0.6, seed=42))
+        fields = {"budget_evals": 400, "seed": 3}
+        if framework is not None:
+            z_single = math.fsum(trip_energy((t,), inst) for t in inst.task_ids)
+            fields.update(framework=framework, robots=8, energy_bound=0.6 * z_single / 8)
+        kmeans_calls = 0
+        original = clsm.kmeans_two
+
+        def counting(points):
+            nonlocal kmeans_calls
+            kmeans_calls += 1
+            return original(points)
+
+        monkeypatch.setattr(clsm, "kmeans_two", counting)
+        runs = []
+        for bound in (10**9, 60):
+            monkeypatch.setattr(clsm, "_TRIP_CACHE_ENTRIES", bound)
+            kmeans_calls = 0
+            result = run_aedga(inst, SolverConfig(**fields))
+            outcome = (result.best.trips, result.best_energy.hex(), result.schedule, result.status,
+                       result.history, result.evaluations, result.generations)
+            runs.append((outcome, kmeans_calls))
+        (unbounded, unbounded_kmeans), (evicting, evicting_kmeans) = runs
+        assert evicting == unbounded
+        assert evicting_kmeans > unbounded_kmeans  # emptied mid-run, the work is redone
 
 
 @st.composite

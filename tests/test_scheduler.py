@@ -473,12 +473,18 @@ class TestRepairAgainstRecomputingReference:
         for sol, inst, m, e_max in _repair_cases(rng, 200):
             _, _, _, tried = _reference_repair(sol, inst, m, e_max)
             moved += tried > 0
-            charged = len(expand_overloads(sol.trips, inst)[0])
+            expanded = expand_overloads(sol.trips, inst)[0]
+            energies = [trip_energy(t, inst) for t in expanded]
             monkeypatch.setattr(scheduler, "trip_energy", counting)
             calls = 0
-            repair(sol, inst, m, e_max)
+            unpriced = repair(sol, inst, m, e_max)
+            assert calls == len(expanded) + 2 * tried
+            # handed the expanded trips' energies, as scoring hands them over
+            calls = 0
+            priced = repair(sol, inst, m, e_max, energies=energies)
+            assert calls == 2 * tried
             monkeypatch.undo()
-            assert calls == charged + 2 * tried
+            assert priced == unpriced
         assert moved > 50
 
 
