@@ -7,13 +7,16 @@ Outside the default test paths, so the test suite does not run them. Run:
 The instances are generated from fixed seeds: n=59 (`side 20, 100 trees,
 maturity 0.6, seed 42`) and n=965 (`side 70, 1225 trees, maturity 0.8,
 seed 1`, the largest maturity-0.8 size of the paper18 suite).
-The split prices the trips it keeps; its energies are checked against
-`evaluate`'s. The ant colony and the CLSM step run cold, on a trip cache
-of their own, and warm, on one that earlier calls from the same input
-filled, as the steps of a run fill the run's cache. `makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
+The split prices the trips it keeps, and `charged_energies` prices a
+solution's trips from a trip cache; both are checked against `evaluate`'s
+energies. The cached pricing, the ant colony and the CLSM step run cold, on
+a trip cache of their own, and warm, on one that earlier calls from the
+same input filled, as the steps of a run fill the run's cache.
+`makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
 e_max = 0.55 * Z_single / 8, the bound of perfbench's `sched-n60-fr1`
 workload, where Z_single is the energy of serving every task on a trip of
-its own.
+its own; `repair` and Fr1 scoring are handed the energies, as a run hands
+them over.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import random
 import pytest
 
 from orchard_mtvrp import scheduler
-from orchard_mtvrp.clsm import TripCache, aco_tour, clsm_step
+from orchard_mtvrp.clsm import TripCache, aco_tour, charged_energies, clsm_step
 from orchard_mtvrp.core import GiantSolution, evaluate, trip_energy
 from orchard_mtvrp.evolution import SolverConfig, _resplit, mutate
 from orchard_mtvrp.ilbim import init_population
@@ -76,6 +79,11 @@ def instance(request):
     return _orchard(request.param)
 
 
+def _charged(sol, inst):
+    """The energies `evaluate` charges for the trips of `sol`."""
+    return [trip.energy for trip in evaluate(sol, inst).trips]
+
+
 def _shuffled_tasks(inst):
     perm = list(inst.task_ids)
     random.Random(0).shuffle(perm)
@@ -87,7 +95,7 @@ def test_resplit(benchmark, instance):
     perm = _shuffled_tasks(instance)
     sol, energies = benchmark(_resplit, perm, instance)
     assert sol.task_sequence() == tuple(perm)
-    assert energies == [trip.energy for trip in evaluate(sol, instance).trips]
+    assert energies == _charged(sol, instance)
 
 
 def test_giant_solution_from_resplit_trips(benchmark, instance):
@@ -100,6 +108,22 @@ def test_evaluate(benchmark, instance):
     """The first ILBIM individual."""
     sol = _population(instance)[0]
     assert benchmark(evaluate, sol, instance).energy > 0
+
+
+def test_charged_energies(benchmark, instance):
+    """The first ILBIM individual priced on a trip cache of its own."""
+    sol = _population(instance)[0]
+    energies = benchmark(lambda: charged_energies(sol.trips, instance, TripCache()))
+    assert energies == _charged(sol, instance)
+
+
+def test_charged_energies_warm(benchmark, instance):
+    """The same on a cache that holds every trip's piece energies, as a run's
+    cache holds the trips it has seen."""
+    sol = _population(instance)[0]
+    cache = TripCache()
+    charged_energies(sol.trips, instance, cache)
+    assert benchmark(charged_energies, sol.trips, instance, cache) == _charged(sol, instance)
 
 
 def test_init_population_n965(benchmark):
@@ -182,7 +206,7 @@ def _makespan_input(case):
         "l2": pop[-2],
         "exact": _mutant(pop[-2], inst, 1058),
     }[case]
-    return [trip.energy for trip in evaluate(sol, inst).trips]
+    return _charged(sol, inst)
 
 
 def _deciding_step(energies, m, e_max):
@@ -219,14 +243,16 @@ def _fr1_input(case):
 
 @pytest.mark.parametrize("case", list(REPAIR_CASES))
 def test_repair(benchmark, case):
-    out, status = benchmark(repair, *_fr1_input(case))
+    sol, inst, m, e_max = _fr1_input(case)
+    out, status = benchmark(repair, sol, inst, m, e_max, _charged(sol, inst))
     assert status is REPAIR_CASES[case]
     assert (out.schedule is None) == (status is RepairStatus.INFEASIBLE)
 
 
 @pytest.mark.parametrize("case", list(REPAIR_CASES))
 def test_score_with_framework_fr1(benchmark, case):
-    out = benchmark(score_with_framework, *_fr1_input(case), Framework.FR1)
+    sol, inst, m, e_max = _fr1_input(case)
+    out = benchmark(score_with_framework, sol, inst, m, e_max, Framework.FR1, _charged(sol, inst))
     assert (out.energy == math.inf) == (REPAIR_CASES[case] is RepairStatus.INFEASIBLE)
 
 
@@ -236,5 +262,5 @@ def test_score_split_fr1(benchmark):
     inst = _orchard("n59")
     sol, energies = _resplit(_shuffled_tasks(inst), inst)
     out = benchmark(score_with_framework, sol, inst, ROBOTS, _bound(), Framework.FR1, energies)
-    assert out == score_with_framework(sol, inst, ROBOTS, _bound(), Framework.FR1)
+    assert out == score_with_framework(sol, inst, ROBOTS, _bound(), Framework.FR1, _charged(sol, inst))
     assert math.fsum(energies) == evaluate(sol, inst).energy

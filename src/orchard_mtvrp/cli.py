@@ -144,25 +144,22 @@ def _from_config_file(path: Path, cls: type):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _reject_flags_beside_config(
-    args: argparse.Namespace, add_flags: Callable[[argparse.ArgumentParser], None], kind: str
+def _reject_flags_beside(
+    args: argparse.Namespace, add_flags: Callable[[argparse.ArgumentParser], None],
+    option: str, sets: str, only: tuple[str, ...] | None = None,
 ) -> None:
-    """--config sets every field that the flags of `add_flags` set, so any of
-    those flags off its parser default is an error rather than ignored."""
+    """`--option`, when given, sets what the flags of `add_flags` set (those
+    named in `only`, when given), so any of those flags off its parser
+    default is an error rather than ignored."""
     probe = argparse.ArgumentParser()
     add_flags(probe)
-    defaults = vars(probe.parse_args([]))
-    del defaults["config"]
     overridden = [
         "--" + dest.replace("_", "-")
-        for dest, default in defaults.items()
-        if getattr(args, dest) != default
+        for dest, default in vars(probe.parse_args([])).items()
+        if dest != "config" and (only is None or dest in only) and getattr(args, dest) != default
     ]
-    if args.config and overridden:
-        raise ValueError(
-            f"--config sets every {kind} field, so {', '.join(overridden)} would be "
-            f"ignored; set them in {args.config} instead"
-        )
+    if getattr(args, option) and overridden:
+        raise ValueError(f"--{option} sets {sets}, so {', '.join(overridden)} would be ignored")
 
 
 def _config_from_args(args: argparse.Namespace) -> SolverConfig:
@@ -173,7 +170,7 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
         by_hand = {"energy_bound": args.emax, "use_clsm": not args.no_clsm}
         names = [f.name for f in fields(SolverConfig) if f.name not in by_hand]
         cfg = SolverConfig(**{name: getattr(args, name) for name in names}, **by_hand)
-    _reject_flags_beside_config(args, _add_solver_flags, "solver")
+    _reject_flags_beside(args, _add_solver_flags, "config", "every solver field")
     return cfg
 
 
@@ -188,7 +185,9 @@ def _dump_json(obj: object) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    _reject_flags_beside_config(args, _add_gen_flags, "orchard")
+    _reject_flags_beside(args, _add_gen_flags, "config", "every orchard field")
+    _reject_flags_beside(args, _add_gen_flags, "suite", "every size and maturity",
+                         ("side", "trees", "maturity"))
     if args.config:
         specs = [_from_config_file(args.config, OrchardSpec)]
     else:
@@ -230,6 +229,14 @@ def _load_instance(path: Path) -> Instance:
     return parse_instance(path.read_text())
 
 
+def _check_out_dir(path: Path) -> None:
+    """Raise the error that opening `path` for writing would raise for its
+    missing directory, so that a command fails before it spends a budget."""
+    if not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def result_payload(inst_path: Path, inst: Instance, cfg: SolverConfig, result: RunResult) -> dict:
     ev = evaluate(result.best, inst)
     payload = {
@@ -265,10 +272,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if args.out:
         trace_path = Path(f"{args.out}_trace.csv")
-        if not trace_path.parent.is_dir():
-            # the error opening the trace file would raise, before the budget is spent
-            code = errno.ENOTDIR if trace_path.parent.exists() else errno.ENOENT
-            raise OSError(code, os.strerror(code), str(trace_path))
+        _check_out_dir(trace_path)
     started = time.monotonic()
     result = run_aedga(inst, cfg)
     elapsed = time.monotonic() - started
@@ -328,6 +332,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"--methods must name each method once, got {args.methods!r}")
     runs = [(p, m, args.seed + i) for p in paths for m in methods for i in range(args.runs)]
     jobs = [(path, _method_config(method, args, seed)) for path, method, seed in runs]
+    _check_out_dir(args.out)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -15,8 +15,10 @@ the slots' piece energies, which equals a full `evaluate` bit for bit.
 Most trips and colony inputs recur across the steps of a run, so a
 `TripCache` that lives as long as the run holds what depends on a trip
 alone: its slot state, its piece energies and the colony's tables for it.
-Every value is a pure function of its key, so a cached run draws the same
-random numbers and gives the same answers as an uncached one.
+The piece energies also price every solution the run scores other than a
+split (`charged_energies`). Every value is a pure function of its key, so a
+cached run draws the same random numbers and gives the same answers as an
+uncached one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -88,7 +90,7 @@ SlotState = tuple[ClusterSplit | None, float, tuple[float, float]]
 # Entries a `TripCache` holds before it starts afresh: trips, colony inputs,
 # roulette wheels and tour energies, one each. An entry takes about 400
 # bytes on the paper's orchards, so the cache stays below about 8 MB; a
-# 300-evaluation run at n=965 fills 4,400 entries.
+# 300-evaluation run at n=965 fills 6,100 entries.
 _TRIP_CACHE_ENTRIES = 20_000
 
 
@@ -395,6 +397,15 @@ def clsm_step(
             best_energy = energy
             best_sol = GiantSolution(trips)
     return best_sol
+
+
+def charged_energies(
+    trips: Iterable[tuple[int, ...]], inst: Instance, cache: TripCache
+) -> list[float]:
+    """The energies `evaluate` charges for a solution's trips, in order: each
+    trip's piece energies, from `cache`. `expand_overloads` starts every
+    trip empty, so a trip's pieces do not depend on the trips around it."""
+    return [energy for trip in trips for energy in _piece_energies(trip, inst, cache)]
 
 
 def _piece_energies(trip: tuple[int, ...], inst: Instance, cache: TripCache) -> tuple[float, ...]:

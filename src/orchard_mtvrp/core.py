@@ -112,34 +112,30 @@ class Instance:
 
 @dataclass(frozen=True)
 class GiantSolution:
-    """A solution as its depot-to-depot trips, in visit order.
+    """A solution as its depot-to-depot trips, in visit order, its only
+    stored form.
 
     Empty trips are dropped, and a task id below 1 or seen twice is
     rejected. The giant tour, the task ids with a 0-marker between
-    consecutive trips, is derived once at construction as `tokens`, with no
-    leading, trailing or doubled zeros; canonical tokens and trips map one
-    to one, and equality and hashing use `trips`. `from_tokens` reads a
-    giant tour. No trips at all is allowed only for the degenerate
-    zero-task instance.
+    consecutive trips and no leading, trailing or doubled zeros, is derived
+    on demand as `tokens`; canonical tokens and trips map one to one, and
+    equality and hashing use `trips`. `from_tokens` reads a giant tour. No
+    trips at all is allowed only for the degenerate zero-task instance.
     """
 
     trips: tuple[tuple[int, ...], ...]
-    tokens: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        trips: list[tuple[int, ...]] = []
-        tokens: list[int] = []
-        for given in self.trips:
-            trip = tuple(map(int, given))
-            if trip:
-                trips.append(trip)
-                tokens.append(0)
-                tokens.extend(trip)
-        # Every trip opens with a 0-marker here, so a 0 inside a trip repeats one.
-        if tokens and (len(set(tokens)) != len(tokens) - len(trips) + 1 or min(tokens) < 0):
+        trips = tuple(filter(None, (tuple(map(int, given)) for given in self.trips)))
+        tasks = list(itertools.chain.from_iterable(trips))
+        if tasks and (len(set(tasks)) != len(tasks) or min(tasks) < 1):
             raise RepresentationError("task ids must be distinct and at least 1")
-        object.__setattr__(self, "trips", tuple(trips))
-        object.__setattr__(self, "tokens", tuple(tokens[1:]))
+        object.__setattr__(self, "trips", trips)
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        """The giant tour: the trips' task ids with a 0 between trips."""
+        return tuple(itertools.chain.from_iterable((0, *trip) for trip in self.trips))[1:]
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[int]) -> "GiantSolution":

@@ -21,13 +21,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ilbim
-from .clsm import TripCache, clsm_step
+from .clsm import TripCache, charged_energies, clsm_step
 from .core import (
     ConfigurationError,
     GiantSolution,
     Instance,
     check_cover,
-    evaluate,
     expand_overloads,
     ordered_sum,
 )
@@ -230,29 +229,31 @@ def passed_on(
 
 
 def _rank(ind: Individual) -> tuple:
-    """Sort key: lower energy, then fewer trips, then smaller tokens."""
-    return (ind.energy, len(ind.solution.trips), ind.solution.tokens)
+    """Sort key: lower energy, then fewer trips, then smaller trips. Trip
+    tuples order solutions as their giant tours do: a trip's end sorts below
+    any task id, as the 0-marker does."""
+    return (ind.energy, len(ind.solution.trips), ind.solution.trips)
 
 
 def environmental_selection(
     parents: Sequence[Individual], offspring: Sequence[Individual], population: int
 ) -> list[Individual]:
     """Elitist truncation of parents plus offspring; ties prefer fewer trips,
-    then lexicographically smaller token sequences.
+    then lexicographically smaller trips (see `_rank`).
 
     Distinct genomes take precedence over repeats of better ones: without
     this the population collapses to copies of the incumbent within a few
     generations and single-move mutation cannot escape two-move local optima.
     """
     pool = sorted([*parents, *offspring], key=_rank)
-    seen: set[tuple[int, ...]] = set()
+    seen: set[tuple[tuple[int, ...], ...]] = set()
     unique: list[Individual] = []
     repeats: list[Individual] = []
     for ind in pool:
-        if ind.solution.tokens in seen:
+        if ind.solution.trips in seen:
             repeats.append(ind)
         else:
-            seen.add(ind.solution.tokens)
+            seen.add(ind.solution.trips)
             unique.append(ind)
     return (unique + repeats)[:population]
 
@@ -392,12 +393,13 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
 
     def fresh_score(given: ScoringInput) -> Individual:
         if isinstance(given, GiantSolution):
-            sol, energies = given, None
+            sol = given
+            check_cover(sol.task_sequence(), inst)
+            energies = charged_energies(sol.trips, inst, trip_cache)
         else:
             sol, energies = _resplit(given, inst)
         if framework is None:
-            energy = evaluate(sol, inst).energy if energies is None else math.fsum(energies)
-            return Individual(sol, energy)
+            return Individual(sol, math.fsum(energies))
         return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework, energies)
 
     def score(given: ScoringInput) -> Individual:
@@ -489,7 +491,8 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         # Repair each distinct final genome once (the incumbent is usually
         # pop[0] as well) and keep the first minimum among the scheduled.
         candidates = dict.fromkeys([best.solution] + [ind.solution for ind in pop])
-        scored = (score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, Framework.FR1)
+        scored = (score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, Framework.FR1,
+                                       charged_energies(sol.trips, inst, trip_cache))
                   for sol in candidates)
         best = min((ind for ind in scored if ind.schedule is not None),
                    key=lambda ind: ind.energy, default=Individual(best.solution, math.inf))

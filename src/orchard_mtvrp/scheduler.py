@@ -27,14 +27,7 @@ from enum import Enum
 from operator import le
 from typing import Sequence
 
-from .core import (
-    GiantSolution,
-    Instance,
-    evaluate,
-    expand_overloads,
-    ordered_sum,
-    trip_energy,
-)
+from .core import GiantSolution, Instance, expand_overloads, ordered_sum, trip_energy
 
 EXACT_TRIP_LIMIT = 22
 _FALLBACK_RESTARTS = 200
@@ -293,12 +286,7 @@ def _maximal_completions(
 
 
 def repair(
-    sol: GiantSolution,
-    inst: Instance,
-    m: int,
-    e_max: float,
-    _move_trace: list[tuple[float, float]] | None = None,
-    energies: Sequence[float] | None = None,
+    sol: GiantSolution, inst: Instance, m: int, e_max: float, energies: Sequence[float]
 ) -> tuple[Individual, RepairStatus]:
     """Split trips until the trip set fits the robots, following the
     move-accept rule: walking the trips from most to least expensive, peel
@@ -307,12 +295,11 @@ def repair(
     after every accepted move.
 
     Capacity overflows are expanded first, so every emitted trip respects
-    the capacity and the task multiset is preserved. The trips are worked on
-    as a list with their energies kept in step, so a move computes just its
-    two trips' energies. `energies`, when given, are those of the expanded
-    trips in order, as `score_with_framework` takes them; else they are
-    computed. _move_trace, when given, collects (previous_combined,
-    new_combined) per accepted move.
+    the capacity and the task multiset is preserved. `energies` are those
+    of the expanded trips in order, the energies `evaluate` charges for
+    `sol`, as `score_with_framework` takes them. The trips are worked on as
+    a list with their energies kept in step, so a move computes just its
+    two trips' energies.
 
     The result comes scored: once repaired, its energy is the fsum of those
     energies, bit for bit `evaluate`'s (fsum rounds exactly and every trip
@@ -321,7 +308,7 @@ def repair(
     """
     expanded, _ = expand_overloads(sol.trips, inst)
     trips: list[list[int]] = [list(t) for t in expanded]
-    energies = [trip_energy(t, inst) for t in trips] if energies is None else list(energies)
+    energies = list(energies)
 
     def done(schedule: Schedule | None) -> tuple[Individual, RepairStatus]:
         solution = GiantSolution(trips)
@@ -348,8 +335,6 @@ def repair(
                 trip_b.pop(0)
                 trip_a.append(task)
                 break
-            if _move_trace is not None:
-                _move_trace.append((z_com, e_new))
             z_com = e_new
             if len(trip_b) == 1:
                 trips.insert(index + 1, trip_b)
@@ -370,22 +355,19 @@ def thresholds(mean_energy: float, m: int) -> tuple[float, float]:
 
 def score_with_framework(
     sol: GiantSolution, inst: Instance, m: int, e_max: float, framework: Framework,
-    energies: Sequence[float] | None = None,
+    energies: Sequence[float],
 ) -> Individual:
     """Score one individual under the given framework's per-generation rule.
 
-    `energies`, when given, are the energies `evaluate` charges for the
-    trips of `sol`, in trip order, as the optimal split prices them; else
-    `evaluate` computes them. The energy is their `math.fsum`, which is
-    `evaluate`'s.
+    `energies` are the energies `evaluate` charges for the trips of `sol`,
+    in trip order, as the optimal split or the run's trip cache prices
+    them. The energy is their `math.fsum`, which is `evaluate`'s.
 
     Fr1 returns unschedulable individuals as `repair` scored them
     (still-unschedulable ones keep infinite energy); Fr2 marks them
     infeasible for deletion by the caller; Fr3 ignores the bound here
     entirely.
     """
-    if energies is None:
-        energies = [t.energy for t in evaluate(sol, inst).trips]
     energy = math.fsum(energies)
     if framework is Framework.FR3:
         return Individual(sol, energy)
@@ -394,4 +376,4 @@ def score_with_framework(
         return Individual(sol, energy, schedule)
     if framework is Framework.FR2:
         return Individual(sol, math.inf)
-    return repair(sol, inst, m, e_max, energies=energies)[0]
+    return repair(sol, inst, m, e_max, energies)[0]

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 
+from orchard_mtvrp import scheduler
 from orchard_mtvrp.cli import main
 from orchard_mtvrp.clsm import aco_tour, clsm_step
 from orchard_mtvrp.core import GiantSolution, Instance, decode_trips, evaluate, trip_energy
@@ -17,6 +18,8 @@ from orchard_mtvrp.instances import OrchardSpec, generate_orchard
 from orchard_mtvrp.oracle import exact_route_generation, exact_schedule, exact_tour
 from orchard_mtvrp.scheduler import Framework, RepairStatus, makespan_assign, repair, thresholds
 from orchard_mtvrp.stats import friedman, wilcoxon_signed_rank
+
+from test_scheduler import _reference_repair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -168,7 +171,18 @@ def test_criterion_05_scheduler_against_oracle():
     _report(5, ok, f"oracle agreement + schedule revalidation on {agreements}/{cases} fixtures")
 
 
-def test_criterion_06_repair_contract():
+def test_criterion_06_repair_contract(monkeypatch):
+    """`repair` against the recomputing reference of `tests/test_scheduler.py`:
+    the same result and the same `makespan_assign` checks, in order, with
+    every accepted move non-increasing."""
+    checks: list[tuple[tuple[float, ...], int, float]] = []
+    original = scheduler.makespan_assign
+
+    def recording(energies, m, e_max):
+        checks.append((tuple(energies), m, e_max))
+        return original(energies, m, e_max)
+
+    monkeypatch.setattr(scheduler, "makespan_assign", recording)
     rng = random.Random(31)
     checked = passed = 0
     while checked < 200:
@@ -184,8 +198,12 @@ def test_criterion_06_repair_contract():
         if makespan_assign(energies, m, e_max) is not None:
             continue
         checked += 1
-        trace: list[tuple[float, float]] = []
-        out, status = repair(sol, inst, m, e_max, _move_trace=trace)
+        checks.clear()
+        reference, reference_status, trace, _ = _reference_repair(sol, inst, m, e_max)
+        reference_checks = list(checks)
+        checks.clear()
+        out, status = repair(sol, inst, m, e_max, energies)
+        same_ok = (out.solution, status, checks) == (reference, reference_status, reference_checks)
         trips = decode_trips(out.solution)
         multiset_ok = sorted(t for trip in trips for t in trip) == sorted(
             t for trip in decode_trips(sol) for t in trip
@@ -200,7 +218,7 @@ def test_criterion_06_repair_contract():
             if status is RepairStatus.REPAIRED
             else True
         )
-        if multiset_ok and capacity_ok and moves_ok and outcome_ok:
+        if multiset_ok and capacity_ok and moves_ok and outcome_ok and same_ok:
             passed += 1
     ok = passed == checked == 200
     _report(6, ok, f"repair contracts held on {passed}/{checked} infeasible fixtures")

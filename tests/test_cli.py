@@ -94,6 +94,22 @@ class TestGen:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--side", "33"], ["--side"]),
+        (["--trees", "400", "--maturity", "0.8"], ["--trees", "--maturity"]),
+    ])
+    def test_suite_with_size_flags_one_line_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        rc = main(["gen", "--suite", "paper18", "--seed", "1", "--out", str(out), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--suite" in err
+        assert err.count("\n") == 1
+        for flag in named:
+            assert flag in err
+        assert "--seed" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--side", "nan"], ["--capacity", "inf"]])
     def test_non_finite_spec_one_line_error(self, tmp_path, capsys, flags):
         rc = main(["gen", "--side", "20", "--trees", "25", "--maturity", "0.6",
@@ -357,6 +373,20 @@ class TestBench:
         assert captured.err.count("\n") == 1
         assert solves == []
         assert not out.exists()
+
+    def test_missing_out_directory_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        write_instance(tmp_path / "m.vrp", n=3)
+        solves = []
+        monkeypatch.setattr(cli, "run_aedga", lambda *args: solves.append(args))
+        out = tmp_path / "missing" / "m.csv"
+        rc = main(["bench", "--instances", str(tmp_path / "m.vrp"), "--runs", "2",
+                   "--budget-evals", "10", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert solves == []
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("runs", ["0", "-1"])
     def test_nonpositive_runs_one_line_error(self, tmp_path, capsys, runs):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orchard_mtvrp.core import ConfigurationError, GiantSolution, Instance, evaluate
 from orchard_mtvrp.evolution import (
@@ -9,6 +11,7 @@ from orchard_mtvrp.evolution import (
     Individual,
     SolverConfig,
     crossover,
+    _rank,
     _resplit,
     eass_select,
     environmental_selection,
@@ -225,6 +228,41 @@ class TestEnvironmentalSelection:
         b = Individual(GiantSolution.from_tokens((1, 2)), 7.0)
         kept = environmental_selection([a], [b], 1)
         assert kept[0] is b
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_trips_rank_and_deduplicate_as_tokens_do(self, data):
+        """Ranking and deduplicating on `trips` keeps the individuals, in the
+        order, that ranking and deduplicating on the giant tours (`tokens`)
+        kept: a trip's end sorts below any task id, as a 0-marker does."""
+        pool = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            perm = data.draw(st.permutations(range(1, data.draw(st.integers(1, 5)) + 1)))
+            cuts = data.draw(st.lists(st.booleans(), min_size=len(perm), max_size=len(perm)))
+            trips, trip = [], []
+            for task, cut in zip(perm, cuts):
+                if cut and trip:
+                    trips.append(trip)
+                    trip = []
+                trip.append(task)
+            energy = data.draw(st.sampled_from([1.0, 2.0]))
+            pool.append(Individual(GiantSolution([*trips, trip]), energy))
+        pool += [Individual(GiantSolution(ind.solution.trips), ind.energy)
+                 for ind in data.draw(st.lists(st.sampled_from(pool), max_size=4))]
+
+        def by_tokens(ind):
+            return ind.energy, len(ind.solution.trips), ind.solution.tokens
+
+        ranked = sorted(pool, key=by_tokens)
+        assert list(map(id, sorted(pool, key=_rank))) == list(map(id, ranked))
+        seen, unique, repeats = set(), [], []
+        for ind in ranked:
+            (repeats if ind.solution.tokens in seen else unique).append(ind)
+            seen.add(ind.solution.tokens)
+        split = data.draw(st.integers(0, len(pool)))
+        size = data.draw(st.integers(1, len(pool)))
+        kept = environmental_selection(pool[:split], pool[split:], size)
+        assert list(map(id, kept)) == list(map(id, (unique + repeats)[:size]))
 
 
 class TestRunAedga:

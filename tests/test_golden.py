@@ -20,7 +20,6 @@ from orchard_mtvrp import (
     GiantSolution,
     OrchardSpec,
     SolverConfig,
-    core,
     evolution,
     generate_orchard,
     run_aedga,
@@ -113,10 +112,11 @@ def test_repair_config_repairs(monkeypatch):
 
 def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
     """Each counted evaluation either takes the memo's result, with no
-    scoring, or scores its input once: one `evaluate` for a solution, one
-    `_resplit` (which prices the trips) for a permutation. An input is
-    scored only when it is not among the memo's most recently used ones."""
-    calls = {"evaluate": 0, "split": 0}
+    scoring, or scores its input once: one `charged_energies` (which prices
+    the trips from the run's trip cache) for a solution, one `_resplit`
+    (which prices the trips it keeps) for a permutation. An input is scored
+    only when it is not among the memo's most recently used ones."""
+    calls = {"price": 0, "split": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -124,8 +124,7 @@ def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (evolution, scheduler):
-        monkeypatch.setattr(module, "evaluate", counting("evaluate", core.evaluate))
+    monkeypatch.setattr(evolution, "charged_energies", counting("price", evolution.charged_energies))
     monkeypatch.setattr(evolution, "_resplit", counting("split", evolution._resplit))
     log: list[tuple] = []
 
@@ -133,7 +132,7 @@ def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
         def get(self, key, fresh):
             before = dict(calls)
             ind = super().get(key, fresh)
-            log.append((key, calls["evaluate"] - before["evaluate"], calls["split"] - before["split"]))
+            log.append((key, calls["price"] - before["price"], calls["split"] - before["split"]))
             return ind
 
     monkeypatch.setattr(evolution, "_Memo", Recording)
@@ -143,13 +142,13 @@ def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
     size = evolution._MEMO_GENERATIONS * (SolverConfig.population + 1)
     held: OrderedDict = OrderedDict()
     hits = 0
-    for key, evaluates, splits in log:
+    for key, prices, splits in log:
         if key in held:
             hits += 1
-            assert (evaluates, splits) == (0, 0)
+            assert (prices, splits) == (0, 0)
             held.move_to_end(key)
         else:
-            assert (evaluates, splits) == ((1, 0) if isinstance(key, GiantSolution) else (0, 1))
+            assert (prices, splits) == ((1, 0) if isinstance(key, GiantSolution) else (0, 1))
             held[key] = None
             if len(held) > size:
                 held.popitem(last=False)
@@ -187,7 +186,7 @@ def test_fr3_scores_each_distinct_candidate_once(monkeypatch):
     final_tokens: list = []
 
     def score(sol, *args):
-        if args[-1] is scheduler.Framework.FR1:
+        if args[-2] is scheduler.Framework.FR1:  # the framework comes before the energies
             final_tokens.append(sol.tokens)
         return original(sol, *args)
 

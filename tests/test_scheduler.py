@@ -29,6 +29,12 @@ from orchard_mtvrp.scheduler import (
 from conftest import random_instance
 
 
+def _charged(sol, inst):
+    """The energies `evaluate` charges for the trips of `sol`, as a run hands
+    them to `repair` and `score_with_framework`."""
+    return [t.energy for t in evaluate(sol, inst).trips]
+
+
 def _validate(schedule: Schedule, energies, m, e_max):
     assert len(schedule.assignment) == len(energies)
     assert all(0 <= r < m for r in schedule.assignment)
@@ -306,7 +312,7 @@ class TestRepair:
     def test_feasible_input_unchanged(self):
         inst = self._line()
         sol = GiantSolution.from_tokens((1, 0, 2))
-        out, status = repair(sol, inst, 2, 1e6)
+        out, status = repair(sol, inst, 2, 1e6, _charged(sol, inst))
         assert status is RepairStatus.REPAIRED
         assert out.solution == sol
 
@@ -314,7 +320,7 @@ class TestRepair:
         inst = self._line()
         sol = GiantSolution.from_tokens((1, 2))  # single trip, energy 1050
         # two robots, bound below 1050 but above each singleton trip energy
-        out, status = repair(sol, inst, 2, 1000.0)
+        out, status = repair(sol, inst, 2, 1000.0, _charged(sol, inst))
         assert status is RepairStatus.REPAIRED
         trips = decode_trips(out.solution)
         assert sorted(t for trip in trips for t in trip) == [1, 2]
@@ -324,7 +330,7 @@ class TestRepair:
     def test_unsatisfiable_bound_reports_infeasible(self):
         inst = self._line()
         sol = GiantSolution.from_tokens((1, 2))
-        out, status = repair(sol, inst, 2, 100.0)
+        out, status = repair(sol, inst, 2, 100.0, _charged(sol, inst))
         assert status is RepairStatus.INFEASIBLE
         assert sorted(t for trip in decode_trips(out.solution) for t in trip) == [1, 2]
 
@@ -350,8 +356,9 @@ class TestRepair:
             if makespan_assign(energies, m, e_max) is not None:
                 continue
             checked += 1
-            trace: list[tuple[float, float]] = []
-            out, status = repair(sol, inst, m, e_max, _move_trace=trace)
+            reference, reference_status, trace, _ = _reference_repair(sol, inst, m, e_max)
+            out, status = repair(sol, inst, m, e_max, energies)
+            assert (out.solution, status) == (reference, reference_status)
             out_trips = decode_trips(out.solution)
             assert sorted(t for trip in out_trips for t in trip) == sorted(perm)
             for trip in out_trips:
@@ -367,7 +374,7 @@ class TestRepair:
     def test_capacity_overflow_expanded_before_split(self):
         inst = self._line(capacity=8.0)
         sol = GiantSolution.from_tokens((1, 2))  # load 10 > 8, expansion forced
-        out, status = repair(sol, inst, 2, 1e6)
+        out, status = repair(sol, inst, 2, 1e6, _charged(sol, inst))
         assert status is RepairStatus.REPAIRED
         assert decode_trips(out.solution) == [(1,), (2,)]
 
@@ -426,7 +433,7 @@ def _repair_cases(rng, count):
                 tokens.append(0)
             tokens.append(t)
         sol = GiantSolution.from_tokens(tuple(tokens))
-        energies = [t.energy for t in evaluate(sol, inst).trips]
+        energies = _charged(sol, inst)
         m = rng.randint(1, 4)
         e_max = max(energies) * rng.uniform(0.3, 1.1)
         yield sol, inst, m, e_max
@@ -450,11 +457,12 @@ class TestRepairAgainstRecomputingReference:
             overloaded += evaluate(sol, inst).penalized
             checks.clear()
             out, status, trace, _ = _reference_repair(sol, inst, m, e_max)
-            reference = (out, out.trips, status, trace, list(checks))
+            reference = (out, out.trips, status, list(checks))
+            energies = _charged(sol, inst)
             checks.clear()
-            got_trace: list[tuple[float, float]] = []
-            got, got_status = repair(sol, inst, m, e_max, _move_trace=got_trace)
-            assert (got.solution, got.solution.trips, got_status, got_trace, checks) == reference
+            got, got_status = repair(sol, inst, m, e_max, energies)
+            assert (got.solution, got.solution.trips, got_status, checks) == reference
+            assert all(new <= previous for previous, new in trace)
             statuses.add(status)
         assert statuses == set(RepairStatus)
         assert overloaded > 50
@@ -471,20 +479,15 @@ class TestRepairAgainstRecomputingReference:
         rng = random.Random(22)
         moved = 0
         for sol, inst, m, e_max in _repair_cases(rng, 200):
-            _, _, _, tried = _reference_repair(sol, inst, m, e_max)
+            reference, _, _, tried = _reference_repair(sol, inst, m, e_max)
             moved += tried > 0
-            expanded = expand_overloads(sol.trips, inst)[0]
-            energies = [trip_energy(t, inst) for t in expanded]
+            energies = _charged(sol, inst)
             monkeypatch.setattr(scheduler, "trip_energy", counting)
             calls = 0
-            unpriced = repair(sol, inst, m, e_max)
-            assert calls == len(expanded) + 2 * tried
-            # handed the expanded trips' energies, as scoring hands them over
-            calls = 0
-            priced = repair(sol, inst, m, e_max, energies=energies)
+            out, _ = repair(sol, inst, m, e_max, energies)
             assert calls == 2 * tried
             monkeypatch.undo()
-            assert priced == unpriced
+            assert out.solution == reference
         assert moved > 50
 
 
@@ -493,7 +496,7 @@ class TestRepairScoresItsResult:
         rng = random.Random(21)
         statuses = set()
         for sol, inst, m, e_max in _repair_cases(rng, 400):
-            out, status = repair(sol, inst, m, e_max)
+            out, status = repair(sol, inst, m, e_max, _charged(sol, inst))
             statuses.add(status)
             if status is RepairStatus.INFEASIBLE:
                 assert out.energy == math.inf
@@ -533,7 +536,7 @@ class TestFrameworkScoring:
         sol = GiantSolution([(t,) for t in inst.task_ids])
         plain = evaluate(sol, inst).energy
         for fw in Framework:
-            scored = score_with_framework(sol, inst, 2, math.inf, fw)
+            scored = score_with_framework(sol, inst, 2, math.inf, fw, _charged(sol, inst))
             assert scored.energy == pytest.approx(plain)
             assert scored.solution == sol
 
@@ -545,7 +548,7 @@ class TestFrameworkScoring:
             robot_weight=20.0,
         )
         sol = GiantSolution.from_tokens((1, 2))
-        scored = score_with_framework(sol, inst, 2, 1000.0, Framework.FR1)
+        scored = score_with_framework(sol, inst, 2, 1000.0, Framework.FR1, _charged(sol, inst))
         assert scored.schedule is not None
         assert scored.energy < math.inf
         assert len(decode_trips(scored.solution)) == 2
@@ -558,7 +561,7 @@ class TestFrameworkScoring:
             robot_weight=20.0,
         )
         sol = GiantSolution.from_tokens((1, 2))
-        scored = score_with_framework(sol, inst, 2, 100.0, Framework.FR1)
+        scored = score_with_framework(sol, inst, 2, 100.0, Framework.FR1, _charged(sol, inst))
         assert scored.energy == math.inf
         assert scored.schedule is None
 
@@ -570,7 +573,7 @@ class TestFrameworkScoring:
             robot_weight=20.0,
         )
         sol = GiantSolution.from_tokens((1, 2))
-        scored = score_with_framework(sol, inst, 2, 1000.0, Framework.FR2)
+        scored = score_with_framework(sol, inst, 2, 1000.0, Framework.FR2, _charged(sol, inst))
         assert scored.energy == math.inf
         assert scored.solution == sol
 
@@ -582,7 +585,7 @@ class TestFrameworkScoring:
             robot_weight=20.0,
         )
         sol = GiantSolution.from_tokens((1, 2))
-        scored = score_with_framework(sol, inst, 2, 100.0, Framework.FR3)
+        scored = score_with_framework(sol, inst, 2, 100.0, Framework.FR3, _charged(sol, inst))
         assert scored.energy == pytest.approx(1050.0)
         assert scored.schedule is None
 

@@ -1,11 +1,12 @@
 """Every scoring shortcut of `run_aedga` against a fresh scoring.
 
 A run scores its offspring permutations from the trip energies its optimal
-split prices, and hands back a memo's earlier result for a repeated input.
-Here a checking memo recomputes every hit from scratch, with
-`score_with_framework` or, without robots, `evaluate`, and a checking split
-compares every priced energy list with `evaluate`'s trip energies. Both
-comparisons are exact.
+split prices, every other solution from the energies its trip cache holds
+(`charged_energies`), and hands back a memo's earlier result for a
+repeated input. Here a checking memo recomputes every hit from scratch,
+with `evaluate` and, with robots, `score_with_framework`, and a checking
+split and a checking `charged_energies` compare every priced energy list
+with `evaluate`'s trip energies. Every comparison is exact.
 """
 
 from __future__ import annotations
@@ -50,16 +51,19 @@ def _config(inst, name: str, init: str, seed: int) -> SolverConfig:
 
 
 def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[str, int]]:
-    """Run with every memo hit and every priced split checked; return the
-    result and how many of each were checked."""
-    split = evolution._resplit
-    checked = {"hits": 0, "splits": 0}
+    """Run with every memo hit, every priced split and every solution priced
+    from the trip cache checked; return the result and how many of each
+    were checked."""
+    split, price = evolution._resplit, evolution.charged_energies
+    checked = {"hits": 0, "splits": 0, "priced": 0}
 
     def fresh(key) -> Individual:
         sol = key if isinstance(key, GiantSolution) else split(key, inst)[0]
+        ev = evaluate(sol, inst)
         if cfg.robots is None:
-            return Individual(sol, evaluate(sol, inst).energy)
-        return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, cfg.framework)
+            return Individual(sol, ev.energy)
+        energies = [t.energy for t in ev.trips]
+        return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, cfg.framework, energies)
 
     class CheckingMemo(evolution._Memo):
         def get(self, given, score):
@@ -77,19 +81,27 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
         checked["splits"] += 1
         return sol, energies
 
+    def checking_price(trips, inst, cache):
+        energies = price(trips, inst, cache)
+        assert all(type(e) is float for e in energies)
+        assert energies == [t.energy for t in evaluate(GiantSolution(trips), inst).trips]
+        checked["priced"] += 1
+        return energies
+
     monkeypatch.setattr(evolution, "_Memo", CheckingMemo)
     monkeypatch.setattr(evolution, "_resplit", checking_split)
+    monkeypatch.setattr(evolution, "charged_energies", checking_price)
     return run_aedga(inst, cfg), checked
 
 
 @pytest.mark.parametrize("init", ["ilbim", "random"])
 @pytest.mark.parametrize("name", ["unbounded", *BOUNDED])
 def test_every_shortcut_matches_a_fresh_scoring(monkeypatch, inst, name, init):
-    checked = {"hits": 0, "splits": 0}
+    checked = {"hits": 0, "splits": 0, "priced": 0}
     for seed in SEEDS:
         for key, count in _checked_run(monkeypatch, inst, _config(inst, name, init, seed))[1].items():
             checked[key] += count
-    assert checked["hits"] > 0 and checked["splits"] > 0
+    assert checked["hits"] > 0 and checked["splits"] > 0 and checked["priced"] > 0
 
 
 def test_checked_runs_give_the_same_result(monkeypatch, inst):
@@ -116,6 +128,16 @@ def test_a_permutation_that_is_not_the_task_ids_is_rejected(monkeypatch, inst, b
 
     monkeypatch.setattr(evolution, "crossover", broken_crossover)
     cfg = SolverConfig(budget_evals=50, crossover_rate=1.0, mutation_rate=0.0, use_clsm=False)
+    with pytest.raises(RepresentationError):
+        run_aedga(inst, cfg)
+
+
+def test_a_solution_that_is_not_the_task_ids_is_rejected(monkeypatch, inst):
+    """Scoring a solution from the trip cache keeps `evaluate`'s cover check.
+    No crossover or mutation runs, so no permutation check can catch the
+    CLSM result's lost trip instead."""
+    monkeypatch.setattr(evolution, "clsm_step", lambda sol, *args: GiantSolution(sol.trips[1:]))
+    cfg = SolverConfig(budget_evals=50, crossover_rate=0.0, mutation_rate=0.0)
     with pytest.raises(RepresentationError):
         run_aedga(inst, cfg)
 
