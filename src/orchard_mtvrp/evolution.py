@@ -112,7 +112,10 @@ def _resplit(perm: Sequence[int], inst: Instance) -> tuple[GiantSolution, list[f
     The depot legs and consecutive arcs of the permutation are gathered from
     the distance matrix once per call, as Python floats, so the O(n*L) inner
     loop does plain float arithmetic; the operations and their order are
-    those of indexing the matrix per arc, so the split is the same.
+    those of indexing the matrix per arc, so the split is the same. The
+    one-task trip from each cut is priced before the loop that extends it
+    (its load, 0.0 + y, is y for every non-negative yield), and each step
+    adds `w + load` once, for both its arc and its way back.
 
     The kept trips are priced from the same lists with `trip_energy`'s
     operations in its order, so each energy is `trip_energy`'s bit for bit
@@ -136,15 +139,23 @@ def _resplit(perm: Sequence[int], inst: Instance) -> tuple[GiantSolution, list[f
     cut_before = [0] * (n + 1)
     best[0] = 0.0
     for i in range(n):
-        load = 0.0
+        load = y[i]
+        if load > capacity:
+            continue
+        base = best[i]
         open_energy = out_leg[i] * w
-        for j in range(i, n):
-            load += y[j]
+        total = base + open_energy + back_leg[i] * (w + load)
+        if total < best[i + 1]:
+            best[i + 1] = total
+            cut_before[i + 1] = i
+        for j in range(i + 1, n):
+            yj = y[j]
+            load += yj
             if load > capacity:
                 break
-            if j > i:
-                open_energy += arc[j - 1] * (w + load - y[j])
-            total = best[i] + open_energy + back_leg[j] * (w + load)
+            carried = w + load
+            open_energy += arc[j - 1] * (carried - yj)
+            total = base + open_energy + back_leg[j] * carried
             if total < best[j + 1]:
                 best[j + 1] = total
                 cut_before[j + 1] = i
@@ -308,7 +319,7 @@ class SolverConfig:
         self.framework = Framework(self.framework)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationStat:
     generation: int
     best_energy: float
@@ -328,6 +339,44 @@ class RunResult:
 
 _FR2_RETRIES = 3
 _MEMO_GENERATIONS = 10
+# Under Fr1 and Fr2 an offspring permutation scores infinite or the fsum of
+# the trip energies of its optimal split or of a refinement of it (`repair`
+# only adds cuts), and every refinement is a capacity-feasible split of the
+# same permutation, so in exact arithmetic it costs at least the split's
+# optimum. The split program's totals, `trip_energy` and `fsum` add positive
+# terms (n tasks, at most n trips), so each lies within a relative
+# (3n + 5) * 2**-53 of its exact value. Chaining them, a split's fsum can lie
+# above the offspring's score by a relative 10 * n * 2**-52 at most, which
+# is below this margin for every n up to 4 * 10**5.
+_SURVIVAL_MARGIN = 1e-9
+
+
+@dataclass(frozen=True)
+class _Skipped:
+    """An offspring permutation's optimal split, left unscheduled: the fsum
+    of its trip energies, a lower bound on its score, lies above the
+    survival cutoff in force when it was split."""
+
+    solution: GiantSolution
+    energies: Sequence[float]
+
+
+def _survival_cutoff(pop: Sequence[Individual], population: int) -> float:
+    """The split energy above which an offspring permutation cannot enter the
+    next population, or inf when there is none.
+
+    When `pop` holds `population` pairwise distinct genomes of finite energy,
+    an offspring scored above the worst of them ranks after all of them, so
+    elitist selection (and Fr2's survivors) drop it whatever its schedule.
+    A split energy above the cutoff proves that score (see
+    `_SURVIVAL_MARGIN`)."""
+    worst = max((ind.energy for ind in pop), default=math.inf)
+    if worst == math.inf or len({ind.solution.trips for ind in pop}) < population:
+        return math.inf
+    return worst * (1 + _SURVIVAL_MARGIN)
+
+
+_Scored = Individual | _Skipped
 
 
 class _Memo:
@@ -339,31 +388,47 @@ class _Memo:
     Most entries outlive their individual, tens of KB of tuples at n≈1000.
     So a permutation (of checked task ids) is kept as 4-byte ids, and its
     individual, when the trips keep the permutation's order (a split's and
-    `repair`'s do), as trip lengths, energy and schedule."""
+    `repair`'s do), as trip lengths, energy and schedule. A skipped
+    offspring is kept as its split's trip lengths and energies; a later hit
+    hands that split back to `fresh`, which schedules it only if it could
+    now survive."""
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.entries: dict[GiantSolution | bytes, Individual | tuple] = {}
+        self.entries: dict[GiantSolution | bytes, _Scored | tuple] = {}
 
-    def get(self, given: ScoringInput, fresh: Callable[[ScoringInput], Individual]) -> Individual:
-        """The individual scored from `given`, from `fresh(given)` unless held."""
+    def get(self, given: ScoringInput, fresh: Callable[[ScoringInput | _Skipped], _Scored]) -> _Scored:
+        """The individual scored from `given`, from `fresh(given)` unless
+        held; a held skip is handed to `fresh` again."""
         key = given if isinstance(given, GiantSolution) else array.array("i", given).tobytes()
         entry = self.entries.pop(key, None)
         if entry is None:
-            ind = entry = fresh(given)
-            if key is not given and ind.solution.task_sequence() == given:
-                entry = (tuple(map(len, ind.solution.trips)), ind.energy, ind.schedule)
             if len(self.entries) >= self.size:
                 del self.entries[next(iter(self.entries))]
-        elif isinstance(entry, Individual):
-            ind = entry
+            ind = fresh(given)
         else:
-            lengths, energy, schedule = entry
-            tasks = iter(given)
-            trips = [tuple(itertools.islice(tasks, k)) for k in lengths]
-            ind = Individual(GiantSolution(trips), energy, schedule)
+            held = self._unpack(entry, given) if isinstance(entry, tuple) else entry
+            ind = fresh(held) if isinstance(held, _Skipped) else held
+            if ind is held:
+                self.entries[key] = entry
+                return ind
+        entry = ind
+        if key is not given and ind.solution.task_sequence() == given:
+            lengths = tuple(map(len, ind.solution.trips))
+            if isinstance(ind, _Skipped):
+                entry = (lengths, ind.energies)
+            else:
+                entry = (lengths, ind.energy, ind.schedule)
         self.entries[key] = entry
         return ind
+
+    @staticmethod
+    def _unpack(entry: tuple, given: Sequence[int]) -> _Scored:
+        tasks = iter(given)
+        solution = GiantSolution([tuple(itertools.islice(tasks, k)) for k in entry[0]])
+        if len(entry) == 2:
+            return _Skipped(solution, entry[1])
+        return Individual(solution, *entry[1:])
 
 
 def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
@@ -373,7 +438,13 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     scheduling framework. Every random draw comes from `cfg.seed`.
 
     A bounded run is infeasible exactly when its best individual has no
-    schedule; an unbounded run has no framework and is never infeasible."""
+    schedule; an unbounded run has no framework and is never infeasible.
+
+    Under Fr1 and Fr2 an offspring permutation whose split energy lies above
+    the survival cutoff (`_survival_cutoff`) is not scheduled: it still
+    counts as an evaluation, but it is left out of the selection pool,
+    which would have dropped it whatever its schedule. The run's answers
+    are those of scheduling every offspring."""
     rng = random.Random(cfg.seed)
     framework = cfg.framework if cfg.robots is not None else None
 
@@ -391,24 +462,29 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     memo = _Memo(_MEMO_GENERATIONS * (cfg.population + 1))
     trip_cache = TripCache()  # CLSM's work per trip, shared by every step
 
-    def fresh_score(given: ScoringInput) -> Individual:
+    def fresh_score(given: ScoringInput | _Skipped, cutoff: float) -> _Scored:
         if isinstance(given, GiantSolution):
             sol = given
             check_cover(sol.task_sequence(), inst)
             energies = charged_energies(sol.trips, inst, trip_cache)
         else:
-            sol, energies = _resplit(given, inst)
+            skipped = given if isinstance(given, _Skipped) else _Skipped(*_resplit(given, inst))
+            if math.fsum(skipped.energies) > cutoff:
+                return skipped
+            sol, energies = skipped.solution, skipped.energies
         if framework is None:
             return Individual(sol, math.fsum(energies))
         return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework, energies)
 
-    def score(given: ScoringInput) -> Individual:
-        """One counted evaluation, whether or not the memo holds its result."""
+    def score(given: ScoringInput, cutoff: float = math.inf) -> Individual | None:
+        """One counted evaluation, whether or not the memo holds its result;
+        None for a permutation whose split energy lies above `cutoff`."""
         nonlocal evals
         evals += 1
         if not isinstance(given, GiantSolution):
             check_cover(given, inst)
-        return memo.get(given, fresh_score)
+        ind = memo.get(given, lambda held: fresh_score(held, cutoff))
+        return ind if isinstance(ind, Individual) else None
 
     def fresh_population() -> list[Individual]:
         if cfg.init == "random":
@@ -465,19 +541,24 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
             best = new_ind
             last_improvement_eval = evals
 
-        offspring: list[Individual] = [new_ind]
+        # Each offspring is split once, after mutation, when it is scored;
+        # None stands for one left unscheduled.
+        cutoff = math.inf
+        if framework in (Framework.FR1, Framework.FR2):
+            cutoff = _survival_cutoff(pop, cfg.population)
+        offspring: list[Individual | None] = [new_ind]
         order = list(range(len(pop)))
         rng.shuffle(order)
-        # Each offspring is split once, after mutation, when it is scored.
         rate = cfg.mutation_rate
         for a, b in zip(order[::2], order[1::2]):
             if rng.random() < cfg.crossover_rate:
                 children = crossover(pop[a].solution.task_sequence(), pop[b].solution.task_sequence(), rng)
-                offspring.extend(score(mutate(child, rng, rate)) for child in children)
+                offspring.extend(score(mutate(child, rng, rate), cutoff) for child in children)
             else:
-                offspring.extend(score(passed_on(pop[i].solution, inst, rng, rate)) for i in (a, b))
+                offspring.extend(score(passed_on(pop[i].solution, inst, rng, rate), cutoff) for i in (a, b))
         if len(order) % 2:
-            offspring.append(score(passed_on(pop[order[-1]].solution, inst, rng, rate)))
+            offspring.append(score(passed_on(pop[order[-1]].solution, inst, rng, rate), cutoff))
+        offspring = [ind for ind in offspring if ind is not None]
 
         if framework is Framework.FR2:
             pop, offspring = fr2_survivors(pop + offspring), []

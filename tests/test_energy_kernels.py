@@ -74,15 +74,21 @@ CAPACITY = 12.0
 
 
 @st.composite
-def instances(draw, max_n: int = 14) -> Instance:
+def instances(draw, max_n: int = 14, lattice: bool = False) -> Instance:
     """Small instances built to produce ties and boundary loads: lattice or
     free coordinates, and yields that either divide the capacity exactly,
-    are free, or all exceed half the capacity (so every trip is a singleton)."""
+    are free, or all exceed half the capacity (so every trip is a singleton).
+    `lattice` puts the tasks on integer points of one line through the
+    depot, with exact yields: every distance is an integer and every sum
+    exact, so cut sets of equal cost tie exactly."""
     n = draw(st.integers(1, max_n))
-    grid = draw(st.booleans())
+    grid = lattice or draw(st.booleans())
     coord = st.integers(0, 6).map(float) if grid else st.floats(0, 50, allow_nan=False)
-    coords = [(0.0, 0.0)] + [(draw(coord), draw(coord)) for _ in range(n)]
-    kind = draw(st.sampled_from(["exact", "free", "over-half"]))
+    if lattice:
+        coords = [(0.0, 0.0)] + [(draw(st.integers(-3, 3).map(float)), 0.0) for _ in range(n)]
+    else:
+        coords = [(0.0, 0.0)] + [(draw(coord), draw(coord)) for _ in range(n)]
+    kind = "exact" if lattice else draw(st.sampled_from(["exact", "free", "over-half"]))
     if kind == "exact":
         task_yield = st.sampled_from([CAPACITY / k for k in (1, 2, 3, 4, 6)])
     elif kind == "free":
@@ -95,8 +101,8 @@ def instances(draw, max_n: int = 14) -> Instance:
 
 
 @st.composite
-def instance_and_perm(draw, max_n: int = 14) -> tuple[Instance, list[int]]:
-    inst = draw(instances(max_n))
+def instance_and_perm(draw, max_n: int = 14, lattice: bool = False) -> tuple[Instance, list[int]]:
+    inst = draw(instances(max_n, lattice))
     return inst, draw(st.permutations(list(inst.task_ids)))
 
 
@@ -111,6 +117,17 @@ class TestResplitMatchesReference:
             assert got.tokens == expected.tokens
             assert got.trips == expected.trips
             assert energies == [trip_energy_reference(trip, inst) for trip in got.trips]
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance_and_perm(max_n=16, lattice=True))
+    def test_same_split_on_a_lattice(self, case):
+        """Many cut sets cost exactly the same here, so the program's
+        tie-breaks are compared too: a total must beat the best so far
+        strictly to move a cut."""
+        inst, perm = case
+        got, energies = _resplit(perm, inst)
+        assert got.trips == resplit_reference(perm, inst).trips
+        assert energies == [trip_energy_reference(trip, inst) for trip in got.trips]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

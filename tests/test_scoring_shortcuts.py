@@ -3,23 +3,34 @@
 A run scores its offspring permutations from the trip energies its optimal
 split prices, every other solution from the energies its trip cache holds
 (`charged_energies`), and hands back a memo's earlier result for a
-repeated input. Here a checking memo recomputes every hit from scratch,
-with `evaluate` and, with robots, `score_with_framework`, and a checking
-split and a checking `charged_energies` compare every priced energy list
-with `evaluate`'s trip energies. Every comparison is exact.
+repeated input. Under Fr1 and Fr2 it also leaves unscheduled an offspring
+whose split energy lies above the survival cutoff. Here a checking memo
+recomputes every hit from scratch, with `evaluate` and, with robots,
+`score_with_framework`, and gives every skipped offspring, first split or
+held, a fresh scoring that must lie above every parent's energy; a
+checking split and a checking `charged_energies` compare every priced
+energy list with `evaluate`'s trip energies. Every comparison is exact.
+
+The skip rests on a bound, tested here too: under Fr1 and Fr2 a split
+permutation scores infinite or at least the fsum of its split energies,
+since `repair` only adds cuts to the split.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orchard_mtvrp import evolution
 from orchard_mtvrp.core import GiantSolution, RepresentationError, evaluate, trip_energy
 from orchard_mtvrp.evolution import RunResult, SolverConfig, run_aedga
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
-from orchard_mtvrp.scheduler import Framework, Individual, score_with_framework
+from orchard_mtvrp.scheduler import Framework, Individual, RepairStatus, repair, score_with_framework
 
 SPEC = OrchardSpec(20, 60, 0.6, seed=42)
 ROBOTS = 8
@@ -34,6 +45,10 @@ BOUNDED = {
     "Fr3-0.6": (Framework.FR3, 0.6),
 }
 SEEDS = (0, 1, 2)
+# The (config, init) pairs whose runs over SEEDS leave offspring unscheduled.
+# Fr1 at 0.3, and at 0.6 from random starts, never reaches a population of
+# finite energies within the budget, so it has no survival cutoff.
+SKIPPING = {("Fr1-0.6", "ilbim"), ("Fr2-0.8", "ilbim"), ("Fr2-0.8", "random")}
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +66,12 @@ def _config(inst, name: str, init: str, seed: int) -> SolverConfig:
 
 
 def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[str, int]]:
-    """Run with every memo hit, every priced split and every solution priced
-    from the trip cache checked; return the result and how many of each
-    were checked."""
-    split, price = evolution._resplit, evolution.charged_energies
-    checked = {"hits": 0, "splits": 0, "priced": 0}
+    """Run with every memo hit, every skipped offspring, every priced split
+    and every solution priced from the trip cache checked; return the result
+    and how many of each were checked."""
+    split, price, cutoff = evolution._resplit, evolution.charged_energies, evolution._survival_cutoff
+    checked = {"hits": 0, "skipped": 0, "splits": 0, "priced": 0}
+    parents: list[Individual] = []
 
     def fresh(key) -> Individual:
         sol = key if isinstance(key, GiantSolution) else split(key, inst)[0]
@@ -65,11 +81,21 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
         energies = [t.energy for t in ev.trips]
         return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, cfg.framework, energies)
 
+    def recording_cutoff(pop, population):
+        parents[:] = pop
+        return cutoff(pop, population)
+
     class CheckingMemo(evolution._Memo):
         def get(self, given, score):
             scored = []
             ind = super().get(given, lambda key: scored.append(key) or score(key))
-            if not scored:
+            if isinstance(ind, evolution._Skipped):
+                # First split or held and re-tested: scored, it would lose to every parent.
+                assert (ind.solution, list(ind.energies)) == split(given, inst)
+                assert fresh(given).energy > max(p.energy for p in parents)
+                checked["skipped"] += 1
+            elif not scored or isinstance(scored[0], evolution._Skipped):
+                # Held, or scheduled from a held split that could now survive.
                 assert ind == fresh(given)
                 checked["hits"] += 1
             return ind
@@ -89,6 +115,7 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
         return energies
 
     monkeypatch.setattr(evolution, "_Memo", CheckingMemo)
+    monkeypatch.setattr(evolution, "_survival_cutoff", recording_cutoff)
     monkeypatch.setattr(evolution, "_resplit", checking_split)
     monkeypatch.setattr(evolution, "charged_energies", checking_price)
     return run_aedga(inst, cfg), checked
@@ -97,11 +124,12 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
 @pytest.mark.parametrize("init", ["ilbim", "random"])
 @pytest.mark.parametrize("name", ["unbounded", *BOUNDED])
 def test_every_shortcut_matches_a_fresh_scoring(monkeypatch, inst, name, init):
-    checked = {"hits": 0, "splits": 0, "priced": 0}
+    checked = {"hits": 0, "skipped": 0, "splits": 0, "priced": 0}
     for seed in SEEDS:
         for key, count in _checked_run(monkeypatch, inst, _config(inst, name, init, seed))[1].items():
             checked[key] += count
     assert checked["hits"] > 0 and checked["splits"] > 0 and checked["priced"] > 0
+    assert (checked["skipped"] > 0) == ((name, init) in SKIPPING)
 
 
 def test_checked_runs_give_the_same_result(monkeypatch, inst):
@@ -110,6 +138,88 @@ def test_checked_runs_give_the_same_result(monkeypatch, inst):
     cfg = _config(inst, "Fr1-0.6", "ilbim", 0)
     plain = run_aedga(inst, cfg)
     assert _checked_run(monkeypatch, inst, cfg)[0] == plain
+
+
+@pytest.mark.parametrize("name", ["Fr1-0.3", "Fr1-0.6", "Fr2-0.8"])
+def test_skipping_offspring_keeps_the_answers(monkeypatch, inst, name):
+    """With the survival cutoff off, every offspring is scheduled, and every
+    run ends where the default one does."""
+    skipped = 0
+
+    class CountingMemo(evolution._Memo):
+        def get(self, given, score):
+            nonlocal skipped
+            ind = super().get(given, score)
+            skipped += isinstance(ind, evolution._Skipped)
+            return ind
+
+    runs = [(init, seed) for init in ("ilbim", "random") for seed in SEEDS]
+    with monkeypatch.context() as patched:
+        patched.setattr(evolution, "_Memo", CountingMemo)
+        default = [run_aedga(inst, _config(inst, name, init, seed)) for init, seed in runs]
+    assert (skipped > 0) == any((name, init) in SKIPPING for init, _ in runs)
+    monkeypatch.setattr(evolution, "_survival_cutoff", lambda pop, population: math.inf)
+    assert [run_aedga(inst, _config(inst, name, init, seed)) for init, seed in runs] == default
+
+
+def _scored(energy: float, trips) -> Individual:
+    return Individual(GiantSolution(trips), energy)
+
+
+def test_survival_cutoff_lies_just_above_the_worst_of_distinct_finite_parents():
+    pop = [_scored(2.0, [(1,), (2,)]), _scored(5.0, [(2, 1)]), _scored(3.0, [(1, 2)])]
+    cutoff = evolution._survival_cutoff(pop, 3)
+    assert 5.0 < cutoff <= 5.0 * (1 + 1e-6)
+    assert evolution._survival_cutoff(pop, 4) == math.inf  # fewer than P members
+    assert evolution._survival_cutoff([], 2) == math.inf
+    repeated = pop[:2] + [_scored(3.0, [(2, 1)])]
+    assert evolution._survival_cutoff(repeated, 3) == math.inf
+    unscheduled = pop[:2] + [_scored(math.inf, [(1, 2)])]
+    assert evolution._survival_cutoff(unscheduled, 3) == math.inf
+
+
+def _split_scorings(inst, perm, e_max):
+    sol, energies = evolution._resplit(perm, inst)
+    split_energy = math.fsum(energies)
+    for framework in (Framework.FR1, Framework.FR2):
+        ind = score_with_framework(sol, inst, ROBOTS, e_max, framework, energies)
+        assert ind.energy == math.inf or ind.energy >= split_energy
+    repaired, status = repair(sol, inst, ROBOTS, e_max, energies)
+    # The repaired trips refine the split: same order, every split cut kept.
+    assert repaired.solution.task_sequence() == tuple(perm)
+    ends = set(itertools.accumulate(map(len, repaired.solution.trips)))
+    assert set(itertools.accumulate(map(len, sol.trips))) <= ends
+    return status, len(repaired.solution.trips) > len(sol.trips)
+
+
+def _z_single(inst) -> float:
+    return math.fsum(trip_energy((t,), inst) for t in inst.task_ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perm=st.permutations(list(range(1, 41))), share=st.sampled_from([0.3, 0.6, 0.8, 1.2]))
+def test_a_split_scores_at_least_its_split_energy(inst, perm, share):
+    """The bound the survival cutoff rests on: under Fr1 and Fr2 an offspring
+    scores infinite or at least its split energy, and `repair` only adds
+    cuts to the split it is handed."""
+    assert inst.n == len(perm)
+    _split_scorings(inst, perm, share * _z_single(inst) / ROBOTS)
+
+
+@pytest.mark.parametrize("share", [0.3, 0.8])
+def test_the_split_bound_holds_where_repair_fails_and_succeeds(inst, share):
+    """On the splits of random permutations `repair` always fails at 0.3;
+    at 0.8 it both fails and succeeds by adding cuts."""
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(40):
+        perm = list(inst.task_ids)
+        rng.shuffle(perm)
+        outcomes.add(_split_scorings(inst, perm, share * _z_single(inst) / ROBOTS))
+    if share == 0.3:
+        assert outcomes == {(RepairStatus.INFEASIBLE, True)}
+    else:
+        assert {(RepairStatus.INFEASIBLE, True), (RepairStatus.REPAIRED, True)} <= outcomes
 
 
 @pytest.mark.parametrize("bad", ["missing", "repeated", "unknown"])
@@ -156,6 +266,28 @@ def test_memo_keeps_the_most_recently_used_entries():
     # (1,) was used after (2,), so (3,) pushed (2,) out, and then (2,) pushed (1,).
     assert scored == [(1,), (2,), (3,), (2,), (1,)]
     assert len(memo.entries) == 2
+
+
+def test_memo_schedules_a_held_skip_only_once_it_could_survive():
+    memo = evolution._Memo(4)
+    split = GiantSolution([(3, 1), (2,)])
+    skipped = evolution._Skipped(split, [4.0, 3.5])
+    scored = Individual(split, 7.5)
+    calls: list = []
+
+    def fresh(cutoff):
+        def score(given):
+            calls.append(given)
+            if isinstance(given, evolution._Skipped):
+                return given if math.fsum(given.energies) > cutoff else scored
+            return skipped
+        return score
+
+    assert memo.get((3, 1, 2), fresh(7.0)) == skipped  # split and skipped
+    assert memo.get((3, 1, 2), fresh(7.0)) == skipped  # held split, still above the cutoff
+    assert memo.get((3, 1, 2), fresh(8.0)) == scored  # held split, scheduled at last
+    assert memo.get((3, 1, 2), fresh(7.0)) == scored  # held as scored from then on
+    assert calls == [(3, 1, 2), skipped, skipped]
 
 
 @pytest.mark.parametrize("trips", [[(3, 1), (2,)], [(3,), (1, 2)], [(1, 3), (2,)]])
