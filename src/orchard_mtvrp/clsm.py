@@ -88,20 +88,24 @@ def kmeans_two(points: Sequence[tuple[float, float]]) -> ClusterSplit:
 SlotState = tuple[ClusterSplit | None, float, tuple[float, float]]
 
 # Entries a `TripCache` holds before it starts afresh: trips, colony inputs,
-# roulette wheels and tour energies, one each. An entry takes about 400
-# bytes on the paper's orchards, so the cache stays below about 8 MB; a
-# 300-evaluation run at n=965 fills 6,100 entries.
+# iteration levels, roulette wheels and tour energies, one each. An entry
+# takes 335-380 bytes on the paper's orchards (tracemalloc, seeded runs at
+# n≈60 and n=965), so the cache stays below about 8 MB; a 300-evaluation
+# run at n=965 fills 6,600 entries.
 _TRIP_CACHE_ENTRIES = 20_000
 
 
 class _Colony:
     """The tables of one `aco_tour` input that do not depend on the draws:
     the input's energy, the local distance, load and eta ** beta tables, the
-    first iteration's roulette wheels, keyed by the current node and the
-    bitmask of the unvisited tasks, and the energies of complete tours, both
-    directions, keyed by the forward tour."""
+    energies of complete tours, both directions, keyed by the forward tour,
+    and a level per iteration reached. An iteration's pheromone is a pure
+    function of the best tours at the ends of the iterations before it, so
+    its level is keyed by that tuple of tours (the first's by ()) and holds
+    the pheromone, the roulette weights tau ** alpha * eta ** beta and the
+    wheels, keyed by the current node and the bitmask of unvisited tasks."""
 
-    __slots__ = ("energy", "dist", "loads", "eta_beta", "wheels", "tours")
+    __slots__ = ("energy", "dist", "loads", "eta_beta", "tours", "levels")
 
     def __init__(self, trip_tasks: tuple[int, ...], inst: Instance) -> None:
         self.energy = trip_energy(trip_tasks, inst)
@@ -113,15 +117,17 @@ class _Colony:
             [0.0 if i == j else (1.0 / max(d, 1e-12)) ** beta for j, d in enumerate(row)]
             for i, row in enumerate(dist)
         ]
-        self.wheels: dict[int, tuple[list[int], list[float]]] = {}
         self.tours: dict[tuple[int, ...], tuple[float, float]] = {}
+        tau = [[1.0] * len(nodes) for _ in nodes]
+        self.levels: dict[tuple[tuple[int, ...], ...], tuple] = {(): (tau, self.eta_beta, {})}
 
 
 class TripCache:
     """What CLSM works out for a trip or a colony input, kept for a whole
-    run: slot states, piece energies and colony tables. Each value is a pure
-    function of its key. It holds at most `_TRIP_CACHE_ENTRIES` entries:
-    when a new one would pass the bound, every entry goes."""
+    run: slot states, piece energies and colony tables, iteration levels
+    included. Each value is a pure function of its key. It holds at most
+    `_TRIP_CACHE_ENTRIES` entries: when a new one would pass the bound,
+    every entry goes."""
 
     def __init__(self) -> None:
         self.slots: dict[tuple[int, ...], SlotState] = {}
@@ -259,12 +265,12 @@ def aco_tour(
 
     The colony runs on local indices (0 is the depot) over Python-float
     tables kept in `cache` (a fresh one when none is given): distances,
-    yields and eta ** beta, which is the weight itself until the first
-    pheromone update, so the first iteration's roulette wheels are kept too.
-    Later iterations build theirs afresh, since their pheromone depends on
-    the draws. Tours are priced with `trip_energy`'s operations in the same
-    order. Trails are clamped as in MAX-MIN Ant System (Stützle & Hoos 2000)
-    and updated only between iterations.
+    yields, the energies of priced tours, and each iteration's pheromone,
+    weights and roulette wheels, keyed by the best tours that led to it
+    (see `_Colony`), so a later iteration reached before is a lookup too.
+    Tours are priced with `trip_energy`'s operations in the same order.
+    Trails are clamped as in MAX-MIN Ant System (Stützle & Hoos 2000) and
+    updated only between iterations.
     """
     k = len(trip_tasks)
     if k == 0:
@@ -284,16 +290,21 @@ def aco_tour(
         cache.admit()
         cache.colonies[trip_tasks] = colony
     dist, loads, tours, w = colony.dist, colony.loads, colony.tours, inst.robot_weight
-    alpha, eta_beta = _PHEROMONE_WEIGHT, colony.eta_beta
-    tau = [[1.0] * (k + 1) for _ in range(k + 1)]
-    weight, wheels = eta_beta, colony.wheels
+    alpha, eta_beta, levels = _PHEROMONE_WEIGHT, colony.eta_beta, colony.levels
     best_energy = colony.energy
     best = list(range(1, k + 1))
+    path: tuple[tuple[int, ...], ...] = ()  # the best tour at the end of each iteration so far
+    tau, weight, wheels = levels[path]
     for iteration in range(iterations):
         if iteration:
-            _update_pheromone(tau, best)
-            weight = [[t ** alpha * e for t, e in zip(ts, es)] for ts, es in zip(tau, eta_beta)]
-            wheels = {}
+            path += (tuple(best),)
+            level = levels.get(path)
+            if level is None:
+                tau = _updated_pheromone(tau, best)
+                weight = [[t ** alpha * e for t, e in zip(ts, es)] for ts, es in zip(tau, eta_beta)]
+                level = levels[path] = tau, weight, {}
+                cache.admit()
+            tau, weight, wheels = level
         for _ in range(colony_size):
             current = 0
             unvisited = (1 << (k + 1)) - 2  # bit j: local task j
@@ -307,8 +318,7 @@ def aco_tour(
                     row = weight[current]
                     remaining = [j for j in range(1, k + 1) if unvisited >> j & 1]
                     wheel = remaining, list(itertools.accumulate([row[j] for j in remaining]))
-                    if not iteration:
-                        cache.admit()
+                    cache.admit()
                     wheels[key] = wheel
                 remaining, running = wheel
                 if running[-1] > 0:
@@ -343,14 +353,14 @@ def _local_energy(order: list[int], dist: list[list[float]], loads: list[float],
     return energy + dist[prev][0] * (w + load)
 
 
-def _update_pheromone(tau: list[list[float]], best: list[int]) -> None:
-    """Evaporate every trail, then reinforce the best tour so far."""
+def _updated_pheromone(tau: list[list[float]], best: list[int]) -> list[list[float]]:
+    """A new table: `tau` evaporated, then the best tour so far reinforced."""
     decay = 1.0 - _EVAPORATION
-    for row in tau:
-        row[:] = [max(_PHEROMONE_FLOOR, t * decay) for t in row]
+    out = [[max(_PHEROMONE_FLOOR, t * decay) for t in row] for row in tau]
     path = [0, *best]
     for a, b in zip(path, path[1:]):
-        tau[a][b] = min(_PHEROMONE_CEILING, tau[a][b] + _EVAPORATION)
+        out[a][b] = min(_PHEROMONE_CEILING, out[a][b] + _EVAPORATION)
+    return out
 
 
 def clsm_step(
@@ -395,7 +405,7 @@ def clsm_step(
         energy = math.fsum(itertools.chain.from_iterable(pieces))
         if energy < best_energy:
             best_energy = energy
-            best_sol = GiantSolution(trips)
+            best_sol = GiantSolution.trusted(tuple(trips))
     return best_sol
 
 

@@ -124,6 +124,7 @@ class GiantSolution:
     """
 
     trips: tuple[tuple[int, ...], ...]
+    _sequence: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         trips = tuple(filter(None, (tuple(map(int, given)) for given in self.trips)))
@@ -131,6 +132,15 @@ class GiantSolution:
         if tasks and (len(set(tasks)) != len(tasks) or min(tasks) < 1):
             raise RepresentationError("task ids must be distinct and at least 1")
         object.__setattr__(self, "trips", trips)
+
+    @classmethod
+    def trusted(cls, trips: tuple[tuple[int, ...], ...], sequence: tuple[int, ...] | None = None) -> "GiantSolution":
+        """The solution of `trips`, a tuple of non-empty tuples of distinct
+        task ids, unchecked; `sequence`, when given, is their concatenation."""
+        sol = object.__new__(cls)
+        object.__setattr__(sol, "trips", trips)
+        object.__setattr__(sol, "_sequence", sequence)
+        return sol
 
     @property
     def tokens(self) -> tuple[int, ...]:
@@ -143,8 +153,10 @@ class GiantSolution:
         return cls([tuple(run) for nonzero, run in itertools.groupby(tokens, bool) if nonzero])
 
     def task_sequence(self) -> tuple[int, ...]:
-        """Task ids in visit order, separators stripped."""
-        return tuple(t for trip in self.trips for t in trip)
+        """Task ids in visit order, separators stripped; worked out once."""
+        if self._sequence is None:
+            object.__setattr__(self, "_sequence", tuple(itertools.chain.from_iterable(self.trips)))
+        return self._sequence
 
 
 def ordered_sum(values: Iterable[float]) -> float:

@@ -99,10 +99,27 @@ def update_archive(archive: Archive, range_index: int | None, improved_best: boo
 ScoringInput = tuple[int, ...] | GiantSolution
 
 
-def _resplit(perm: Sequence[int], inst: Instance) -> tuple[GiantSolution, list[float]]:
+# Under Fr1 and Fr2 an offspring permutation scores infinite or the fsum of
+# the trip energies of its optimal split or of a refinement of it (`repair`
+# only adds cuts), so in exact arithmetic it costs at least the split's
+# optimum. `trip_energy` and `fsum` add non-negative terms (at most n trips
+# of n tasks), so a priced fsum lies within a relative e = (3n + 5) * 2**-53
+# of its exact cost, and the split program's total of a cut set (`best[n]`
+# for the kept one) within F * e, F = 1 + capacity / robot weight, since its
+# arc factor (w + load) - y is rounded relative to w + load. F is 4 on
+# every generated or parsed orchard. Chaining these, a split's fsum lies
+# above the offspring's score by a relative 2 * (1 + F) * e at most, and
+# `best[n]` above the split's fsum by (1 + F) * e at most: both below this
+# margin for every n up to 10**5 at F = 4. So a `best[n]` above cutoff *
+# (1 + margin) puts the split's fsum, and the score, above the cutoff.
+_SURVIVAL_MARGIN = 1e-9
+
+
+def _resplit(perm: Sequence[int], inst: Instance, cutoff: float = math.inf) -> tuple[GiantSolution, list[float]] | None:
     """Optimal separator placement for a fixed task order: a shortest-path
     dynamic program over cut positions restricted to capacity-feasible trips.
-    Returns the split solution and the energy of each of its trips.
+    Returns the split solution and the energy of each of its trips, or None,
+    a skip verdict, when the fsum of those energies lies above `cutoff`.
 
     Greedy splitting (cut only on overflow) cannot express solutions that
     deliberately run an extra light trip, which the load-dependent energy
@@ -123,10 +140,15 @@ def _resplit(perm: Sequence[int], inst: Instance) -> tuple[GiantSolution, list[f
     never overflows, since the program breaks on the same left-to-right
     load that `expand_overloads` adds up, so these are also the energies
     `evaluate` charges, and their `math.fsum` is its energy.
+
+    The program's own total is tested first, against the cutoff widened by
+    `_SURVIVAL_MARGIN`, so most skips cost the program alone. Only a kept
+    split gets its trip tuples; its solution holds `perm` as its sequence.
     """
     n = len(perm)
     if n == 0:
         return GiantSolution(()), []
+    perm = tuple(perm)
     d = inst.dist
     order = np.asarray(perm)
     out_leg = d[0, order].tolist()
@@ -159,7 +181,9 @@ def _resplit(perm: Sequence[int], inst: Instance) -> tuple[GiantSolution, list[f
             if total < best[j + 1]:
                 best[j + 1] = total
                 cut_before[j + 1] = i
-    trips: list[tuple[int, ...]] = []
+    if best[n] > cutoff * (1 + _SURVIVAL_MARGIN):
+        return None
+    ends: list[int] = []
     energies: list[float] = []
     end = n
     while end > 0:
@@ -170,10 +194,15 @@ def _resplit(perm: Sequence[int], inst: Instance) -> tuple[GiantSolution, list[f
             energy += arc[k - 1] * (w + load)
             load += y[k]
         energy += back_leg[end - 1] * (w + load)
-        trips.append(tuple(perm[start:end]))
+        ends.append(end)
         energies.append(energy)
         end = start
-    return GiantSolution(reversed(trips)), energies[::-1]
+    energies.reverse()
+    if math.fsum(energies) > cutoff:
+        return None
+    ends.reverse()
+    trips = tuple(perm[start:end] for start, end in zip([0, *ends], ends))
+    return GiantSolution.trusted(trips, perm), energies
 
 
 def crossover(
@@ -187,15 +216,12 @@ def crossover(
     lo, hi = min(a, b), max(a, b)
 
     def ox(donor: tuple[int, ...], filler: tuple[int, ...]) -> tuple[int, ...]:
+        # the filler's other tasks, read from `hi` on, fill from `hi` on
         middle = donor[lo:hi]
         used = set(middle)
-        rest = [t for t in filler[hi:] + filler[:hi] if t not in used]
-        child: list[int] = [0] * n
-        child[lo:hi] = middle
-        positions = list(range(hi, n)) + list(range(0, lo))
-        for pos, t in zip(positions, rest):
-            child[pos] = t
-        return tuple(child)
+        rest = [t for t in filler[hi:] if t not in used]
+        rest += [t for t in filler[:hi] if t not in used]
+        return (*rest[n - hi :], *middle, *rest[: n - hi])
 
     return ox(p1, p2), ox(p2, p1)
 
@@ -339,26 +365,6 @@ class RunResult:
 
 _FR2_RETRIES = 3
 _MEMO_GENERATIONS = 10
-# Under Fr1 and Fr2 an offspring permutation scores infinite or the fsum of
-# the trip energies of its optimal split or of a refinement of it (`repair`
-# only adds cuts), and every refinement is a capacity-feasible split of the
-# same permutation, so in exact arithmetic it costs at least the split's
-# optimum. The split program's totals, `trip_energy` and `fsum` add positive
-# terms (n tasks, at most n trips), so each lies within a relative
-# (3n + 5) * 2**-53 of its exact value. Chaining them, a split's fsum can lie
-# above the offspring's score by a relative 10 * n * 2**-52 at most, which
-# is below this margin for every n up to 4 * 10**5.
-_SURVIVAL_MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class _Skipped:
-    """An offspring permutation's optimal split, left unscheduled: the fsum
-    of its trip energies, a lower bound on its score, lies above the
-    survival cutoff in force when it was split."""
-
-    solution: GiantSolution
-    energies: Sequence[float]
 
 
 def _survival_cutoff(pop: Sequence[Individual], population: int) -> float:
@@ -376,7 +382,7 @@ def _survival_cutoff(pop: Sequence[Individual], population: int) -> float:
     return worst * (1 + _SURVIVAL_MARGIN)
 
 
-_Scored = Individual | _Skipped
+_UNSEEN = object()
 
 
 class _Memo:
@@ -389,46 +395,33 @@ class _Memo:
     So a permutation (of checked task ids) is kept as 4-byte ids, and its
     individual, when the trips keep the permutation's order (a split's and
     `repair`'s do), as trip lengths, energy and schedule. A skipped
-    offspring is kept as its split's trip lengths and energies; a later hit
-    hands that split back to `fresh`, which schedules it only if it could
-    now survive."""
+    offspring is held as its verdict, None: in `run_aedga` the survival
+    cutoff never rises once it is finite, so a repeat would be skipped
+    again."""
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.entries: dict[GiantSolution | bytes, _Scored | tuple] = {}
+        self.entries: dict[GiantSolution | bytes, Individual | tuple | None] = {}
 
-    def get(self, given: ScoringInput, fresh: Callable[[ScoringInput | _Skipped], _Scored]) -> _Scored:
-        """The individual scored from `given`, from `fresh(given)` unless
-        held; a held skip is handed to `fresh` again."""
+    def get(self, given: ScoringInput, fresh: Callable[[ScoringInput], Individual | None]) -> Individual | None:
+        """The individual scored from `given`, or None for a skip, from
+        `fresh(given)` unless held."""
         key = given if isinstance(given, GiantSolution) else array.array("i", given).tobytes()
-        entry = self.entries.pop(key, None)
-        if entry is None:
+        entry = self.entries.pop(key, _UNSEEN)
+        if entry is _UNSEEN:
             if len(self.entries) >= self.size:
                 del self.entries[next(iter(self.entries))]
-            ind = fresh(given)
+            ind = entry = fresh(given)
+            if ind is not None and key is not given and ind.solution.task_sequence() == given:
+                entry = (tuple(map(len, ind.solution.trips)), ind.energy, ind.schedule)
+        elif isinstance(entry, tuple):
+            tasks = iter(given)
+            trips = tuple(tuple(itertools.islice(tasks, k)) for k in entry[0])
+            ind = Individual(GiantSolution.trusted(trips, given), *entry[1:])
         else:
-            held = self._unpack(entry, given) if isinstance(entry, tuple) else entry
-            ind = fresh(held) if isinstance(held, _Skipped) else held
-            if ind is held:
-                self.entries[key] = entry
-                return ind
-        entry = ind
-        if key is not given and ind.solution.task_sequence() == given:
-            lengths = tuple(map(len, ind.solution.trips))
-            if isinstance(ind, _Skipped):
-                entry = (lengths, ind.energies)
-            else:
-                entry = (lengths, ind.energy, ind.schedule)
+            ind = entry
         self.entries[key] = entry
         return ind
-
-    @staticmethod
-    def _unpack(entry: tuple, given: Sequence[int]) -> _Scored:
-        tasks = iter(given)
-        solution = GiantSolution([tuple(itertools.islice(tasks, k)) for k in entry[0]])
-        if len(entry) == 2:
-            return _Skipped(solution, entry[1])
-        return Individual(solution, *entry[1:])
 
 
 def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
@@ -441,10 +434,13 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     schedule; an unbounded run has no framework and is never infeasible.
 
     Under Fr1 and Fr2 an offspring permutation whose split energy lies above
-    the survival cutoff (`_survival_cutoff`) is not scheduled: it still
-    counts as an evaluation, but it is left out of the selection pool,
-    which would have dropped it whatever its schedule. The run's answers
-    are those of scheduling every offspring."""
+    the survival cutoff (`_survival_cutoff`) is skipped: `_resplit` returns
+    its verdict without trips, and it is never scheduled. It still counts as
+    an evaluation, but it is left out of the selection pool, which would
+    have dropped it whatever its schedule. The run's answers are those of
+    scheduling every offspring. Splits, memo hits, local-search results and
+    repairs are built with `GiantSolution.trusted`, unchecked, from task ids
+    that were checked once when their input was scored."""
     rng = random.Random(cfg.seed)
     framework = cfg.framework if cfg.robots is not None else None
 
@@ -462,16 +458,16 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     memo = _Memo(_MEMO_GENERATIONS * (cfg.population + 1))
     trip_cache = TripCache()  # CLSM's work per trip, shared by every step
 
-    def fresh_score(given: ScoringInput | _Skipped, cutoff: float) -> _Scored:
+    def fresh_score(given: ScoringInput, cutoff: float) -> Individual | None:
         if isinstance(given, GiantSolution):
             sol = given
             check_cover(sol.task_sequence(), inst)
             energies = charged_energies(sol.trips, inst, trip_cache)
         else:
-            skipped = given if isinstance(given, _Skipped) else _Skipped(*_resplit(given, inst))
-            if math.fsum(skipped.energies) > cutoff:
-                return skipped
-            sol, energies = skipped.solution, skipped.energies
+            split = _resplit(given, inst, cutoff)
+            if split is None:
+                return None
+            sol, energies = split
         if framework is None:
             return Individual(sol, math.fsum(energies))
         return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework, energies)
@@ -483,8 +479,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         evals += 1
         if not isinstance(given, GiantSolution):
             check_cover(given, inst)
-        ind = memo.get(given, lambda held: fresh_score(held, cutoff))
-        return ind if isinstance(ind, Individual) else None
+        return memo.get(given, lambda key: fresh_score(key, cutoff))
 
     def fresh_population() -> list[Individual]:
         if cfg.init == "random":

@@ -76,7 +76,7 @@ def makespan_assign(
     t = len(trip_energies)
     if m < 1:
         raise ValueError("need at least one robot")
-    if any(e > e_max for e in trip_energies):
+    if max(trip_energies, default=0.0) > e_max:
         return None
     if ordered_sum(trip_energies) > m * e_max * (1 + 1e-12):
         return None
@@ -311,7 +311,8 @@ def repair(
     energies = list(energies)
 
     def done(schedule: Schedule | None) -> tuple[Individual, RepairStatus]:
-        solution = GiantSolution(trips)
+        # Moves keep the trips in the order of `sol`'s tasks.
+        solution = GiantSolution.trusted(tuple(map(tuple, trips)), sol.task_sequence())
         if schedule is None:
             return Individual(solution, math.inf), RepairStatus.INFEASIBLE
         return Individual(solution, math.fsum(energies), schedule), RepairStatus.REPAIRED

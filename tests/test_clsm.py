@@ -555,8 +555,8 @@ class TestSharedTripCache:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 11])
     def test_aco_tour_on_a_warm_table_call_after_call(self, k):
-        # k = 3-5 takes one iteration at the solver's intensity; from k = 6
-        # on the later iterations build wheels of their own
+        # k = 3-5 takes one iteration at the solver's intensity and more at
+        # 0.5; from k = 6 on the later iterations have levels of their own
         rng = random.Random(100 + k)
         inst = random_instance(rng, k + 4)
         trip = tuple(rng.sample(list(inst.task_ids), k))
@@ -573,8 +573,9 @@ class TestSharedTripCache:
             assert not cache.colonies
             return
         colony = cache.colonies[trip]
-        assert colony.tours and colony.wheels
-        self._assert_first_iteration_wheels(colony)
+        assert colony.tours and colony.levels[()][2]
+        assert len(colony.levels) > 1  # later iterations keep their levels
+        self._assert_levels(colony)
 
     def test_one_input_reused_under_different_seeds(self):
         inst = random_instance(random.Random(7), 12)
@@ -587,7 +588,7 @@ class TestSharedTripCache:
                 rng = random.Random(seed)
                 runs.append((tour(trip, inst, 10, iterations, rng, *extra), rng.getstate()))
             assert runs[1] == runs[0]
-        self._assert_first_iteration_wheels(cache.colonies[trip])
+        self._assert_levels(cache.colonies[trip])
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -610,13 +611,57 @@ class TestSharedTripCache:
             assert got_rng.getstate() == ref_rng.getstate()
 
     @staticmethod
-    def _assert_first_iteration_wheels(colony):
-        """Every kept wheel is the one the untouched pheromone gives."""
+    def _assert_levels(colony):
+        """Every kept iteration level holds the pheromone that its path of
+        best tours gives from the untouched trails, that pheromone's
+        weights, and the wheels of those weights."""
         k = len(colony.dist) - 1
-        for key, (remaining, running) in colony.wheels.items():
-            unvisited, current = divmod(key, k + 1)
-            assert remaining == [j for j in range(1, k + 1) if unvisited >> j & 1]
-            assert running == list(itertools.accumulate(colony.eta_beta[current][j] for j in remaining))
+        for path, (tau, weight, wheels) in colony.levels.items():
+            expected = [[1.0] * (k + 1) for _ in range(k + 1)]
+            for best in path:
+                expected = [[max(clsm._PHEROMONE_FLOOR, t * (1.0 - clsm._EVAPORATION)) for t in row]
+                            for row in expected]
+                for a, b in zip((0, *best), best):
+                    expected[a][b] = min(clsm._PHEROMONE_CEILING, expected[a][b] + clsm._EVAPORATION)
+            assert tau == expected
+            assert weight == [[t ** clsm._PHEROMONE_WEIGHT * e for t, e in zip(ts, es)]
+                              for ts, es in zip(tau, colony.eta_beta)]
+            for key, (remaining, running) in wheels.items():
+                unvisited, current = divmod(key, k + 1)
+                assert remaining == [j for j in range(1, k + 1) if unvisited >> j & 1]
+                assert running == list(itertools.accumulate(weight[current][j] for j in remaining))
+
+    def test_a_run_cache_against_a_fresh_one_per_call(self, monkeypatch):
+        """Every colony of a solve, on the run's shared cache, gives the tour
+        and leaves the random state that a fresh cache gives. The orchard's
+        trips take 1 or 2 iterations at the solver's intensity; with a third
+        of its yields, trips of 11 or more tasks take 3."""
+        grown = generate_orchard(OrchardSpec(20, 100, 0.6, seed=42))
+        original = clsm.aco_tour
+        iterations_seen: set[int] = set()
+        warm_levels = 0
+
+        def checking(trip_tasks, inst, colony_size, iterations, rng, cache=None):
+            nonlocal warm_levels
+            colony = cache.colonies.get(tuple(trip_tasks))
+            warm_levels += colony is not None and len(colony.levels) > 1
+            state = rng.getstate()
+            got = original(trip_tasks, inst, colony_size, iterations, rng, cache)
+            fresh_rng = random.Random()
+            fresh_rng.setstate(state)
+            assert original(trip_tasks, inst, colony_size, iterations, fresh_rng, clsm.TripCache()) == got
+            assert fresh_rng.getstate() == rng.getstate()
+            if len(trip_tasks) > 2:
+                iterations_seen.add(iterations)
+            return got
+
+        monkeypatch.setattr(clsm, "aco_tour", checking)
+        for divisor in (1, 3):
+            light = tuple(q / divisor for q in grown.yields)
+            run_aedga(Instance(grown.coords, light, grown.capacity, grown.robot_weight),
+                      SolverConfig(budget_evals=400, seed=3))
+        assert {1, 2, 3} <= iterations_seen
+        assert warm_levels > 0
 
     def test_clsm_step_chain_on_one_cache(self):
         # each step starts from the last result, or from another split of
@@ -729,14 +774,14 @@ class TestAcoMatchesReference:
     @pytest.mark.parametrize("iterations", [1, 2, 5])
     def test_pheromone_updated_between_iterations_only(self, monkeypatch, iterations):
         calls = 0
-        original = clsm._update_pheromone
+        original = clsm._updated_pheromone
 
         def counting(tau, best):
             nonlocal calls
             calls += 1
-            original(tau, best)
+            return original(tau, best)
 
-        monkeypatch.setattr(clsm, "_update_pheromone", counting)
+        monkeypatch.setattr(clsm, "_updated_pheromone", counting)
         inst = random_instance(random.Random(4), 6)
         aco_tour(tuple(inst.task_ids), inst, 3, iterations, random.Random(0))
         assert calls == iterations - 1

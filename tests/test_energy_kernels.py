@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orchard_mtvrp.core import GiantSolution, Instance, RepresentationError, trip_energy
-from orchard_mtvrp.evolution import _resplit
+from orchard_mtvrp.evolution import _SURVIVAL_MARGIN, _resplit
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
 
 
@@ -28,6 +28,21 @@ def resplit_reference(perm: Sequence[int], inst: Instance) -> GiantSolution:
     n = len(perm)
     if n == 0:
         return GiantSolution.from_tokens(())
+    _, cut_before = _split_program_reference(perm, inst)
+    trips: list[tuple[int, ...]] = []
+    end = n
+    while end > 0:
+        start = cut_before[end]
+        trips.append(tuple(perm[start:end]))
+        end = start
+    return GiantSolution(reversed(trips))
+
+
+def _split_program_reference(perm: Sequence[int], inst: Instance) -> tuple[list[float], list[int]]:
+    """The split program's best totals and cuts: `best[j]` is the least
+    total over the splits of `perm[:j]`, and its last trip starts at
+    `cut_before[j]`."""
+    n = len(perm)
     d = inst.dist
     w = inst.robot_weight
     best = [math.inf] * (n + 1)
@@ -48,13 +63,7 @@ def resplit_reference(perm: Sequence[int], inst: Instance) -> GiantSolution:
             if total < best[j + 1]:
                 best[j + 1] = total
                 cut_before[j + 1] = i
-    trips: list[tuple[int, ...]] = []
-    end = n
-    while end > 0:
-        start = cut_before[end]
-        trips.append(tuple(perm[start:end]))
-        end = start
-    return GiantSolution(reversed(trips))
+    return best, cut_before
 
 
 def trip_energy_reference(trip_tasks: Sequence[int], inst: Instance) -> float:
@@ -163,6 +172,67 @@ class TestResplitMatchesReference:
             got, energies = _resplit(perm, inst)
             assert got.tokens == resplit_reference(perm, inst).tokens
             assert energies == [trip_energy(trip, inst) for trip in got.trips]
+
+
+def _near(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.inf if ulps > 0 else -math.inf)
+    return value
+
+
+class TestSkipVerdict:
+    """`_resplit` skips a split, returning None, exactly when the fsum of
+    its trip energies lies above the cutoff, whether the program's own total
+    `best[n]` decides it before any pricing or the priced energies do."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.booleans().flatmap(lambda lattice: instance_and_perm(max_n=16, lattice=lattice)),
+        st.sampled_from(["fsum", "total"]),
+        st.sampled_from([-1, 0, 1]),
+        st.integers(-3, 3),
+    )
+    def test_same_verdict_as_the_fsum_rule(self, case, anchor, margins, ulps):
+        inst, perm = case
+        split = _resplit(perm, inst)
+        split_energy = math.fsum(split[1])
+        base = split_energy if anchor == "fsum" else _split_program_reference(perm, inst)[0][-1]
+        cutoff = _near(base * (1 + _SURVIVAL_MARGIN) ** margins, ulps)
+        got = _resplit(perm, inst, cutoff)
+        assert (got is None) == (split_energy > cutoff)
+        assert got is None or got == split
+
+    @pytest.mark.parametrize("spec", [OrchardSpec(20, 100, 0.6, seed=42), OrchardSpec(40, 400, 0.8, seed=1)])
+    def test_generated_orchards(self, monkeypatch, spec):
+        """A total a few ulps above the widened cutoff is skipped before the
+        energies are priced; from the widened cutoff on, they decide."""
+        inst = generate_orchard(spec)
+        rng = random.Random(3)
+        sums = 0
+
+        def counting(values):
+            nonlocal sums
+            sums += 1
+            return fsum(values)
+
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", counting)
+        for _ in range(10):
+            perm = list(inst.task_ids)
+            rng.shuffle(perm)
+            split = _resplit(perm, inst)
+            split_energy = fsum(split[1])
+            widened = _split_program_reference(perm, inst)[0][-1] / (1 + _SURVIVAL_MARGIN)
+            for ulps in range(-3, 4):
+                cutoff = _near(widened, ulps)
+                before = sums
+                got = _resplit(perm, inst, cutoff)
+                assert (got is None) == (split_energy > cutoff)
+                assert got is None or got == split
+                if abs(ulps) > 1:  # the rounding of the widening decides +-1 ulp
+                    assert (sums == before) == (ulps < 0)
+            for cutoff in (_near(split_energy, -1), split_energy):
+                assert (_resplit(perm, inst, cutoff) is None) == (cutoff < split_energy)
 
 
 @st.composite

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import OrderedDict
 from pathlib import Path
 
@@ -166,9 +167,9 @@ def test_no_offspring_permutation_is_split_twice_in_a_generation(monkeypatch, na
         splits.append([])
         return select(*args, **kwargs)
 
-    def splitting(perm, inst):
+    def splitting(perm, inst, cutoff=math.inf):
         splits[-1].append(tuple(perm))
-        return split(perm, inst)
+        return split(perm, inst, cutoff)
 
     monkeypatch.setattr(evolution, "eass_select", selecting)
     monkeypatch.setattr(evolution, "_resplit", splitting)

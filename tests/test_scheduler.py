@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orchard_mtvrp import scheduler
 from orchard_mtvrp.core import (
@@ -102,6 +104,26 @@ class TestMakespanAssign:
         s = makespan_assign([], 2, 1.0)
         assert s is not None
         assert s.assignment == ()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_max_item_test_is_the_scan_of_every_trip(self, data):
+        """The max-item rejection reads `max(energies, default=0.0) > e_max`:
+        on non-negative finite energies and a positive bound, the empty list
+        and bounds equal to a trip's energy included, it gives the verdict
+        of scanning every trip, and a rejected input has no witness."""
+        energies = data.draw(st.lists(st.floats(0.0, 50.0), max_size=10))
+        if energies and data.draw(st.booleans()):
+            e_max = data.draw(st.sampled_from(energies).filter(lambda e: e > 0))
+        else:
+            e_max = data.draw(st.floats(0.0, 60.0, exclude_min=True))
+        over = any(e > e_max for e in energies)
+        assert (max(energies, default=0.0) > e_max) == over
+        m = data.draw(st.integers(1, 4))
+        witness = makespan_assign(energies, m, e_max)
+        assert (witness is not None) == exact_schedule(energies, m, e_max)
+        if over:
+            assert witness is None
 
 
 # The rejection steps of makespan_assign as they were before the one-pass L2

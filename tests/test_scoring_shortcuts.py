@@ -3,13 +3,15 @@
 A run scores its offspring permutations from the trip energies its optimal
 split prices, every other solution from the energies its trip cache holds
 (`charged_energies`), and hands back a memo's earlier result for a
-repeated input. Under Fr1 and Fr2 it also leaves unscheduled an offspring
-whose split energy lies above the survival cutoff. Here a checking memo
-recomputes every hit from scratch, with `evaluate` and, with robots,
-`score_with_framework`, and gives every skipped offspring, first split or
-held, a fresh scoring that must lie above every parent's energy; a
-checking split and a checking `charged_energies` compare every priced
-energy list with `evaluate`'s trip energies. Every comparison is exact.
+repeated input. Under Fr1 and Fr2 the split also returns a skip verdict,
+and no trips, for an offspring whose split energy lies above the survival
+cutoff. Here a checking memo recomputes every hit from scratch, with
+`evaluate` and, with robots, `score_with_framework`, and gives every skip
+verdict, first or held, a fresh scoring that must lie above every parent's
+energy; a checking split and a checking `charged_energies` compare every
+priced energy list with `evaluate`'s trip energies, and every solution
+built without checks (`GiantSolution.trusted`) is compared with the
+checked one. Every comparison is exact.
 
 The skip rests on a bound, tested here too: under Fr1 and Fr2 a split
 permutation scores infinite or at least the fsum of its split energies,
@@ -66,11 +68,13 @@ def _config(inst, name: str, init: str, seed: int) -> SolverConfig:
 
 
 def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[str, int]]:
-    """Run with every memo hit, every skipped offspring, every priced split
-    and every solution priced from the trip cache checked; return the result
-    and how many of each were checked."""
+    """Run with every memo hit, every skip verdict, every priced split,
+    every solution priced from the trip cache and every solution built
+    without checks checked; return the result and how many of each were
+    checked."""
     split, price, cutoff = evolution._resplit, evolution.charged_energies, evolution._survival_cutoff
-    checked = {"hits": 0, "skipped": 0, "splits": 0, "priced": 0}
+    trusted = GiantSolution.trusted
+    checked = {"hits": 0, "skipped": 0, "splits": 0, "priced": 0, "trusted": 0}
     parents: list[Individual] = []
 
     def fresh(key) -> Individual:
@@ -89,23 +93,25 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
         def get(self, given, score):
             scored = []
             ind = super().get(given, lambda key: scored.append(key) or score(key))
-            if isinstance(ind, evolution._Skipped):
-                # First split or held and re-tested: scored, it would lose to every parent.
-                assert (ind.solution, list(ind.energies)) == split(given, inst)
+            if ind is None:
+                # A skip verdict, first or held: scored, it would lose to every parent.
+                assert not isinstance(given, GiantSolution)
                 assert fresh(given).energy > max(p.energy for p in parents)
                 checked["skipped"] += 1
-            elif not scored or isinstance(scored[0], evolution._Skipped):
-                # Held, or scheduled from a held split that could now survive.
+            elif not scored:
                 assert ind == fresh(given)
                 checked["hits"] += 1
             return ind
 
-    def checking_split(perm, inst):
+    def checking_split(perm, inst, cutoff=math.inf):
+        got = split(perm, inst, cutoff)
         sol, energies = split(perm, inst)
         assert all(type(e) is float for e in energies)
         assert energies == [t.energy for t in evaluate(sol, inst).trips]
+        assert (got is None) == (math.fsum(energies) > cutoff)
+        assert got is None or got == (sol, energies)
         checked["splits"] += 1
-        return sol, energies
+        return got
 
     def checking_price(trips, inst, cache):
         energies = price(trips, inst, cache)
@@ -114,21 +120,30 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
         checked["priced"] += 1
         return energies
 
+    def checking_trusted(cls, trips, sequence=None):
+        sol = trusted(trips, sequence)
+        assert type(sol.trips) is tuple and all(type(trip) is tuple for trip in sol.trips)
+        assert sol == GiantSolution(sol.trips)
+        assert sol.task_sequence() == tuple(itertools.chain.from_iterable(sol.trips))
+        checked["trusted"] += 1
+        return sol
+
     monkeypatch.setattr(evolution, "_Memo", CheckingMemo)
     monkeypatch.setattr(evolution, "_survival_cutoff", recording_cutoff)
     monkeypatch.setattr(evolution, "_resplit", checking_split)
     monkeypatch.setattr(evolution, "charged_energies", checking_price)
+    monkeypatch.setattr(GiantSolution, "trusted", classmethod(checking_trusted))
     return run_aedga(inst, cfg), checked
 
 
 @pytest.mark.parametrize("init", ["ilbim", "random"])
 @pytest.mark.parametrize("name", ["unbounded", *BOUNDED])
 def test_every_shortcut_matches_a_fresh_scoring(monkeypatch, inst, name, init):
-    checked = {"hits": 0, "skipped": 0, "splits": 0, "priced": 0}
+    checked = {"hits": 0, "skipped": 0, "splits": 0, "priced": 0, "trusted": 0}
     for seed in SEEDS:
         for key, count in _checked_run(monkeypatch, inst, _config(inst, name, init, seed))[1].items():
             checked[key] += count
-    assert checked["hits"] > 0 and checked["splits"] > 0 and checked["priced"] > 0
+    assert checked["hits"] > 0 and checked["splits"] > 0 and checked["priced"] > 0 and checked["trusted"] > 0
     assert (checked["skipped"] > 0) == ((name, init) in SKIPPING)
 
 
@@ -150,7 +165,7 @@ def test_skipping_offspring_keeps_the_answers(monkeypatch, inst, name):
         def get(self, given, score):
             nonlocal skipped
             ind = super().get(given, score)
-            skipped += isinstance(ind, evolution._Skipped)
+            skipped += ind is None
             return ind
 
     runs = [(init, seed) for init in ("ilbim", "random") for seed in SEEDS]
@@ -186,7 +201,7 @@ def _split_scorings(inst, perm, e_max):
         assert ind.energy == math.inf or ind.energy >= split_energy
     repaired, status = repair(sol, inst, ROBOTS, e_max, energies)
     # The repaired trips refine the split: same order, every split cut kept.
-    assert repaired.solution.task_sequence() == tuple(perm)
+    assert tuple(itertools.chain.from_iterable(repaired.solution.trips)) == tuple(perm)
     ends = set(itertools.accumulate(map(len, repaired.solution.trips)))
     assert set(itertools.accumulate(map(len, sol.trips))) <= ends
     return status, len(repaired.solution.trips) > len(sol.trips)
@@ -268,26 +283,42 @@ def test_memo_keeps_the_most_recently_used_entries():
     assert len(memo.entries) == 2
 
 
-def test_memo_schedules_a_held_skip_only_once_it_could_survive():
-    memo = evolution._Memo(4)
-    split = GiantSolution([(3, 1), (2,)])
-    skipped = evolution._Skipped(split, [4.0, 3.5])
-    scored = Individual(split, 7.5)
-    calls: list = []
+def test_memo_holds_a_skip_as_its_verdict():
+    """A held skip is handed back as None without scoring again, and keeps
+    its place among the most recently used entries."""
+    memo = evolution._Memo(2)
+    scored: list = []
 
-    def fresh(cutoff):
-        def score(given):
-            calls.append(given)
-            if isinstance(given, evolution._Skipped):
-                return given if math.fsum(given.energies) > cutoff else scored
-            return skipped
-        return score
+    def fresh(key):
+        scored.append(key)
+        return None if key == (3, 1, 2) else Individual(GiantSolution([key]), 1.0)
 
-    assert memo.get((3, 1, 2), fresh(7.0)) == skipped  # split and skipped
-    assert memo.get((3, 1, 2), fresh(7.0)) == skipped  # held split, still above the cutoff
-    assert memo.get((3, 1, 2), fresh(8.0)) == scored  # held split, scheduled at last
-    assert memo.get((3, 1, 2), fresh(7.0)) == scored  # held as scored from then on
-    assert calls == [(3, 1, 2), skipped, skipped]
+    for key in [(3, 1, 2), (3, 1, 2), (1, 2, 3), (3, 1, 2), (2, 3, 1), (3, 1, 2)]:
+        assert (memo.get(key, fresh) is None) == (key == (3, 1, 2))
+    assert scored == [(3, 1, 2), (1, 2, 3), (2, 3, 1)]
+
+
+@pytest.mark.parametrize("name, init", sorted(SKIPPING))
+def test_survival_cutoff_never_rises_once_finite(monkeypatch, inst, name, init):
+    """What lets the memo hold a skip as a verdict: once the cutoff is
+    finite, no later generation's cutoff lies above it, so an input skipped
+    once would be skipped again."""
+    cutoff = evolution._survival_cutoff
+    changes = 0
+    for seed in SEEDS:
+        cutoffs: list[float] = []
+
+        def recording(pop, population):
+            cutoffs.append(cutoff(pop, population))
+            return cutoffs[-1]
+
+        monkeypatch.setattr(evolution, "_survival_cutoff", recording)
+        run_aedga(inst, _config(inst, name, init, seed))
+        finite = list(itertools.dropwhile(math.isinf, cutoffs))
+        assert all(later <= earlier for earlier, later in zip(finite, finite[1:]))
+        assert math.inf not in finite
+        changes += len(set(finite)) - 1
+    assert changes > 0
 
 
 @pytest.mark.parametrize("trips", [[(3, 1), (2,)], [(3,), (1, 2)], [(1, 3), (2,)]])
