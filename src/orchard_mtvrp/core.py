@@ -112,8 +112,8 @@ class Instance:
 
 @dataclass(frozen=True)
 class GiantSolution:
-    """A solution as its depot-to-depot trips, in visit order, its only
-    stored form.
+    """A solution as its depot-to-depot trips, in visit order, and their
+    task sequence once it has been worked out.
 
     Empty trips are dropped, and a task id below 1 or seen twice is
     rejected. The giant tour, the task ids with a 0-marker between
