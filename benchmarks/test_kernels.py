@@ -22,16 +22,18 @@ them over.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from orchard_mtvrp import scheduler
 from orchard_mtvrp.clsm import TripCache, aco_tour, charged_energies, clsm_step
 from orchard_mtvrp.core import GiantSolution, evaluate, trip_energy
 from orchard_mtvrp.evolution import SolverConfig, _resplit, mutate
-from orchard_mtvrp.ilbim import init_population
+from orchard_mtvrp.ilbim import init_population, pick_keys
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
 from orchard_mtvrp.scheduler import Framework, RepairStatus, repair, score_with_framework
 
@@ -40,6 +42,12 @@ SPECS = {
     "n965": OrchardSpec(70, 1225, 0.8, seed=1),
 }
 ROBOTS = 8
+# sha256 of repr([sol.trips for sol in pop]) for each orchard's ILBIM
+# population, as recorded with float sort keys.
+POPULATION_SHA256 = {
+    "n59": "75f79f127bd84f6d4bb3b402fac54a592c5893799842b1a5d07ccff351c514c4",
+    "n965": "31e326ec3e81f01058b97be384131fd5779258e60efaf6b1bdd727e464ab2e7a",
+}
 # Inputs at the sched-n60-fr1 bound, by how `repair` ends on them: the last
 # ILBIM individual fits as it is; its mutant under seed 15 fits after six
 # split moves; the first ILBIM individual fits under no split.
@@ -126,10 +134,19 @@ def test_charged_energies_warm(benchmark, instance):
     assert benchmark(charged_energies, sol.trips, instance, cache) == _charged(sol, instance)
 
 
-def test_init_population_n965(benchmark):
+@pytest.mark.parametrize("name", list(SPECS))
+def test_init_population(benchmark, name):
+    """The ten ILBIM individuals, their pick keys built once for all."""
+    pop = benchmark(init_population, _orchard(name), SolverConfig().population)
+    assert hashlib.sha256(repr([sol.trips for sol in pop]).encode()).hexdigest() == POPULATION_SHA256[name]
+
+
+def test_pick_keys_n965(benchmark):
+    """ILBIM's pick keys: the dense ranks of every distance row and of the
+    negated yields."""
     inst = _orchard("n965")
-    pop = benchmark(init_population, inst, SolverConfig().population)
-    assert pop == _population(inst)
+    near, share = benchmark(pick_keys, inst)
+    assert near.dtype == np.uint16 and near.shape == inst.dist.shape and share is not None
 
 
 def test_trip_energy_six_tasks(benchmark):

@@ -26,34 +26,32 @@ class ConfigurationError(ValueError):
 
 
 _DIST_BLOCK_ROWS = 64
-_DIST_MAP_BYTES = 128 * 1024  # glibc's default threshold for mmap-ing a block
+_MAP_BYTES = 128 * 1024  # glibc's default threshold for mmap-ing a block
+
+
+def empty_table(shape: tuple[int, ...], dtype: np.dtype | type) -> np.ndarray:
+    """An uninitialized array, from 128 KiB on in a private memory map that
+    gives its pages back when freed: on the heap, smaller objects settle
+    around a freed large block and the next large table grows the process."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if size < _MAP_BYTES:
+        return np.empty(shape, dtype)
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype).reshape(shape)
 
 
 def build_distance_matrix(coords: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Full-precision Euclidean distance matrix (no rounding), index 0 = depot.
-
-    A matrix of 128 KiB or more (n >= 128) lives in its own private
-    anonymous memory map rather than on the heap, so freeing an instance
-    returns its pages to the system. On the heap, a new large matrix stops
-    fitting into the freed block once smaller objects have settled around
-    it, and the process grows by one matrix. Huge pages, where the system
-    offers them, keep the page-fault cost of filling a fresh map near that
-    of reusing heap memory. Smaller matrices stay on the heap, where they
-    are cheaper to make and share pages with other objects.
-    """
+    """Full-precision Euclidean distance matrix (no rounding), index 0 = depot,
+    made by `empty_table`: a private memory map from n >= 128 on."""
     if len(coords) < 1:
         raise ConfigurationError("need at least the depot coordinate")
     pts = np.asarray(coords, dtype=float)
     if not np.isfinite(pts).all():
         raise ConfigurationError("coordinates must be finite")
     n = len(pts)
-    if n * n * 8 < _DIST_MAP_BYTES:
-        dist = np.empty((n, n))
-    else:
-        buf = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE)
-        if hasattr(mmap, "MADV_HUGEPAGE"):
-            buf.madvise(mmap.MADV_HUGEPAGE)
-        dist = np.frombuffer(buf, dtype=float).reshape(n, n)
+    dist = empty_table((n, n), float)
     # In row blocks, so the coordinate differences never need a full
     # n x n x 2 temporary, twice the size of the matrix itself.
     for lo in range(0, n, _DIST_BLOCK_ROWS):
@@ -82,6 +80,7 @@ class Instance:
     name: str = "instance"
     provenance: str | None = None
     dist: np.ndarray = field(init=False, compare=False, repr=False)
+    task_set: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.coords) != len(self.yields):
@@ -100,6 +99,7 @@ class Instance:
         if not 0 < self.robot_weight < math.inf:
             raise ConfigurationError("robot weight must be positive and finite")
         object.__setattr__(self, "dist", build_distance_matrix(self.coords))
+        object.__setattr__(self, "task_set", frozenset(range(1, len(self.coords))))
 
     @property
     def n(self) -> int:
@@ -243,7 +243,7 @@ def check_cover(tasks: Sequence[int], inst: Instance) -> None:
     """Raise RepresentationError unless `tasks` lists every task id of the
     instance exactly once."""
     covered = set(tasks)
-    expected = set(inst.task_ids)
+    expected = inst.task_set
     if covered != expected:
         missing = sorted(expected - covered)
         extra = sorted(covered - expected)

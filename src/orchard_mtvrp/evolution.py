@@ -99,10 +99,10 @@ def update_archive(archive: Archive, range_index: int | None, improved_best: boo
 ScoringInput = tuple[int, ...] | GiantSolution
 
 
-# Under Fr1 and Fr2 an offspring permutation scores infinite or the fsum of
-# the trip energies of its optimal split or of a refinement of it (`repair`
-# only adds cuts), so in exact arithmetic it costs at least the split's
-# optimum. `trip_energy` and `fsum` add non-negative terms (at most n trips
+# An offspring permutation scores infinite or the fsum of the trip energies
+# of its optimal split or of a refinement of it (`repair` only adds cuts),
+# so in exact arithmetic it costs at least the split's optimum.
+# `trip_energy` and `fsum` add non-negative terms (at most n trips
 # of n tasks), so a priced fsum lies within a relative e = (3n + 5) * 2**-53
 # of its exact cost, and the split program's total of a cut set (`best[n]`
 # for the kept one) within F * e, F = 1 + capacity / robot weight, since its
@@ -433,12 +433,12 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     A bounded run is infeasible exactly when its best individual has no
     schedule; an unbounded run has no framework and is never infeasible.
 
-    Under Fr1 and Fr2 an offspring permutation whose split energy lies above
-    the survival cutoff (`_survival_cutoff`) is skipped: `_resplit` returns
-    its verdict without trips, and it is never scheduled. It still counts as
-    an evaluation, but it is left out of the selection pool, which would
-    have dropped it whatever its schedule. The run's answers are those of
-    scheduling every offspring. Splits, memo hits, local-search results and
+    An offspring permutation whose split energy lies above the survival
+    cutoff (`_survival_cutoff`) is skipped: `_resplit` returns its verdict
+    without trips, and it is never scheduled. It still counts as an
+    evaluation, but it is left out of the selection pool, which would have
+    dropped it whatever its score. The run's answers are those of scoring
+    every offspring. Splits, memo hits, local-search results and
     repairs are built with `GiantSolution.trusted`, unchecked, from task ids
     that were checked once when their input was scored."""
     rng = random.Random(cfg.seed)
@@ -538,9 +538,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
 
         # Each offspring is split once, after mutation, when it is scored;
         # None stands for one left unscheduled.
-        cutoff = math.inf
-        if framework in (Framework.FR1, Framework.FR2):
-            cutoff = _survival_cutoff(pop, cfg.population)
+        cutoff = _survival_cutoff(pop, cfg.population)
         offspring: list[Individual | None] = [new_ind]
         order = list(range(len(pop)))
         rng.shuffle(order)

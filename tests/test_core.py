@@ -1,4 +1,5 @@
 import math
+import mmap
 import pickle
 import random
 
@@ -13,7 +14,9 @@ from orchard_mtvrp.core import (
     Instance,
     RepresentationError,
     build_distance_matrix,
+    check_cover,
     decode_trips,
+    empty_table,
     evaluate,
     ordered_sum,
     trip_energy,
@@ -61,6 +64,20 @@ class TestDistanceMatrix:
         assert not d.flags.writeable
         with pytest.raises(ValueError):
             d[0, 1] = 1.0
+
+    @pytest.mark.parametrize("shape, dtype, mapped", [
+        ((127, 128), np.float64, False),
+        ((128, 128), np.float64, True),
+        ((362, 362), np.uint8, False),
+        ((966, 966), np.uint16, True),
+    ])
+    def test_tables_of_128_kib_or_more_are_mapped(self, shape, dtype, mapped):
+        table = empty_table(shape, dtype)
+        assert table.shape == shape and table.dtype == dtype and table.flags.writeable
+        owner = table
+        while isinstance(owner, (np.ndarray, memoryview)):
+            owner = owner.obj if isinstance(owner, memoryview) else owner.base
+        assert isinstance(owner, mmap.mmap) == mapped
 
     @pytest.mark.parametrize("n", [30, 200])
     def test_pickle_round_trip(self, n):
@@ -205,6 +222,18 @@ class TestEvaluate:
     def test_missing_task_rejected(self, line_instance):
         with pytest.raises(RepresentationError):
             evaluate(GiantSolution.from_tokens((1,)), line_instance)
+
+    @pytest.mark.parametrize("tasks, message", [
+        ((1,), "solution does not cover the task set (missing=[2], unknown=[])"),
+        ((1, 2, 3, 0), "solution does not cover the task set (missing=[], unknown=[0, 3])"),
+        ((2, 1, 2), "task ids must be distinct"),
+    ])
+    def test_cover_errors(self, line_instance, tasks, message):
+        for _ in range(2):  # the task set is built on the first call and kept
+            with pytest.raises(RepresentationError) as err:
+                check_cover(tasks, line_instance)
+            assert str(err.value) == message
+        check_cover((2, 1), line_instance)
 
     def test_decomposition_identity(self):
         rng = random.Random(11)

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,13 @@ from orchard_mtvrp.core import (
     decode_trips,
     evaluate,
 )
-from orchard_mtvrp.ilbim import composite_ranking, construct_solution, init_population
+from orchard_mtvrp.ilbim import (
+    composite_ranking,
+    construct_solution,
+    dense_ranks,
+    init_population,
+    pick_keys,
+)
 
 from conftest import random_instance
 
@@ -200,15 +208,52 @@ class TestMatchesReference:
             ranking, w, inst
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-3, max_value=3),
+                st.integers(min_value=-3, max_value=3),
+                st.sampled_from([0.5, 1.25, 1.5, 2.75]),
+                st.sampled_from([0, 0, 1, -1]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([3.0, 3.75, 5.5]),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_yields_one_double_apart(self, tasks, capacity, w):
+        """Yields drawn from a few values, some moved to the next double up
+        or down: the integer share key is taken only where no two distinct
+        yields lie that close, and both share keys give the reference's
+        picks."""
+        inst = _instance(
+            points=[(float(x), float(y)) for x, y, _, _ in tasks],
+            yields=[math.nextafter(q, q + step) for _, _, q, step in tasks],
+            capacity=capacity,
+        )
+        ranking = composite_ranking(inst, w)
+        expected = reference_construct_solution(ranking, w, inst)
+        near, share = pick_keys(inst)
+        distinct = sorted(set(inst.yields[1:]))
+        # Distinct yields from one drawn value lie at most two doubles apart.
+        close = any(b <= math.nextafter(math.nextafter(a, b), b) for a, b in zip(distinct, distinct[1:]))
+        assert (share is None) == close
+        assert construct_solution(ranking, w, inst, (near, None)) == expected
+        assert construct_solution(ranking, w, inst, (near, share)) == expected
+
     def test_share_key_ties_after_division(self):
         # yields 1.5 and the next double up differ, but divided by the
         # headroom 2.055 they round to the same share: the tie goes to the
-        # lower id, where an order by yield alone would pick task 2
+        # lower id, where an order by yield alone would pick task 2. So the
+        # share key stays the quotient.
         inst = _instance(
             points=[(100.0, 0.0), (100.0, 1.0), (100.0, 0.5)],
             yields=[1.5, math.nextafter(1.5, 2.0), 0.5],
             capacity=2.555,
         )
+        assert pick_keys(inst)[1] is None
         ranking = composite_ranking(inst, 0.0)
         sol = construct_solution(ranking, 0.0, inst)
         assert sol == reference_construct_solution(ranking, 0.0, inst)
@@ -222,3 +267,48 @@ class TestMatchesReference:
             for w in (j / 9 for j in range(10))
         ]
         assert init_population(inst, 10) == expected
+
+
+# sha256 of repr([sol.trips for sol in init_population(inst, 10)]) on the
+# n=965 orchard, as recorded with float sort keys.
+N965_POPULATION_SHA256 = "31e326ec3e81f01058b97be384131fd5779258e60efaf6b1bdd727e464ab2e7a"
+
+
+class TestPickKeys:
+    def test_dense_ranks(self):
+        values = np.array([2.5, 0.0, 2.5, 1.0, 7.0, -0.0])
+        assert dense_ranks(values).tolist() == [2, 0, 2, 1, 3, 0]
+        assert dense_ranks(-values).tolist() == [1, 3, 1, 2, 0, 3]
+        assert dense_ranks(np.full(300, 3.0)).tolist() == [0] * 300
+        assert dense_ranks(values).dtype == np.uint8 and dense_ranks(np.arange(257.0)).dtype == np.uint16
+
+    @pytest.mark.parametrize("spec, n, dtype", [
+        (OrchardSpec(20, 100, 0.6, seed=42), 59, np.uint8),
+        (OrchardSpec(70, 1225, 0.8, seed=1), 965, np.uint16),
+    ])
+    def test_keys_order_as_distances_and_yields(self, spec, n, dtype):
+        inst = generate_orchard(spec)
+        assert inst.n == n
+        near, share = pick_keys(inst)
+        assert near.dtype == dtype and share.dtype == dtype
+        assert near.shape == inst.dist.shape
+        for row in (0, 1, n // 2, n):
+            order = inst.dist[row].argsort(kind="stable")
+            assert np.array_equal(near[row].argsort(kind="stable"), order)
+            keys, dists = near[row][order], inst.dist[row][order]
+            assert np.array_equal(np.diff(keys.astype(int)) > 0, np.diff(dists) > 0)
+            assert keys[0] == 0 and np.all(np.diff(keys.astype(int)) <= 1)
+        yields = np.asarray(inst.yields)
+        assert np.array_equal(share.argsort(kind="stable"), (-yields).argsort(kind="stable"))
+
+    @pytest.mark.parametrize("spec", [
+        OrchardSpec(20, 100, 0.6, seed=seed) for seed in (1, 42, 7001)
+    ] + [OrchardSpec(40, 400, 0.8, seed=1), OrchardSpec(70, 1225, 0.8, seed=1)])
+    def test_generated_orchards_take_the_integer_share_key(self, spec):
+        assert pick_keys(generate_orchard(spec))[1] is not None
+
+    def test_population_at_n965(self):
+        inst = generate_orchard(OrchardSpec(70, 1225, 0.8, seed=1))
+        pop = init_population(inst, 10)
+        digest = hashlib.sha256(repr([sol.trips for sol in pop]).encode()).hexdigest()
+        assert digest == N965_POPULATION_SHA256

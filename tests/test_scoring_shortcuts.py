@@ -3,9 +3,8 @@
 A run scores its offspring permutations from the trip energies its optimal
 split prices, every other solution from the energies its trip cache holds
 (`charged_energies`), and hands back a memo's earlier result for a
-repeated input. Under Fr1 and Fr2 the split also returns a skip verdict,
-and no trips, for an offspring whose split energy lies above the survival
-cutoff. Here a checking memo recomputes every hit from scratch, with
+repeated input. The split also returns a skip verdict, and no trips, for
+an offspring whose split energy lies above the survival cutoff. Here a checking memo recomputes every hit from scratch, with
 `evaluate` and, with robots, `score_with_framework`, and gives every skip
 verdict, first or held, a fresh scoring that must lie above every parent's
 energy; a checking split and a checking `charged_energies` compare every
@@ -13,9 +12,10 @@ priced energy list with `evaluate`'s trip energies, and every solution
 built without checks (`GiantSolution.trusted`) is compared with the
 checked one. Every comparison is exact.
 
-The skip rests on a bound, tested here too: under Fr1 and Fr2 a split
-permutation scores infinite or at least the fsum of its split energies,
-since `repair` only adds cuts to the split.
+The skip rests on a bound, tested here too: a split permutation scores
+infinite or at least the fsum of its split energies, since `repair` only
+adds cuts to the split, and without robots or under Fr3 it scores exactly
+that fsum.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ SEEDS = (0, 1, 2)
 # The (config, init) pairs whose runs over SEEDS leave offspring unscheduled.
 # Fr1 at 0.3, and at 0.6 from random starts, never reaches a population of
 # finite energies within the budget, so it has no survival cutoff.
-SKIPPING = {("Fr1-0.6", "ilbim"), ("Fr2-0.8", "ilbim"), ("Fr2-0.8", "random")}
+SKIPPING = {
+    (name, init) for name in ("unbounded", "Fr3-0.6") for init in ("ilbim", "random")
+} | {("Fr1-0.6", "ilbim"), ("Fr2-0.8", "ilbim"), ("Fr2-0.8", "random")}
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +157,7 @@ def test_checked_runs_give_the_same_result(monkeypatch, inst):
     assert _checked_run(monkeypatch, inst, cfg)[0] == plain
 
 
-@pytest.mark.parametrize("name", ["Fr1-0.3", "Fr1-0.6", "Fr2-0.8"])
+@pytest.mark.parametrize("name", ["unbounded", *BOUNDED])
 def test_skipping_offspring_keeps_the_answers(monkeypatch, inst, name):
     """With the survival cutoff off, every offspring is scheduled, and every
     run ends where the default one does."""
@@ -199,6 +201,7 @@ def _split_scorings(inst, perm, e_max):
     for framework in (Framework.FR1, Framework.FR2):
         ind = score_with_framework(sol, inst, ROBOTS, e_max, framework, energies)
         assert ind.energy == math.inf or ind.energy >= split_energy
+    assert score_with_framework(sol, inst, ROBOTS, e_max, Framework.FR3, energies).energy == split_energy
     repaired, status = repair(sol, inst, ROBOTS, e_max, energies)
     # The repaired trips refine the split: same order, every split cut kept.
     assert tuple(itertools.chain.from_iterable(repaired.solution.trips)) == tuple(perm)
@@ -215,8 +218,8 @@ def _z_single(inst) -> float:
 @given(perm=st.permutations(list(range(1, 41))), share=st.sampled_from([0.3, 0.6, 0.8, 1.2]))
 def test_a_split_scores_at_least_its_split_energy(inst, perm, share):
     """The bound the survival cutoff rests on: under Fr1 and Fr2 an offspring
-    scores infinite or at least its split energy, and `repair` only adds
-    cuts to the split it is handed."""
+    scores infinite or at least its split energy, under Fr3 exactly that,
+    and `repair` only adds cuts to the split it is handed."""
     assert inst.n == len(perm)
     _split_scorings(inst, perm, share * _z_single(inst) / ROBOTS)
 
