@@ -7,11 +7,11 @@ Outside the default test paths, so the test suite does not run them. Run:
 The instances are generated from fixed seeds: n=59 (`side 20, 100 trees,
 maturity 0.6, seed 42`) and n=965 (`side 70, 1225 trees, maturity 0.8,
 seed 1`, the largest maturity-0.8 size of the paper18 suite).
-The split prices the trips it keeps, and `charged_energies` prices a
-solution's trips from a trip cache; both are checked against `evaluate`'s
-energies. The cached pricing, the ant colony and the CLSM step run cold, on
-a trip cache of their own, and warm, on one that earlier calls from the
-same input filled, as the steps of a run fill the run's cache.
+The split and every other scored solution price their trips with
+`charged_energies` from a trip cache; both are checked against `evaluate`'s
+energies. The split, the cached pricing, the ant colony and the CLSM step
+run cold, on a trip cache of their own, and warm, on one that earlier calls
+from the same input filled, as the steps of a run fill the run's cache.
 `makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
 e_max = 0.55 * Z_single / 8, the bound of perfbench's `sched-n60-fr1`
 workload, where Z_single is the energy of serving every task on a trip of
@@ -99,9 +99,21 @@ def _shuffled_tasks(inst):
 
 
 def test_resplit(benchmark, instance):
-    """The priced split of a shuffled task order."""
+    """The priced split of a shuffled task order, on a trip cache of its
+    own at each call."""
     perm = _shuffled_tasks(instance)
     sol, energies = benchmark(_resplit, perm, instance)
+    assert sol.task_sequence() == tuple(perm)
+    assert energies == _charged(sol, instance)
+
+
+def test_resplit_warm(benchmark, instance):
+    """The same on a cache that holds the kept trips' energies, as a run's
+    cache holds the trips it has seen."""
+    perm = _shuffled_tasks(instance)
+    cache = TripCache()
+    _resplit(perm, instance, math.inf, cache)
+    sol, energies = benchmark(_resplit, perm, instance, math.inf, cache)
     assert sol.task_sequence() == tuple(perm)
     assert energies == _charged(sol, instance)
 

@@ -15,10 +15,10 @@ the slots' piece energies, which equals a full `evaluate` bit for bit.
 Most trips and colony inputs recur across the steps of a run, so a
 `TripCache` that lives as long as the run holds what depends on a trip
 alone: its slot state, its piece energies and the colony's tables for it.
-The piece energies also price every solution the run scores other than a
-split (`charged_energies`). Every value is a pure function of its key, so a
-cached run draws the same random numbers and gives the same answers as an
-uncached one.
+The piece energies also price every solution the run scores, the trips a
+split keeps included (`charged_energies`). Every value is a pure function of
+its key, so a cached run draws the same random numbers and gives the same
+answers as an uncached one.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ SlotState = tuple[ClusterSplit | None, float, tuple[float, float]]
 # iteration levels, roulette wheels and tour energies, one each. An entry
 # takes 335-380 bytes on the paper's orchards (tracemalloc, seeded runs at
 # n≈60 and n=965), so the cache stays below about 8 MB; a 300-evaluation
-# run at n=965 fills 6,600 entries.
+# run at n=965 fills 8,700 entries.
 _TRIP_CACHE_ENTRIES = 20_000
 
 

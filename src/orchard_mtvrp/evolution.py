@@ -115,11 +115,14 @@ ScoringInput = tuple[int, ...] | GiantSolution
 _SURVIVAL_MARGIN = 1e-9
 
 
-def _resplit(perm: Sequence[int], inst: Instance, cutoff: float = math.inf) -> tuple[GiantSolution, list[float]] | None:
+def _resplit(
+    perm: Sequence[int], inst: Instance, cutoff: float = math.inf, cache: TripCache | None = None
+) -> tuple[GiantSolution, list[float]] | None:
     """Optimal separator placement for a fixed task order: a shortest-path
     dynamic program over cut positions restricted to capacity-feasible trips.
-    Returns the split solution and the energy of each of its trips, or None,
-    a skip verdict, when the fsum of those energies lies above `cutoff`.
+    Returns the split solution and its trips' energies, priced by
+    `charged_energies` from `cache` (a fresh `TripCache` when none is given),
+    or None, a skip verdict, when their fsum lies above `cutoff`.
 
     Greedy splitting (cut only on overflow) cannot express solutions that
     deliberately run an extra light trip, which the load-dependent energy
@@ -134,11 +137,10 @@ def _resplit(perm: Sequence[int], inst: Instance, cutoff: float = math.inf) -> t
     (its load, 0.0 + y, is y for every non-negative yield), and each step
     adds `w + load` once, for both its arc and its way back.
 
-    The kept trips are priced from the same lists with `trip_energy`'s
-    operations in its order, so each energy is `trip_energy`'s bit for bit
-    (as Prins's split returns each trip's cost with the trips). A kept trip
+    The program only supplies the cuts (as in Prins's split). A kept trip
     never overflows, since the program breaks on the same left-to-right
-    load that `expand_overloads` adds up, so these are also the energies
+    load that `expand_overloads` adds up, so its pieces are the trip alone
+    and its charged energy is `trip_energy`'s: the energies are those
     `evaluate` charges, and their `math.fsum` is its energy.
 
     The program's own total is tested first, against the cutoff widened by
@@ -162,8 +164,6 @@ def _resplit(perm: Sequence[int], inst: Instance, cutoff: float = math.inf) -> t
     best[0] = 0.0
     for i in range(n):
         load = y[i]
-        if load > capacity:
-            continue
         base = best[i]
         open_energy = out_leg[i] * w
         total = base + open_energy + back_leg[i] * (w + load)
@@ -183,25 +183,14 @@ def _resplit(perm: Sequence[int], inst: Instance, cutoff: float = math.inf) -> t
                 cut_before[j + 1] = i
     if best[n] > cutoff * (1 + _SURVIVAL_MARGIN):
         return None
-    ends: list[int] = []
-    energies: list[float] = []
-    end = n
-    while end > 0:
-        start = cut_before[end]
-        energy = out_leg[start] * w
-        load = y[start]
-        for k in range(start + 1, end):
-            energy += arc[k - 1] * (w + load)
-            load += y[k]
-        energy += back_leg[end - 1] * (w + load)
-        ends.append(end)
-        energies.append(energy)
-        end = start
-    energies.reverse()
+    ends = [n]
+    while ends[-1] > 0:
+        ends.append(cut_before[ends[-1]])
+    ends.reverse()
+    trips = tuple(perm[start:end] for start, end in zip(ends, ends[1:]))
+    energies = charged_energies(trips, inst, TripCache() if cache is None else cache)
     if math.fsum(energies) > cutoff:
         return None
-    ends.reverse()
-    trips = tuple(perm[start:end] for start, end in zip([0, *ends], ends))
     return GiantSolution.trusted(trips, perm), energies
 
 
@@ -464,7 +453,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
             check_cover(sol.task_sequence(), inst)
             energies = charged_energies(sol.trips, inst, trip_cache)
         else:
-            split = _resplit(given, inst, cutoff)
+            split = _resplit(given, inst, cutoff, trip_cache)
             if split is None:
                 return None
             sol, energies = split
@@ -509,7 +498,6 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
             alive = fr2_survivors(fresh_population())
         pop = alive or pop
     pop.sort(key=_rank)
-    pop = pop[: cfg.population]
     best = pop[0]
     archive = Archive.fresh(cfg.top_fraction, cfg.population)
     history = [GenerationStat(1, best.energy, archive.counts)]

@@ -361,8 +361,8 @@ def score_with_framework(
     """Score one individual under the given framework's per-generation rule.
 
     `energies` are the energies `evaluate` charges for the trips of `sol`,
-    in trip order, as the optimal split or the run's trip cache prices
-    them. The energy is their `math.fsum`, which is `evaluate`'s.
+    in trip order, as `charged_energies` prices them from the run's trip
+    cache. The energy is their `math.fsum`, which is `evaluate`'s.
 
     Fr1 returns unschedulable individuals as `repair` scored them
     (still-unschedulable ones keep infinite energy); Fr2 marks them

@@ -4,8 +4,8 @@
 whatever way is fastest, but must do the same floating-point operations in
 the same order as the straightforward versions below, which index the numpy
 matrix once per arc. Results are compared exactly: equal tokens for the
-split, equal Python floats for the energy, and the split's trip energies
-equal to `trip_energy`'s.
+split, equal Python floats for the energy, and the split's trip energies,
+priced from a trip cache, equal to `trip_energy`'s.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orchard_mtvrp.clsm import TripCache
 from orchard_mtvrp.core import GiantSolution, Instance, RepresentationError, trip_energy
 from orchard_mtvrp.evolution import _SURVIVAL_MARGIN, _resplit
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
@@ -166,12 +167,31 @@ class TestResplitMatchesReference:
     def test_generated_orchards(self, spec):
         inst = generate_orchard(spec)
         rng = random.Random(5)
+        cache = TripCache()
         for _ in range(10):
             perm = list(inst.task_ids)
             rng.shuffle(perm)
             got, energies = _resplit(perm, inst)
             assert got.tokens == resplit_reference(perm, inst).tokens
             assert energies == [trip_energy(trip, inst) for trip in got.trips]
+            _check_shared_cache(inst, perm, cache)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans().flatmap(lambda lattice: instance_and_perm(max_n=16, lattice=lattice)))
+    def test_kept_trips_are_priced_from_a_shared_cache(self, case):
+        _check_shared_cache(*case, TripCache())
+
+
+def _check_shared_cache(inst: Instance, perm: Sequence[int], cache: TripCache) -> None:
+    """A split leaves each kept trip's one-piece energy in the cache it is
+    given, its energies are `trip_energy`'s, and splitting the same
+    permutation again admits nothing."""
+    got, energies = _resplit(perm, inst, math.inf, cache)
+    assert energies == [trip_energy(trip, inst) for trip in got.trips]
+    assert [cache.pieces[trip] for trip in got.trips] == [(e,) for e in energies]
+    entries = cache.entries
+    assert _resplit(perm, inst, math.inf, cache) == (got, energies)
+    assert cache.entries == entries
 
 
 def _near(value: float, ulps: int) -> float:

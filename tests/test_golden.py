@@ -1,8 +1,10 @@
 """Seeded solver outputs pinned exactly.
 
-Each config runs `run_aedga` on one generated orchard and must reproduce the
+Each config runs `run_aedga` on a generated orchard and must reproduce the
 recorded best energy (as its repr), a digest of the best tokens, the
-evaluation and generation counts, and the status. A refactor that keeps the
+evaluation and generation counts, and the status. Most configs share one
+orchard of 40 tasks; the sized ones run the first instance of each perfbench
+workload and the bounded paper-scale case. A refactor that keeps the
 solver's behaviour leaves every entry unchanged; a change that alters the
 search on purpose re-records the file with `python tests/test_golden.py`.
 """
@@ -25,6 +27,7 @@ from orchard_mtvrp import (
     generate_orchard,
     run_aedga,
     scheduler,
+    trip_energy,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
@@ -57,14 +60,32 @@ CONFIGS: dict[str, dict] = {
     "stagnation-100": {"stagnation_evals": 100},
 }
 
+# name -> (orchard, budget_evals, SolverConfig fields), at the benchmark's
+# sizes; "single_share" is the energy bound as a multiple of Z_single /
+# robots, where Z_single serves every task on a trip of its own. The first
+# two are the first instances of perfbench's `sched-n60-fr1` and
+# `large-n965`; the third is the bounded paper-scale case, where every Fr1
+# repair fails.
+N965 = OrchardSpec(70, 1225, 0.8, seed=1)
+SIZED_CONFIGS: dict[str, tuple[OrchardSpec, int, dict]] = {
+    "sched-n60-fr1": (OrchardSpec(20, 100, 0.6, seed=42), 2000,
+                      {"framework": "Fr1", "robots": 8, "single_share": 0.55}),
+    "large-n965": (N965, 300, {}),
+    "n965-Fr1-0.395-8robots": (N965, 300, {"framework": "Fr1", "robots": 8, "single_share": 0.395}),
+}
 
-def _solve(inst, z: float, fields: dict) -> dict:
+
+def _solve(inst, z: float, fields: dict, budget_evals: int = BUDGET_EVALS) -> dict:
     fields = dict(fields)
     bound = fields.pop("bound", None)
     if bound is not None:
         robots = fields.setdefault("robots", ROBOTS)
         fields["energy_bound"] = bound * z / robots
-    result = run_aedga(inst, SolverConfig(budget_evals=BUDGET_EVALS, **fields))
+    share = fields.pop("single_share", None)
+    if share is not None:
+        z_single = math.fsum(trip_energy((t,), inst) for t in inst.task_ids)
+        fields["energy_bound"] = share * z_single / fields["robots"]
+    result = run_aedga(inst, SolverConfig(budget_evals=budget_evals, **fields))
     return {
         "best_energy": repr(result.best_energy),
         "tokens_sha256": hashlib.sha256(repr(result.best.tokens).encode()).hexdigest(),
@@ -78,10 +99,14 @@ def _record_all() -> dict[str, dict]:
     inst = generate_orchard(SPEC)
     default = _solve(inst, 0.0, CONFIGS["default"])
     z = float(default["best_energy"])
-    return {
+    outputs = {
         name: default if name == "default" else _solve(inst, z, fields)
         for name, fields in CONFIGS.items()
     }
+    orchards = {spec: generate_orchard(spec) for spec, _, _ in SIZED_CONFIGS.values()}
+    for name, (spec, budget_evals, fields) in SIZED_CONFIGS.items():
+        outputs[name] = _solve(orchards[spec], 0.0, fields, budget_evals)
+    return outputs
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +114,7 @@ def outputs() -> dict[str, dict]:
     return _record_all()
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
+@pytest.mark.parametrize("name", [*CONFIGS, *SIZED_CONFIGS])
 def test_golden_output(name, outputs):
     expected = json.loads(GOLDEN.read_text())
     assert outputs[name] == expected[name]
@@ -114,9 +139,11 @@ def test_repair_config_repairs(monkeypatch):
 def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
     """Each counted evaluation either takes the memo's result, with no
     scoring, or scores its input once: one `charged_energies` (which prices
-    the trips from the run's trip cache) for a solution, one `_resplit`
-    (which prices the trips it keeps) for a permutation. An input is scored
-    only when it is not among the memo's most recently used ones."""
+    the trips from the run's trip cache) for a solution; one `_resplit` for
+    a permutation, which prices the trips it keeps with one
+    `charged_energies`, and none when its program's total already skips it.
+    An input is scored only when it is not among the memo's most recently
+    used ones."""
     calls = {"price": 0, "split": 0}
 
     def counting(name, fn):
@@ -133,7 +160,7 @@ def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
         def get(self, key, fresh):
             before = dict(calls)
             ind = super().get(key, fresh)
-            log.append((key, calls["price"] - before["price"], calls["split"] - before["split"]))
+            log.append((key, ind, calls["price"] - before["price"], calls["split"] - before["split"]))
             return ind
 
     monkeypatch.setattr(evolution, "_Memo", Recording)
@@ -143,13 +170,17 @@ def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
     size = evolution._MEMO_GENERATIONS * (SolverConfig.population + 1)
     held: OrderedDict = OrderedDict()
     hits = 0
-    for key, prices, splits in log:
+    for key, ind, prices, splits in log:
         if key in held:
             hits += 1
             assert (prices, splits) == (0, 0)
             held.move_to_end(key)
         else:
-            assert (prices, splits) == ((1, 0) if isinstance(key, GiantSolution) else (0, 1))
+            if isinstance(key, GiantSolution):
+                assert (prices, splits) == (1, 0)
+            else:
+                assert splits == 1 and prices <= 1
+                assert prices == 1 or ind is None  # a kept split is priced
             held[key] = None
             if len(held) > size:
                 held.popitem(last=False)
@@ -167,9 +198,9 @@ def test_no_offspring_permutation_is_split_twice_in_a_generation(monkeypatch, na
         splits.append([])
         return select(*args, **kwargs)
 
-    def splitting(perm, inst, cutoff=math.inf):
+    def splitting(perm, inst, cutoff=math.inf, cache=None):
         splits[-1].append(tuple(perm))
-        return split(perm, inst, cutoff)
+        return split(perm, inst, cutoff, cache)
 
     monkeypatch.setattr(evolution, "eass_select", selecting)
     monkeypatch.setattr(evolution, "_resplit", splitting)

@@ -1,8 +1,8 @@
 """Every scoring shortcut of `run_aedga` against a fresh scoring.
 
-A run scores its offspring permutations from the trip energies its optimal
-split prices, every other solution from the energies its trip cache holds
-(`charged_energies`), and hands back a memo's earlier result for a
+A run prices every solution it scores, the trips of its offspring
+permutations' optimal splits included, from the energies its trip cache
+holds (`charged_energies`), and hands back a memo's earlier result for a
 repeated input. The split also returns a skip verdict, and no trips, for
 an offspring whose split energy lies above the survival cutoff. Here a checking memo recomputes every hit from scratch, with
 `evaluate` and, with robots, `score_with_framework`, and gives every skip
@@ -105,8 +105,8 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
                 checked["hits"] += 1
             return ind
 
-    def checking_split(perm, inst, cutoff=math.inf):
-        got = split(perm, inst, cutoff)
+    def checking_split(perm, inst, cutoff=math.inf, cache=None):
+        got = split(perm, inst, cutoff, cache)
         sol, energies = split(perm, inst)
         assert all(type(e) is float for e in energies)
         assert energies == [t.energy for t in evaluate(sol, inst).trips]
