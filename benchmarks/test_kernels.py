@@ -12,6 +12,8 @@ The split and every other scored solution price their trips with
 energies. The split, the cached pricing, the ant colony and the CLSM step
 run cold, on a trip cache of their own, and warm, on one that earlier calls
 from the same input filled, as the steps of a run fill the run's cache.
+CLSM's slot states (k-means and far cluster per trip) run cold, and its
+sweep re-split on the pools that one seeded step hands it.
 `makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
 e_max = 0.55 * Z_single / 8, the bound of perfbench's `sched-n60-fr1`
 workload, where Z_single is the energy of serving every task on a trip of
@@ -29,8 +31,8 @@ import random
 import numpy as np
 import pytest
 
-from orchard_mtvrp import scheduler
-from orchard_mtvrp.clsm import TripCache, aco_tour, charged_energies, clsm_step
+from orchard_mtvrp import clsm, scheduler
+from orchard_mtvrp.clsm import TripCache, aco_tour, charged_energies, clsm_step, kmeans_two, recombine, slot_state
 from orchard_mtvrp.core import GiantSolution, evaluate, trip_energy
 from orchard_mtvrp.evolution import SolverConfig, _resplit, mutate
 from orchard_mtvrp.ilbim import init_population, pick_keys
@@ -184,6 +186,45 @@ def test_clsm_step(benchmark, instance):
     rng = random.Random(0)
     out = benchmark(clsm_step, sol, instance, cfg.intensity, cfg.population, rng)
     assert evaluate(out, instance).energy <= evaluate(sol, instance).energy
+
+
+def _slot_states(trips, inst):
+    cache = TripCache()
+    return [slot_state(trip, inst, cache) for trip in trips]
+
+
+def test_slot_state(benchmark, instance):
+    """The slot states of the first ILBIM individual's trips, on a trip
+    cache of its own at each call."""
+    trips = _population(instance)[0].trips
+    states = benchmark(_slot_states, trips, instance)
+    separations = [kmeans_two([instance.coords[t] for t in trip]).separation if len(trip) > 1 else -math.inf
+                   for trip in trips]
+    assert [separation for separation, _, _ in states] == separations
+
+
+@functools.cache
+def _pools(inst):
+    """The (target, candidate) trip pairs one seeded `clsm_step` from the
+    first ILBIM individual hands to `recombine`, with what it got back."""
+    cfg = SolverConfig()
+    pools = []
+
+    def recording(target, candidate, inst):
+        pools.append(((target, candidate), recombine(target, candidate, inst)))
+        return pools[-1][1]
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(clsm, "recombine", recording)
+        clsm_step(_population(inst)[0], inst, cfg.intensity, cfg.population, random.Random(0))
+    return pools
+
+
+def test_recombine(benchmark, instance):
+    """The sweep re-split of every pool of one seeded step."""
+    pools = _pools(instance)
+    out = benchmark(lambda: [recombine(target, candidate, instance) for (target, candidate), _ in pools])
+    assert out == [split for _, split in pools] and len(out) > 1
 
 
 def _warm_cache(call, seeds=range(1, 21)):

@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 from . import oracle as oracle_mod
 from .core import GiantSolution, Instance, evaluate
@@ -134,10 +134,25 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON file with SolverConfig fields")
 
 
+# The JSON values each field type takes: an int field no float or bool
+# (bool is an int subclass), a float field an int but no bool.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), type(None): (type(None),)}
+
+
 def _from_config_file(path: Path, cls: type):
     """Build `cls` from the JSON object in `path`. A misspelt, missing or
-    mistyped field raises ValueError, so the CLI reports it in one line."""
+    mistyped field raises ValueError, so the CLI reports it in one line. An
+    enum field is left to its own conversion, which takes only its values."""
     payload = json.loads(path.read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object of {cls.__name__} fields")
+    hints = get_type_hints(cls)
+    for name, value in payload.items():
+        kinds = get_args(hints.get(name)) or (hints.get(name),)
+        if all(kind in _JSON_TYPES for kind in kinds) and not any(
+                type(value) in _JSON_TYPES[kind] for kind in kinds):
+            wanted = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+            raise ValueError(f"{path}: {name} must be {wanted}, got {json.dumps(value)}")
     try:
         return cls(**payload)
     except TypeError as exc:
@@ -457,7 +472,7 @@ def cmd_export_routes(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     payload = json.loads(args.result.read_text())
     tokens = payload.get("tokens") if isinstance(payload, dict) else None
-    if not (isinstance(tokens, list) and all(isinstance(t, int) for t in tokens)):
+    if not (isinstance(tokens, list) and all(type(t) is int for t in tokens)):
         raise ValueError(f"{args.result} is not a solve result: no 'tokens' list of task ids")
     sol = GiantSolution.from_tokens(tokens)
     ev = evaluate(sol, inst)

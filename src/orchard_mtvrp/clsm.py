@@ -7,10 +7,11 @@ by a load-balancing angular sweep, and re-optimize both new tours with an
 ant colony scored by the load-dependent trip energy.
 
 Within one `clsm_step` the solution is a list of trips, with plain lists
-beside it indexed by trip slot: each trip's split, separation, centroid and
-the energies of its overload-expanded pieces. A round rewrites two slots
-and refreshes only those. A round is scored as the exactly rounded sum of
-the slots' piece energies, which equals a full `evaluate` bit for bit.
+beside it indexed by trip slot: each trip's separation, far cluster
+centroid and task centroid, the three values a round reads, and the
+energies of its overload-expanded pieces. A round rewrites two slots and
+refreshes only those. A round is scored as the exactly rounded sum of the
+slots' piece energies, which equals a full `evaluate` bit for bit.
 
 Most trips and colony inputs recur across the steps of a run, so a
 `TripCache` that lives as long as the run holds what depends on a trip
@@ -84,14 +85,14 @@ def kmeans_two(points: Sequence[tuple[float, float]]) -> ClusterSplit:
     return ClusterSplit(members_a, members_b, c_a, c_b, math.dist(c_a, c_b))
 
 
-# A trip's split, separation and centroid.
-SlotState = tuple[ClusterSplit | None, float, tuple[float, float]]
+# A trip's separation, far cluster centroid (None for a singleton), centroid.
+SlotState = tuple[float, tuple[float, float] | None, tuple[float, float]]
 
 # Entries a `TripCache` holds before it starts afresh: trips, colony inputs,
 # iteration levels, roulette wheels and tour energies, one each. An entry
-# takes 335-380 bytes on the paper's orchards (tracemalloc, seeded runs at
-# n≈60 and n=965), so the cache stays below about 8 MB; a 300-evaluation
-# run at n=965 fills 8,700 entries.
+# takes 290-315 bytes on the paper's orchards (tracemalloc, seeded runs at
+# n=59 and n=965), so the cache stays below about 7 MB; a 300-evaluation
+# run at n=965 fills 8,675 entries.
 _TRIP_CACHE_ENTRIES = 20_000
 
 
@@ -148,47 +149,38 @@ class TripCache:
 
 
 def slot_state(trip: tuple[int, ...], inst: Instance, cache: TripCache) -> SlotState:
-    """A trip's k-means split remapped onto task ids, its separation and its
-    task centroid; a singleton has no split and separation -inf. Kept in
-    `cache`."""
+    """A trip's k-means separation, the centroid of its far cluster
+    (`far_cluster`) and its task centroid; a singleton has separation -inf
+    and no far cluster. Kept in `cache`."""
     state = cache.slots.get(trip)
     if state is None:
-        centroid = _centroid([inst.coords[t] for t in trip])
-        state = (None, -math.inf, centroid)
+        points = [inst.coords[t] for t in trip]
+        state = (-math.inf, None, _centroid(points))
         if len(trip) > 1:
-            split = kmeans_two([inst.coords[t] for t in trip])
-            members = tuple(trip[i] for i in split.members_a), tuple(trip[i] for i in split.members_b)
-            remapped = ClusterSplit(*members, split.centroid_a, split.centroid_b, split.separation)
-            state = (remapped, split.separation, centroid)
+            split = kmeans_two(points)
+            state = (split.separation, far_cluster(split, trip, inst.coords[0]), state[2])
         cache.admit()
         cache.slots[trip] = state
     return state
 
 
-def choose_target_trip(
-    separations: Sequence[float], splits: Sequence[ClusterSplit | None]
-) -> tuple[int, ClusterSplit] | None:
-    """The slot with the widest centroid separation (the first of equals)
-    and its split, from per-slot lists as `slot_state` fills them. None when
-    every trip is a singleton."""
+def choose_target_trip(separations: Sequence[float]) -> int | None:
+    """The slot with the widest centroid separation (the first of equals),
+    from a per-slot list as `slot_state` fills it. None when every trip is a
+    singleton."""
     index = max(range(len(separations)), key=separations.__getitem__, default=None)
-    if index is None or splits[index] is None:
-        return None
-    return index, splits[index]
+    return None if index is None or separations[index] == -math.inf else index
 
 
-def far_cluster(split: ClusterSplit, depot: tuple[float, float]) -> tuple[tuple[int, ...], tuple[float, float]]:
-    """The cluster whose centroid lies farther from the depot; exact ties go
-    to the cluster with the larger member-id sum."""
+def far_cluster(split: ClusterSplit, trip: Sequence[int], depot: tuple[float, float]) -> tuple[float, float]:
+    """The centroid of the cluster of `split`, the k-means split of `trip`'s
+    points, that lies farther from the depot; exact ties go to the cluster
+    whose tasks have the larger id sum."""
     d_a = math.dist(split.centroid_a, depot)
     d_b = math.dist(split.centroid_b, depot)
-    if d_a > d_b:
-        return split.members_a, split.centroid_a
-    if d_b > d_a:
-        return split.members_b, split.centroid_b
-    if sum(split.members_a) > sum(split.members_b):
-        return split.members_a, split.centroid_a
-    return split.members_b, split.centroid_b
+    if d_a == d_b:
+        d_a, d_b = (sum(trip[i] for i in members) for members in (split.members_a, split.members_b))
+    return split.centroid_a if d_a > d_b else split.centroid_b
 
 
 def choose_candidate_trip(
@@ -227,16 +219,12 @@ def recombine(
         ),
     )
     prefix = 0.0
-    feasible: list[tuple[float, int]] = []
-    fallback: list[tuple[float, int]] = []
+    cuts: list[tuple[bool, float, int]] = []  # (a part overflows, imbalance, cut)
     for cut in range(1, len(swept)):
         prefix += inst.yields[swept[cut - 1]]
         first, second = prefix, total - prefix
-        entry = (abs(first - second), cut)
-        fallback.append(entry)
-        if first <= inst.capacity and second <= inst.capacity:
-            feasible.append(entry)
-    _, cut = min(feasible or fallback)
+        cuts.append((max(first, second) > inst.capacity, abs(first - second), cut))
+    _, _, cut = min(cuts)
     return tuple(swept[:cut]), tuple(swept[cut:])
 
 
@@ -381,19 +369,17 @@ def clsm_step(
     trips = list(sol.trips)
     pieces = [_piece_energies(trip, inst, cache) for trip in trips]
     best_energy = math.fsum(itertools.chain.from_iterable(pieces))
-    splits: list[ClusterSplit | None] = [None] * len(trips)
     separations = [-math.inf] * len(trips)
+    fars: list[tuple[float, float] | None] = [None] * len(trips)
     centroids = [(0.0, 0.0)] * len(trips)
     stale: Sequence[int] = range(len(trips))  # refreshed when a round first reads them
     for _ in range(rounds):
         for index in stale:
-            splits[index], separations[index], centroids[index] = slot_state(trips[index], inst, cache)
-        target = choose_target_trip(separations, splits)
-        if target is None:
+            separations[index], fars[index], centroids[index] = slot_state(trips[index], inst, cache)
+        target_index = choose_target_trip(separations)
+        if target_index is None:
             break
-        target_index, split = target
-        _, far_c = far_cluster(split, inst.coords[0])
-        candidate_index = choose_candidate_trip(centroids, target_index, far_c)
+        candidate_index = choose_candidate_trip(centroids, target_index, fars[target_index])
         if candidate_index is None:
             break
         stale = (target_index, candidate_index)

@@ -382,8 +382,8 @@ class _Memo:
 
     Most entries outlive their individual, tens of KB of tuples at n≈1000.
     So a permutation (of checked task ids) is kept as 4-byte ids, and its
-    individual, when the trips keep the permutation's order (a split's and
-    `repair`'s do), as trip lengths, energy and schedule. A skipped
+    individual as trip lengths, energy and schedule: its trips keep the
+    permutation's order, as a split's and `repair`'s do. A skipped
     offspring is held as its verdict, None: in `run_aedga` the survival
     cutoff never rises once it is finite, so a repeat would be skipped
     again."""
@@ -401,7 +401,7 @@ class _Memo:
             if len(self.entries) >= self.size:
                 del self.entries[next(iter(self.entries))]
             ind = entry = fresh(given)
-            if ind is not None and key is not given and ind.solution.task_sequence() == given:
+            if ind is not None and key is not given:
                 entry = (tuple(map(len, ind.solution.trips)), ind.energy, ind.schedule)
         elif isinstance(entry, tuple):
             tasks = iter(given)
@@ -453,6 +453,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
             check_cover(sol.task_sequence(), inst)
             energies = charged_energies(sol.trips, inst, trip_cache)
         else:
+            check_cover(given, inst)
             split = _resplit(given, inst, cutoff, trip_cache)
             if split is None:
                 return None
@@ -466,8 +467,6 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         None for a permutation whose split energy lies above `cutoff`."""
         nonlocal evals
         evals += 1
-        if not isinstance(given, GiantSolution):
-            check_cover(given, inst)
         return memo.get(given, lambda key: fresh_score(key, cutoff))
 
     def fresh_population() -> list[Individual]:

@@ -80,8 +80,6 @@ def makespan_assign(
         return None
     if ordered_sum(trip_energies) > m * e_max * (1 + 1e-12):
         return None
-    if t == 0:
-        return Schedule((), tuple(0.0 for _ in range(m)))
     if t <= m:  # one trip per robot; every energy already fits the bound
         loads = list(trip_energies) + [0.0] * (m - t)
         return Schedule(tuple(range(t)), tuple(loads))
@@ -199,15 +197,13 @@ def _exact_search(
     ) -> bool:
         """`mask` has the bit of each trip in `remaining`, and `total` is the
         left-to-right sum of their energies."""
-        if not remaining:
-            return True
-        if robots_left <= 0:
-            return False
         if len(remaining) <= robots_left:
             for _, i in remaining:
                 assignment[i] = robot
                 robot += 1
             return True
+        if robots_left <= 0:
+            return False
         if total > robots_left * e_max * (1 + 1e-12):
             return False
         anchor_e, anchor_i = remaining[0]
@@ -247,8 +243,7 @@ def _exact_search(
     if solve(items, (1 << len(items)) - 1, ordered_sum(e for e, _ in items), m, 0):
         loads = [0.0] * m
         for i, r in enumerate(assignment):
-            if r >= 0:
-                loads[r] += energies[i]
+            loads[r] += energies[i]
         return Schedule(tuple(assignment), tuple(loads))
     return None
 

@@ -74,6 +74,20 @@ class TestGen:
         assert err.startswith("error: ") and "maturty_rate" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tree_count", 12.5, "tree_count must be int, got 12.5"),
+        ("grid", "no", 'grid must be bool, got "no"'),
+        ("seed", 1.5, "seed must be int, got 1.5"),
+    ])
+    def test_config_value_of_wrong_type_one_line_error(self, tmp_path, capsys, field, value, message):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"side_length": 20, "tree_count": 12, "maturity_rate": 1.0, field: value}))
+        out = tmp_path / "out"
+        rc = main(["gen", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, named", [
         (["--seed", "5", "--trees", "400"], ["--seed", "--trees"]),
         (["--grid"], ["--grid"]),
@@ -228,6 +242,38 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: 1 is not a valid Framework\n"
+
+    @pytest.mark.parametrize("config, message", [
+        ({"population": 4.5}, "population must be int, got 4.5"),
+        ({"use_clsm": "no"}, 'use_clsm must be bool, got "no"'),
+        ({"robots": 2.5, "energy_bound": 100.0}, "robots must be int or null, got 2.5"),
+        ({"budget_evals": 30.7}, "budget_evals must be int or null, got 30.7"),
+    ])
+    def test_config_value_of_wrong_type_one_line_error(self, tmp_path, capsys, config, message):
+        write_instance(tmp_path / "c.vrp", n=2)
+        cfg = tmp_path / "solver.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["solve", str(tmp_path / "c.vrp"), "--config", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: {message}\n"
+
+    def test_config_not_an_object_one_line_error(self, tmp_path, capsys):
+        write_instance(tmp_path / "c.vrp", n=2)
+        cfg = tmp_path / "solver.json"
+        cfg.write_text("[1, 2]")
+        rc = main(["solve", str(tmp_path / "c.vrp"), "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}: not a JSON object of SolverConfig fields\n"
+
+    def test_config_int_for_float_and_null_for_unset_accepted(self, tmp_path, capsys):
+        write_instance(tmp_path / "c.vrp", n=2)
+        cfg = tmp_path / "solver.json"
+        cfg.write_text(json.dumps({"top_fraction": 1, "budget_seconds": None, "budget_evals": 20}))
+        rc = main(["solve", str(tmp_path / "c.vrp"), "--config", str(cfg)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["evaluations"] >= 20
 
     @pytest.mark.parametrize("flags, config", [
         (["--robots", "2"], None),
@@ -510,7 +556,7 @@ class TestExportRoutes:
             assert len(poly) == len(route["tasks"]) + 2
 
     @pytest.mark.parametrize("result", [{"instance": "x"}, [1, 2], {"tokens": "0 1 0"},
-                                        {"tokens": [0, None, 0]}])
+                                        {"tokens": [0, None, 0]}, {"tokens": [0, True, 0]}])
     def test_bad_result_file_one_line_error(self, tmp_path, capsys, result):
         write_instance(tmp_path / "e.vrp", n=1)
         (tmp_path / "bad.json").write_text(json.dumps(result))

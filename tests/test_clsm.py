@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -18,7 +19,7 @@ from orchard_mtvrp.clsm import (
     kmeans_two,
     recombine,
 )
-from orchard_mtvrp.core import GiantSolution, Instance, decode_trips, evaluate, trip_energy
+from orchard_mtvrp.core import GiantSolution, Instance, decode_trips, evaluate, ordered_sum, trip_energy
 from orchard_mtvrp.evolution import SolverConfig, run_aedga
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
 from orchard_mtvrp.oracle import exact_tour
@@ -131,6 +132,54 @@ def choose_target_trip_reference(trips, inst, splits=None):
     return best
 
 
+def far_cluster_reference(split, depot):
+    """The far cluster of a split remapped onto task ids, as `clsm_step`
+    once took it: its members and centroid."""
+    d_a = math.dist(split.centroid_a, depot)
+    d_b = math.dist(split.centroid_b, depot)
+    if d_a > d_b:
+        return split.members_a, split.centroid_a
+    if d_b > d_a:
+        return split.members_b, split.centroid_b
+    if sum(split.members_a) > sum(split.members_b):
+        return split.members_a, split.centroid_a
+    return split.members_b, split.centroid_b
+
+
+def target_reference(trips, inst):
+    """The reference target's slot, separation and far cluster centroid."""
+    target = choose_target_trip_reference(trips, inst)
+    if target is None:
+        return None
+    index, split = target
+    return index, split.separation, far_cluster_reference(split, inst.coords[0])[1]
+
+
+def recombine_reference(target_trip, candidate_trip, inst):
+    """`recombine` as it picked its cut from two lists: the cuts where both
+    parts fit the capacity, else every cut."""
+    pool = list(target_trip) + list(candidate_trip)
+    total = ordered_sum(inst.yields[t] for t in pool)
+    if total > 2 * inst.capacity:
+        return tuple(target_trip), tuple(candidate_trip)
+    center = clsm._centroid([inst.coords[t] for t in pool])
+    swept = sorted(
+        pool,
+        key=lambda t: (math.atan2(inst.coords[t][1] - center[1], inst.coords[t][0] - center[0]), t),
+    )
+    prefix = 0.0
+    feasible, fallback = [], []
+    for cut in range(1, len(swept)):
+        prefix += inst.yields[swept[cut - 1]]
+        first, second = prefix, total - prefix
+        entry = (abs(first - second), cut)
+        fallback.append(entry)
+        if first <= inst.capacity and second <= inst.capacity:
+            feasible.append(entry)
+    _, cut = min(feasible or fallback)
+    return tuple(swept[:cut]), tuple(swept[cut:])
+
+
 def choose_candidate_trip_reference(trips, target_index, far_centroid, inst, centroids=None):
     if centroids is None:
         centroids = {}
@@ -148,15 +197,18 @@ def choose_candidate_trip_reference(trips, target_index, far_centroid, inst, cen
 
 
 def _slots(trips: Sequence[tuple[int, ...]], inst, memo=None):
-    """The per-slot lists `clsm_step` keeps: splits, separations, centroids."""
+    """The per-slot lists `clsm_step` keeps: separations, far cluster
+    centroids, centroids."""
     memo = clsm.TripCache() if memo is None else memo
     states = [clsm.slot_state(trip, inst, memo) for trip in trips]
     return [s[0] for s in states], [s[1] for s in states], [s[2] for s in states]
 
 
 def target_of(trips, inst, memo=None):
-    splits, separations, _ = _slots(trips, inst, memo)
-    return choose_target_trip(separations, splits)
+    """The target's slot, separation and far cluster centroid, or None."""
+    separations, fars, _ = _slots(trips, inst, memo)
+    index = choose_target_trip(separations)
+    return None if index is None else (index, separations[index], fars[index])
 
 
 def candidate_of(trips, target_index, far_centroid, inst, memo=None):
@@ -241,7 +293,7 @@ class TestChooseTargetTrip:
         sol = GiantSolution.from_tokens((1, 2, 0, 3, 4))
         picked = target_of(sol.trips, inst)
         assert picked[0] == 0
-        assert picked[1].separation == pytest.approx(10.0)
+        assert picked[1] == pytest.approx(10.0)
 
     def test_relabeling_invariance(self):
         inst = _instance(
@@ -251,9 +303,17 @@ class TestChooseTargetTrip:
         )
         a = target_of(GiantSolution.from_tokens((1, 2, 0, 3, 4)).trips, inst)
         b = target_of(GiantSolution.from_tokens((3, 4, 0, 1, 2)).trips, inst)
-        assert a[1].separation == pytest.approx(b[1].separation)
-        assert set(a[1].members_a + a[1].members_b) == {1, 2}
-        assert set(b[1].members_a + b[1].members_b) == {1, 2}
+        # trip (1, 2) is the target in either slot, with the same far cluster
+        assert (a[0], b[0]) == (0, 1)
+        assert a[1] == pytest.approx(b[1])
+        assert a[2] == b[2]
+
+    def test_singletons_beside_a_pair(self):
+        inst = _instance([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [1.0] * 3, 10.0)
+        assert choose_target_trip([-math.inf, 0.0, -math.inf]) == 1
+        assert choose_target_trip([-math.inf, -math.inf]) is None
+        assert choose_target_trip([]) is None
+        assert target_of(((1,), (2, 3)), inst)[0] == 1
 
 
 class TestChooseCandidateTrip:
@@ -278,9 +338,13 @@ class TestChooseCandidateTrip:
         assert candidate_of(sol.trips, 0, (1.5, 0.0), inst) is None
 
     def test_far_cluster_tie_breaks_on_id_sum(self):
-        split = ClusterSplit((1,), (4,), (0.0, 5.0), (5.0, 0.0), 5.0)
-        members, _ = far_cluster(split, (0.0, 0.0))
-        assert members == (4,)
+        # both centroids lie 5 from the depot; the tie goes to the cluster
+        # whose task ids sum higher, whichever position the task holds
+        split = ClusterSplit((0,), (1,), (0.0, 5.0), (5.0, 0.0), 5.0)
+        assert far_cluster(split, (1, 4), (0.0, 0.0)) == (5.0, 0.0)
+        assert far_cluster(split, (4, 1), (0.0, 0.0)) == (0.0, 5.0)
+        remapped = ClusterSplit((1,), (4,), (0.0, 5.0), (5.0, 0.0), 5.0)
+        assert far_cluster_reference(remapped, (0.0, 0.0)) == ((4,), (5.0, 0.0))
 
 
 class TestRecombine:
@@ -489,7 +553,7 @@ def _reference_clsm_step(sol, inst, intensity, population, rng):
         if target is None:
             break
         target_index, split = target
-        _, far_c = far_cluster(split, inst.coords[0])
+        _, far_c = far_cluster_reference(split, inst.coords[0])
         candidate_index = choose_candidate_trip_reference(work.trips, target_index, far_c, inst)
         if candidate_index is None:
             break
@@ -795,8 +859,7 @@ class TestChoicesMatchReference:
         perm = data.draw(st.permutations(list(inst.task_ids)))
         cuts = data.draw(st.lists(st.booleans(), min_size=len(perm), max_size=len(perm)))
         trips = _random_split_by(perm, cuts).trips
-        target = choose_target_trip_reference(trips, inst)
-        assert target_of(trips, inst) == target
+        assert target_of(trips, inst) == target_reference(trips, inst)
         lattice = st.integers(0, 4).map(float)
         far_c = (data.draw(lattice), data.draw(lattice))
         for index in range(len(trips)):
@@ -808,6 +871,7 @@ class TestChoicesMatchReference:
         inst = _instance([(1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (3.0, 3.0)], [1.0] * 4, 10.0)
         trips = ((1, 2), (3, 4))
         assert target_of(trips, inst)[0] == choose_target_trip_reference(trips, inst)[0] == 0
+        assert target_of(trips, inst) == target_reference(trips, inst)
 
     def test_candidate_distance_is_math_hypot(self):
         # math.hypot rounds the distance to task 3's centroid one unit in the
@@ -822,6 +886,72 @@ class TestChoicesMatchReference:
         trips = ((1,), (2,), (3,))
         assert candidate_of(trips, 0, far_c, inst) == 2
         assert choose_candidate_trip_reference(trips, 0, far_c, inst) == 2
+
+
+class TestFarClusterAndCutMatchReference:
+    def test_far_centroid_on_lattice_trips(self):
+        # lattice centroids often lie equally far from the depot, so the
+        # id-sum tie-break decides, also where positions would decide the
+        # other way
+        seen = collections.Counter()
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.data())
+        def check(data):
+            # the depot at the lattice's centre, so mirrored centroids tie
+            n = data.draw(st.integers(2, 10))
+            coord = st.integers(0, 4).map(float)
+            points = tuple((data.draw(coord), data.draw(coord)) for _ in range(n))
+            inst = Instance(((2.0, 2.0), *points), (0.0,) + (1.0,) * n, 40.0, 10.0)
+            tasks = data.draw(st.permutations(list(inst.task_ids)))
+            trip = tuple(tasks[: data.draw(st.integers(2, len(tasks)))])
+            depot = inst.coords[0]
+            split = kmeans_two([inst.coords[t] for t in trip])
+            members = [tuple(trip[i] for i in split.members_a), tuple(trip[i] for i in split.members_b)]
+            remapped = ClusterSplit(*members, split.centroid_a, split.centroid_b, split.separation)
+            expected = far_cluster_reference(remapped, depot)[1]
+            assert far_cluster(split, trip, depot) == expected
+            centroid = _centroid_reference([inst.coords[t] for t in trip])
+            assert clsm.slot_state(trip, inst, clsm.TripCache()) == (split.separation, expected, centroid)
+            if math.dist(split.centroid_a, depot) == math.dist(split.centroid_b, depot):
+                seen["tie"] += 1
+                by_ids = sum(members[0]) > sum(members[1])
+                seen["positions disagree"] += by_ids != (sum(split.members_a) > sum(split.members_b))
+
+        check()
+        assert seen["tie"] >= 10 and seen["positions disagree"] >= 3
+
+    def test_cut_on_tight_and_tied_pools(self):
+        # equal yields tie the imbalances of different cuts, and a capacity
+        # near half the pool's load often leaves no cut where both parts fit
+        seen = collections.Counter()
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.data())
+        def check(data):
+            n = data.draw(st.integers(2, 10))
+            coord = st.integers(0, 4).map(float)
+            coords = tuple((data.draw(coord), data.draw(coord)) for _ in range(n + 1))
+            yields = (0.0, *(data.draw(st.sampled_from([2.0, 3.0, 5.0])) for _ in range(n)))
+            share = data.draw(st.sampled_from([0.5, 0.55, 0.6, 0.75, 1.0]))
+            inst = Instance(coords, yields, max(max(yields), share * sum(yields)), 10.0)
+            perm = data.draw(st.permutations(list(inst.task_ids)))
+            k = data.draw(st.integers(1, n - 1))
+            target, candidate = tuple(perm[:k]), tuple(perm[k:])
+            got = recombine(target, candidate, inst)
+            assert got == recombine_reference(target, candidate, inst)
+            if got == (target, candidate):
+                return
+            swept, prefix, cuts = got[0] + got[1], 0.0, []
+            total = ordered_sum(yields[t] for t in target + candidate)
+            for cut in range(1, n):
+                prefix += yields[swept[cut - 1]]
+                cuts.append((max(prefix, total - prefix) > inst.capacity, abs(2 * prefix - total)))
+            seen["no cut fits"] += all(overflows for overflows, _ in cuts)
+            seen["tied"] += cuts.count(min(cuts)) > 1
+
+        check()
+        assert seen["no cut fits"] >= 20 and seen["tied"] >= 20
 
 
 def _random_split_by(perm, cuts):

@@ -324,10 +324,38 @@ def test_survival_cutoff_never_rises_once_finite(monkeypatch, inst, name, init):
     assert changes > 0
 
 
-@pytest.mark.parametrize("trips", [[(3, 1), (2,)], [(3,), (1, 2)], [(1, 3), (2,)]])
+@pytest.mark.parametrize("init", ["ilbim", "random"])
+@pytest.mark.parametrize("name", ["unbounded", *BOUNDED])
+def test_every_scored_individual_keeps_its_input_order(monkeypatch, inst, name, init):
+    """What lets the memo hold a permutation's individual as trip lengths:
+    every individual a run scores afresh, from a split, an unchanged
+    solution or `repair`, keeps the task sequence of its input."""
+    checked = 0
+
+    class CheckingMemo(evolution._Memo):
+        def get(self, given, fresh):
+            def checking(key):
+                nonlocal checked
+                ind = fresh(key)
+                if ind is not None:
+                    sequence = key.trips if isinstance(key, GiantSolution) else (key,)
+                    assert list(itertools.chain(*ind.solution.trips)) == list(itertools.chain(*sequence))
+                    checked += 1
+                return ind
+
+            return super().get(given, checking)
+
+    monkeypatch.setattr(evolution, "_Memo", CheckingMemo)
+    for seed in SEEDS:
+        run_aedga(inst, _config(inst, name, init, seed))
+    assert checked > 0
+
+
+@pytest.mark.parametrize("trips", [[(3, 1), (2,)], [(3,), (1, 2)]])
 def test_memo_hands_back_what_it_was_given(trips):
-    """Whether or not the trips follow the permutation's order, so that the
-    memo holds the individual as trip lengths, a hit gives it back."""
+    """The trips follow the permutation's order, as every scored
+    individual's do, so the memo holds the individual as trip lengths; a
+    hit gives it back."""
     memo = evolution._Memo(4)
     stored = Individual(GiantSolution(trips), 7.5)
     scored: list = []
