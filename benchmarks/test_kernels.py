@@ -7,7 +7,9 @@ Outside the default test paths, so the test suite does not run them. Run:
 The instances are generated from fixed seeds: n=59 (`side 20, 100 trees,
 maturity 0.6, seed 42`) and n=965 (`side 70, 1225 trees, maturity 0.8,
 seed 1`, the largest maturity-0.8 size of the paper18 suite).
-The split and every other scored solution price their trips with
+The split runs on a batch of one shuffled task order and on a batch of the
+eight mutants of one ILBIM individual, as a generation splits its
+offspring. It and every other scored solution price their trips with
 `charged_energies` from a trip cache; both are checked against `evaluate`'s
 energies. The split, the cached pricing, the ant colony and the CLSM step
 run cold, on a trip cache of their own, and warm, on one that earlier calls
@@ -100,28 +102,42 @@ def _shuffled_tasks(inst):
     return perm
 
 
-def test_resplit(benchmark, instance):
-    """The priced split of a shuffled task order, on a trip cache of its
-    own at each call."""
-    perm = _shuffled_tasks(instance)
-    sol, energies = benchmark(_resplit, perm, instance)
-    assert sol.task_sequence() == tuple(perm)
-    assert energies == _charged(sol, instance)
+def _split_batch(inst, size):
+    """A shuffled task order alone, or the mutants of the first ILBIM
+    individual, one per seed, as a generation hands its offspring over."""
+    if size == 1:
+        return [_shuffled_tasks(inst)]
+    sequence = _population(inst)[0].task_sequence()
+    return [mutate(sequence, random.Random(seed), 1.0) for seed in range(size)]
 
 
-def test_resplit_warm(benchmark, instance):
+def _check_splits(perms, splits, inst):
+    assert len(splits) == len(perms)
+    for perm, (sol, energies) in zip(perms, splits):
+        assert sol.task_sequence() == tuple(perm)
+        assert energies == _charged(sol, inst)
+
+
+@pytest.mark.parametrize("size", [1, 8])
+def test_resplit(benchmark, instance, size):
+    """The priced splits of a batch, on a trip cache of their own at each
+    call."""
+    perms = _split_batch(instance, size)
+    _check_splits(perms, benchmark(_resplit, perms, instance), instance)
+
+
+@pytest.mark.parametrize("size", [1, 8])
+def test_resplit_warm(benchmark, instance, size):
     """The same on a cache that holds the kept trips' energies, as a run's
     cache holds the trips it has seen."""
-    perm = _shuffled_tasks(instance)
+    perms = _split_batch(instance, size)
     cache = TripCache()
-    _resplit(perm, instance, math.inf, cache)
-    sol, energies = benchmark(_resplit, perm, instance, math.inf, cache)
-    assert sol.task_sequence() == tuple(perm)
-    assert energies == _charged(sol, instance)
+    _resplit(perms, instance, math.inf, cache)
+    _check_splits(perms, benchmark(_resplit, perms, instance, math.inf, cache), instance)
 
 
 def test_giant_solution_from_resplit_trips(benchmark, instance):
-    trips = list(_resplit(_shuffled_tasks(instance), instance)[0].trips)
+    trips = list(_resplit([_shuffled_tasks(instance)], instance)[0][0].trips)
     sol = benchmark(GiantSolution, trips)
     assert sol.trips == tuple(trips)
 
@@ -263,7 +279,7 @@ def test_clsm_step_warm(benchmark, instance):
 def _mutant(sol, inst, seed):
     """The split of the solution's task order after one mutation drawn
     from `seed`."""
-    return _resplit(mutate(sol.task_sequence(), random.Random(seed), 1.0), inst)[0]
+    return _resplit([mutate(sol.task_sequence(), random.Random(seed), 1.0)], inst)[0][0]
 
 
 def _makespan_input(case):
@@ -330,7 +346,7 @@ def test_score_split_fr1(benchmark):
     """Fr1 scoring of a split, from the energies the split priced, at the
     sched-n60-fr1 bound."""
     inst = _orchard("n59")
-    sol, energies = _resplit(_shuffled_tasks(inst), inst)
+    sol, energies = _resplit([_shuffled_tasks(inst)], inst)[0]
     out = benchmark(score_with_framework, sol, inst, ROBOTS, _bound(), Framework.FR1, energies)
     assert out == score_with_framework(sol, inst, ROBOTS, _bound(), Framework.FR1, _charged(sol, inst))
     assert math.fsum(energies) == evaluate(sol, inst).energy

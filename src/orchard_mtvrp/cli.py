@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import errno
 import glob
 import hashlib
@@ -141,14 +142,18 @@ _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), typ
 
 def _from_config_file(path: Path, cls: type):
     """Build `cls` from the JSON object in `path`. A misspelt, missing or
-    mistyped field raises ValueError, so the CLI reports it in one line. An
-    enum field is left to its own conversion, which takes only its values."""
+    mistyped field, or an enum field given none of its values, raises
+    ValueError, so the CLI reports it in one line."""
     payload = json.loads(path.read_text())
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a JSON object of {cls.__name__} fields")
     hints = get_type_hints(cls)
     for name, value in payload.items():
-        kinds = get_args(hints.get(name)) or (hints.get(name),)
+        hint = hints.get(name)
+        if isinstance(hint, type) and issubclass(hint, enum.Enum) and value not in [m.value for m in hint]:
+            wanted = ", ".join(json.dumps(m.value) for m in hint)
+            raise ValueError(f"{path}: {name} must be one of {wanted}, got {json.dumps(value)}")
+        kinds = get_args(hint) or (hint,)
         if all(kind in _JSON_TYPES for kind in kinds) and not any(
                 type(value) in _JSON_TYPES[kind] for kind in kinds):
             wanted = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)

@@ -128,13 +128,18 @@ class TripCache:
     run: slot states, piece energies and colony tables, iteration levels
     included. Each value is a pure function of its key. It holds at most
     `_TRIP_CACHE_ENTRIES` entries: when a new one would pass the bound,
-    every entry goes."""
+    every entry goes.
+
+    `split_tables` is the working memory of the split program
+    (`evolution._resplit`), an `empty_table` grown to the largest batch and
+    reused by every split of the run, so the run maps it once."""
 
     def __init__(self) -> None:
         self.slots: dict[tuple[int, ...], SlotState] = {}
         self.pieces: dict[tuple[int, ...], tuple[float, ...]] = {}
         self.colonies: dict[tuple[int, ...], _Colony] = {}
         self.entries = 0
+        self.split_tables = np.empty(0)
 
     def admit(self) -> None:
         """Count one new entry, first emptying the cache when it is full. A

@@ -27,6 +27,7 @@ from .core import (
     GiantSolution,
     Instance,
     check_cover,
+    empty_table,
     expand_overloads,
     ordered_sum,
 )
@@ -116,82 +117,108 @@ _SURVIVAL_MARGIN = 1e-9
 
 
 def _resplit(
-    perm: Sequence[int], inst: Instance, cutoff: float = math.inf, cache: TripCache | None = None
-) -> tuple[GiantSolution, list[float]] | None:
-    """Optimal separator placement for a fixed task order: a shortest-path
-    dynamic program over cut positions restricted to capacity-feasible trips.
-    Returns the split solution and its trips' energies, priced by
-    `charged_energies` from `cache` (a fresh `TripCache` when none is given),
-    or None, a skip verdict, when their fsum lies above `cutoff`.
+    perms: Sequence[Sequence[int]], inst: Instance, cutoff: float = math.inf, cache: TripCache | None = None
+) -> list[tuple[GiantSolution, list[float]] | None]:
+    """Optimal separator placement for fixed task orders: a shortest-path
+    dynamic program over cut positions restricted to capacity-feasible
+    trips, run over a batch of permutations of one length at once. Returns
+    one result per permutation: its split solution and its trips'
+    energies, priced by `charged_energies` from `cache` (a fresh `TripCache`
+    when none is given), or None, a skip verdict, when their fsum lies above
+    `cutoff`.
 
     Greedy splitting (cut only on overflow) cannot express solutions that
     deliberately run an extra light trip, which the load-dependent energy
     often rewards; the dynamic program reaches every feasible split of the
     permutation and never does worse than greedy.
 
-    The depot legs and consecutive arcs of the permutation are gathered from
-    the distance matrix once per call, as Python floats, so the O(n*L) inner
-    loop does plain float arithmetic; the operations and their order are
-    those of indexing the matrix per arc, so the split is the same. The
-    one-task trip from each cut is priced before the loop that extends it
-    (its load, 0.0 + y, is y for every non-negative yield), and each step
-    adds `w + load` once, for both its arc and its way back.
+    Each column of the batch gets the operations, in the order, of the
+    one-permutation loop that extends a trip from its start one arc at a
+    time. For each trip length k, numpy arrays over (end, permutation) hold
+    the load, summed left to right from the trip's start, the open energy
+    `out * w`, then `open += arc * ((w + load) - y)` per added task, and the
+    return leg `back * (w + load)`, or inf once the load passes the
+    capacity: every yield is positive, so loads only grow with k and inf
+    stands where the loop would break. One Python loop over the ends then
+    forms `(best[start] + open) + back` for the at most K starts of each
+    end, in place, and keeps their minimum as `best[end]`. The starts are
+    laid out ascending, so the first minimum that `argmin` finds among the
+    same sums, after the loop, is the smallest start among equals: the cut
+    the loop makes when a total must beat the best so far strictly. The
+    tables are `cache.split_tables`, reused from call to call.
 
     The program only supplies the cuts (as in Prins's split). A kept trip
-    never overflows, since the program breaks on the same left-to-right
-    load that `expand_overloads` adds up, so its pieces are the trip alone
-    and its charged energy is `trip_energy`'s: the energies are those
+    never overflows, since the program keeps the same left-to-right load
+    that `expand_overloads` adds up, so its pieces are the trip alone and
+    its charged energy is `trip_energy`'s: the energies are those
     `evaluate` charges, and their `math.fsum` is its energy.
 
     The program's own total is tested first, against the cutoff widened by
     `_SURVIVAL_MARGIN`, so most skips cost the program alone. Only a kept
-    split gets its trip tuples; its solution holds `perm` as its sequence.
+    split gets its trip tuples; its solution holds the permutation as its
+    sequence.
     """
-    n = len(perm)
-    if n == 0:
-        return GiantSolution(()), []
-    perm = tuple(perm)
+    perms = [tuple(perm) for perm in perms]
+    cache = TripCache() if cache is None else cache
+    if not perms or not perms[0]:
+        return [(GiantSolution(()), []) for _ in perms]
+    order = np.array(perms).T  # (position, permutation)
+    n, batch = order.shape
     d = inst.dist
-    order = np.asarray(perm)
-    out_leg = d[0, order].tolist()
-    back_leg = d[order, 0].tolist()
-    arc = d[order[:-1], order[1:]].tolist()  # arc[j - 1] joins perm[j - 1] to perm[j]
-    y = [inst.yields[t] for t in perm]
+    y = np.asarray(inst.yields)[order]
     w = inst.robot_weight
     capacity = inst.capacity
-    best = [math.inf] * (n + 1)
-    cut_before = [0] * (n + 1)
-    best[0] = 0.0
-    for i in range(n):
-        load = y[i]
-        base = best[i]
-        open_energy = out_leg[i] * w
-        total = base + open_energy + back_leg[i] * (w + load)
-        if total < best[i + 1]:
-            best[i + 1] = total
-            cut_before[i + 1] = i
-        for j in range(i + 1, n):
-            yj = y[j]
-            load += yj
-            if load > capacity:
-                break
-            carried = w + load
-            open_energy += arc[j - 1] * (carried - yj)
-            total = base + open_energy + back_leg[j] * carried
-            if total < best[j + 1]:
-                best[j + 1] = total
-                cut_before[j + 1] = i
-    if best[n] > cutoff * (1 + _SURVIVAL_MARGIN):
-        return None
-    ends = [n]
-    while ends[-1] > 0:
-        ends.append(cut_before[ends[-1]])
-    ends.reverse()
-    trips = tuple(perm[start:end] for start, end in zip(ends, ends[1:]))
-    energies = charged_energies(trips, inst, TripCache() if cache is None else cache)
-    if math.fsum(energies) > cutoff:
-        return None
-    return GiantSolution.trusted(trips, perm), energies
+    # K, the longest trip that fits somewhere in the batch.
+    load = y.copy()
+    longest = 1
+    while longest < n:
+        load[: n - longest] += y[longest:]
+        if (load[: n - longest] > capacity).all():
+            break
+        longest += 1
+    # sums[end - 1, K - k] and back[end - 1, K - k] price the trip of k
+    # tasks at positions end - k to end - 1, so the start rises along axis 1.
+    size = 2 * n * longest * batch
+    if cache.split_tables.size < size:
+        cache.split_tables = empty_table((size,), float)
+    sums, back = cache.split_tables[:size].reshape(2, n, longest, batch)
+    back_leg = d[order, 0]
+    arc = d[order[:-1], order[1:]]  # arc[j - 1] joins position j - 1 to j
+    load = y.copy()
+    for k in range(1, longest + 1):
+        col, m = longest - k, n - k + 1  # m: the starts of a k-task trip
+        if k == 1:
+            np.multiply(d[0, order], w, out=sums[:, col])
+        else:
+            load[:m] += y[k - 1 :]
+            np.multiply(arc[k - 2 :], (w + load[:m]) - y[k - 1 :], out=sums[k - 1 :, col])
+            sums[k - 1 :, col] += sums[k - 2 : n - 1, col + 1]
+            sums[: k - 1, col] = 0.0
+            back[: k - 1, col] = math.inf
+        np.multiply(back_leg[k - 1 :], w + load[:m], out=back[k - 1 :, col])
+        back[k - 1 :, col][load[:m] > capacity] = math.inf
+    best = np.full((longest + n + 1, batch), math.inf)  # best[K + i] is best[i]
+    best[longest] = 0.0
+    for end in range(1, n + 1):
+        total = sums[end - 1]
+        total += best[end : end + longest]
+        total += back[end - 1]
+        np.minimum.reduce(total, axis=0, out=best[longest + end])
+    kept = np.flatnonzero(best[-1] <= cutoff * (1 + _SURVIVAL_MARGIN))
+    # The trip that ends before `end` starts at end - K + step.
+    steps = sums[:, :, kept].argmin(axis=1)
+    out: list[tuple[GiantSolution, list[float]] | None] = [None] * batch
+    for column, steps_before in zip(kept.tolist(), steps.T.tolist()):
+        ends = [n]
+        while ends[-1] > 0:
+            ends.append(ends[-1] - longest + steps_before[ends[-1] - 1])
+        ends.reverse()
+        perm = perms[column]
+        trips = tuple(perm[start:end] for start, end in zip(ends, ends[1:]))
+        energies = charged_energies(trips, inst, cache)
+        if math.fsum(energies) <= cutoff:
+            out[column] = (GiantSolution.trusted(trips, perm), energies)
+    return out
 
 
 def crossover(
@@ -392,10 +419,17 @@ class _Memo:
         self.size = size
         self.entries: dict[GiantSolution | bytes, Individual | tuple | None] = {}
 
+    @staticmethod
+    def key(given: ScoringInput) -> GiantSolution | bytes:
+        return given if isinstance(given, GiantSolution) else array.array("i", given).tobytes()
+
+    def __contains__(self, given: ScoringInput) -> bool:
+        return self.key(given) in self.entries
+
     def get(self, given: ScoringInput, fresh: Callable[[ScoringInput], Individual | None]) -> Individual | None:
         """The individual scored from `given`, or None for a skip, from
         `fresh(given)` unless held."""
-        key = given if isinstance(given, GiantSolution) else array.array("i", given).tobytes()
+        key = self.key(given)
         entry = self.entries.pop(key, _UNSEEN)
         if entry is _UNSEEN:
             if len(self.entries) >= self.size:
@@ -427,9 +461,11 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     without trips, and it is never scheduled. It still counts as an
     evaluation, but it is left out of the selection pool, which would have
     dropped it whatever its score. The run's answers are those of scoring
-    every offspring. Splits, memo hits, local-search results and
-    repairs are built with `GiantSolution.trusted`, unchecked, from task ids
-    that were checked once when their input was scored."""
+    every offspring. A generation draws its offspring first, in the order
+    that scoring each in turn would, then splits the permutations the memo
+    does not hold in one `_resplit` batch. Splits, memo hits, local-search
+    results and repairs are built with `GiantSolution.trusted`, unchecked,
+    from task ids that were checked once when their input was scored."""
     rng = random.Random(cfg.seed)
     framework = cfg.framework if cfg.robots is not None else None
 
@@ -447,14 +483,16 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     memo = _Memo(_MEMO_GENERATIONS * (cfg.population + 1))
     trip_cache = TripCache()  # CLSM's work per trip, shared by every step
 
-    def fresh_score(given: ScoringInput, cutoff: float) -> Individual | None:
+    def fresh_score(given: ScoringInput, cutoff: float, splits: dict) -> Individual | None:
         if isinstance(given, GiantSolution):
             sol = given
             check_cover(sol.task_sequence(), inst)
             energies = charged_energies(sol.trips, inst, trip_cache)
         else:
-            check_cover(given, inst)
-            split = _resplit(given, inst, cutoff, trip_cache)
+            split = splits.pop(given, _UNSEEN)
+            if split is _UNSEEN:  # held when the batch was formed, dropped since
+                check_cover(given, inst)
+                split = _resplit([given], inst, cutoff, trip_cache)[0]
             if split is None:
                 return None
             sol, energies = split
@@ -462,12 +500,22 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
             return Individual(sol, math.fsum(energies))
         return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework, energies)
 
-    def score(given: ScoringInput, cutoff: float = math.inf) -> Individual | None:
-        """One counted evaluation, whether or not the memo holds its result;
-        None for a permutation whose split energy lies above `cutoff`."""
+    def score_all(inputs: Sequence[ScoringInput], cutoff: float = math.inf) -> list[Individual | None]:
+        """One counted evaluation per input, in order, whether or not the
+        memo holds its result; None for a permutation whose split energy
+        lies above `cutoff`. The distinct permutations the memo does not
+        hold are split first, in one batch."""
         nonlocal evals
-        evals += 1
-        return memo.get(given, lambda key: fresh_score(key, cutoff))
+        perms = list(dict.fromkeys(
+            given for given in inputs if not isinstance(given, GiantSolution) and given not in memo))
+        for perm in perms:
+            check_cover(perm, inst)
+        splits = dict(zip(perms, _resplit(perms, inst, cutoff, trip_cache))) if perms else {}
+        out = []
+        for given in inputs:
+            evals += 1
+            out.append(memo.get(given, lambda key: fresh_score(key, cutoff, splits)))
+        return out
 
     def fresh_population() -> list[Individual]:
         if cfg.init == "random":
@@ -478,7 +526,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
                 out.append(tuple(perm))
         else:
             out = ilbim.init_population(inst, cfg.population)
-        return [score(given) for given in out]
+        return score_all(out)
 
     def fr2_survivors(pop: list[Individual]) -> list[Individual]:
         """The schedulable individuals by energy, then clones of them in
@@ -516,29 +564,29 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
             searched = clsm_step(target.solution, inst, cfg.intensity, cfg.population, rng, trip_cache)
         else:
             searched = target.solution
-        new_ind = score(searched)
+        new_ind = score_all([searched])[0]
         improved = new_ind.energy < best.energy
         archive = update_archive(archive, range_index, improved)
         if improved:
             best = new_ind
             last_improvement_eval = evals
 
-        # Each offspring is split once, after mutation, when it is scored;
-        # None stands for one left unscheduled.
+        # Each offspring is split once, after mutation, when the generation's
+        # inputs are scored; a skip verdict leaves it unscheduled.
         cutoff = _survival_cutoff(pop, cfg.population)
-        offspring: list[Individual | None] = [new_ind]
+        inputs: list[ScoringInput] = []
         order = list(range(len(pop)))
         rng.shuffle(order)
         rate = cfg.mutation_rate
         for a, b in zip(order[::2], order[1::2]):
             if rng.random() < cfg.crossover_rate:
                 children = crossover(pop[a].solution.task_sequence(), pop[b].solution.task_sequence(), rng)
-                offspring.extend(score(mutate(child, rng, rate), cutoff) for child in children)
+                inputs.extend(mutate(child, rng, rate) for child in children)
             else:
-                offspring.extend(score(passed_on(pop[i].solution, inst, rng, rate), cutoff) for i in (a, b))
+                inputs.extend(passed_on(pop[i].solution, inst, rng, rate) for i in (a, b))
         if len(order) % 2:
-            offspring.append(score(passed_on(pop[order[-1]].solution, inst, rng, rate), cutoff))
-        offspring = [ind for ind in offspring if ind is not None]
+            inputs.append(passed_on(pop[order[-1]].solution, inst, rng, rate))
+        offspring = [new_ind, *(ind for ind in score_all(inputs, cutoff) if ind is not None)]
 
         if framework is Framework.FR2:
             pop, offspring = fr2_survivors(pop + offspring), []

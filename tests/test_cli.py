@@ -236,12 +236,14 @@ class TestSolve:
     def test_config_framework_not_a_framework_one_line_error(self, tmp_path, capsys):
         write_instance(tmp_path / "c.vrp", n=2)
         cfg = tmp_path / "solver.json"
-        cfg.write_text(json.dumps({"framework": 1, "robots": 2, "energy_bound": 100.0}))
-        rc = main(["solve", str(tmp_path / "c.vrp"), "--config", str(cfg)])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: 1 is not a valid Framework\n"
+        for value, shown in ((1, "1"), ("fr1", '"fr1"'), (None, "null"), (["Fr1"], '["Fr1"]')):
+            cfg.write_text(json.dumps({"framework": value, "robots": 2, "energy_bound": 100.0}))
+            rc = main(["solve", str(tmp_path / "c.vrp"), "--config", str(cfg)])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            wanted = '"Fr1", "Fr2", "Fr3"'
+            assert captured.err == f"error: {cfg}: framework must be one of {wanted}, got {shown}\n"
 
     @pytest.mark.parametrize("config, message", [
         ({"population": 4.5}, "population must be int, got 4.5"),

@@ -540,10 +540,12 @@ class TestStepMemos:
             assert calls <= trips + 2 * rounds
 
 
-def _reference_clsm_step(sol, inst, intensity, population, rng):
+def _reference_clsm_step(sol, inst, intensity, population, rng, moves=None):
     """clsm_step as it was before the trip-list working form: every round
     rebuilds the whole solution from its trips and scores it with a full
-    `evaluate`, and the choices and the colony are the reference forms."""
+    `evaluate`, and the choices, the sweep cut and the colony are the
+    reference forms. Each round's (target, candidate) trip pair is appended
+    to `moves` when it is given."""
     rounds = max(1, math.ceil(len(sol.trips) * intensity))
     best_sol = sol
     best_energy = evaluate(sol, inst).energy
@@ -558,7 +560,9 @@ def _reference_clsm_step(sol, inst, intensity, population, rng):
         if candidate_index is None:
             break
         current = work.trips
-        new_a, new_b = clsm.recombine(current[target_index], current[candidate_index], inst)
+        if moves is not None:
+            moves.append((current[target_index], current[candidate_index]))
+        new_a, new_b = recombine_reference(current[target_index], current[candidate_index], inst)
         new_a = aco_tour_reference(
             new_a, inst, population, max(1, math.ceil(len(new_a) * intensity)), rng
         )
@@ -598,13 +602,11 @@ class TestAgainstRebuildingReference:
             sol = _random_split(rng, perm, rng.choice((0.1, 0.3, 0.5)))
             overloaded += evaluate(sol, inst).penalized
             intensity = rng.choice((0.2, 0.5, 1.0))
-            runs = []
-            for step in (_reference_clsm_step, clsm_step):
-                moves.clear()
-                step_rng = random.Random(case)
-                out = step(sol, inst, intensity, 4, step_rng)
-                runs.append((out, list(moves), step_rng.random()))
-            reference, got = runs
+            ref_rng, got_rng, ref_moves = random.Random(case), random.Random(case), []
+            out = _reference_clsm_step(sol, inst, intensity, 4, ref_rng, ref_moves)
+            reference = (out, ref_moves, ref_rng.random())
+            moves.clear()
+            got = (clsm_step(sol, inst, intensity, 4, got_rng), list(moves), got_rng.random())
             assert got == reference
             assert got[0].trips == reference[0].trips
             improved += got[0] is not sol

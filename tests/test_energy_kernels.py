@@ -3,13 +3,16 @@
 `evolution._resplit` and `core.trip_energy` read the distance matrix in
 whatever way is fastest, but must do the same floating-point operations in
 the same order as the straightforward versions below, which index the numpy
-matrix once per arc. Results are compared exactly: equal tokens for the
-split, equal Python floats for the energy, and the split's trip energies,
-priced from a trip cache, equal to `trip_energy`'s.
+matrix once per arc; the split runs over a batch of permutations at once,
+and each column must come out as the one-permutation loop below splits it.
+Results are compared exactly: equal tokens for the split, equal Python
+floats for the energy, and the split's trip energies, priced from a trip
+cache, equal to `trip_energy`'s.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Sequence
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from orchard_mtvrp.clsm import TripCache
 from orchard_mtvrp.core import GiantSolution, Instance, RepresentationError, trip_energy
-from orchard_mtvrp.evolution import _SURVIVAL_MARGIN, _resplit
+from orchard_mtvrp.evolution import _SURVIVAL_MARGIN, _resplit, mutate
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
 
 
@@ -116,6 +119,14 @@ def instance_and_perm(draw, max_n: int = 14, lattice: bool = False) -> tuple[Ins
     return inst, draw(st.permutations(list(inst.task_ids)))
 
 
+@st.composite
+def instance_and_perms(draw, max_n: int = 14, lattice: bool = False) -> tuple[Instance, list[list[int]]]:
+    """One instance and a batch of 1-6 of its task permutations."""
+    inst = draw(instances(max_n, lattice))
+    perms = draw(st.lists(st.permutations(list(inst.task_ids)), min_size=1, max_size=6))
+    return inst, perms
+
+
 class TestResplitMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(instance_and_perm())
@@ -123,7 +134,7 @@ class TestResplitMatchesReference:
         inst, perm = case
         expected = resplit_reference(perm, inst)
         for given_perm in (perm, tuple(perm)):
-            got, energies = _resplit(given_perm, inst)
+            got, energies = _resplit([given_perm], inst)[0]
             assert got.tokens == expected.tokens
             assert got.trips == expected.trips
             assert energies == [trip_energy_reference(trip, inst) for trip in got.trips]
@@ -135,7 +146,7 @@ class TestResplitMatchesReference:
         tie-breaks are compared too: a total must beat the best so far
         strictly to move a cut."""
         inst, perm = case
-        got, energies = _resplit(perm, inst)
+        got, energies = _resplit([perm], inst)[0]
         assert got.trips == resplit_reference(perm, inst).trips
         assert energies == [trip_energy_reference(trip, inst) for trip in got.trips]
 
@@ -143,10 +154,11 @@ class TestResplitMatchesReference:
     @given(st.data())
     def test_single_task(self, data):
         inst = data.draw(instances(max_n=1))
-        assert _resplit([1], inst)[0].tokens == resplit_reference([1], inst).tokens == (1,)
+        assert _resplit([[1]], inst)[0][0].tokens == resplit_reference([1], inst).tokens == (1,)
 
     def test_empty_permutation(self, line_instance):
-        assert _resplit([], line_instance) == (GiantSolution.from_tokens(()), [])
+        assert _resplit([[]], line_instance) == [(GiantSolution.from_tokens(()), [])]
+        assert _resplit([], line_instance) == []
 
     def test_exactly_full_trips_are_kept_whole(self):
         # Four tasks of yield capacity/2 on one line: the split may pair
@@ -158,7 +170,7 @@ class TestResplitMatchesReference:
             robot_weight=1.0,
         )
         for perm in ([1, 2, 3, 4], [4, 3, 2, 1], [1, 3, 2, 4]):
-            got, energies = _resplit(perm, inst)
+            got, energies = _resplit([perm], inst)[0]
             assert got == resplit_reference(perm, inst)
             assert energies == [trip_energy(trip, inst) for trip in got.trips]
             assert all(sum(inst.yields[t] for t in trip) <= inst.capacity for trip in got.trips)
@@ -171,7 +183,7 @@ class TestResplitMatchesReference:
         for _ in range(10):
             perm = list(inst.task_ids)
             rng.shuffle(perm)
-            got, energies = _resplit(perm, inst)
+            got, energies = _resplit([perm], inst)[0]
             assert got.tokens == resplit_reference(perm, inst).tokens
             assert energies == [trip_energy(trip, inst) for trip in got.trips]
             _check_shared_cache(inst, perm, cache)
@@ -182,15 +194,68 @@ class TestResplitMatchesReference:
         _check_shared_cache(*case, TripCache())
 
 
+class TestBatch:
+    """Each column of a batch is split, priced and judged as it would be
+    alone: the reference's cuts, `trip_energy`'s energies and the fsum
+    rule's verdict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.booleans().flatmap(lambda lattice: instance_and_perms(max_n=16, lattice=lattice)),
+        st.data(),
+    )
+    def test_mixed_verdicts_in_one_batch(self, case, data):
+        inst, perms = case
+        expected = [resplit_reference(perm, inst) for perm in perms]
+        energies = [[trip_energy_reference(trip, inst) for trip in sol.trips] for sol in expected]
+        split_energies = [math.fsum(e) for e in energies]
+        cutoff = data.draw(st.sampled_from([*split_energies, math.inf]))
+        cutoff = _near(cutoff, data.draw(st.integers(-1, 1))) if cutoff < math.inf else cutoff
+        got = _resplit(perms, inst, cutoff)
+        assert len(got) == len(perms)
+        for sol, charged, split_energy, result in zip(expected, energies, split_energies, got):
+            if split_energy > cutoff:
+                assert result is None
+            else:
+                assert result[0].trips == sol.trips
+                assert result[1] == charged
+        assert got == [_resplit([perm], inst, cutoff)[0] for perm in perms]
+
+    @pytest.mark.parametrize("spec", [OrchardSpec(20, 100, 0.6, seed=42), OrchardSpec(40, 400, 0.8, seed=1)])
+    def test_shuffles_and_mutants(self, spec):
+        """A batch of shuffles and mutants of one of them, the inputs a
+        random start and a generation split, at one cutoff that keeps some
+        columns and skips others."""
+        inst = generate_orchard(spec)
+        rng = random.Random(11)
+        shuffle = list(inst.task_ids)
+        rng.shuffle(shuffle)
+        perms = [shuffle]
+        while len(perms) < 8:
+            perms.append(list(mutate(tuple(perms[rng.randrange(len(perms))]), rng, 1.0)))
+            rng.shuffle(shuffle)
+            perms.append(list(shuffle))
+        expected = [resplit_reference(perm, inst) for perm in perms]
+        split_energies = [math.fsum(map(trip_energy, sol.trips, itertools.repeat(inst))) for sol in expected]
+        cutoff = sorted(split_energies)[len(perms) // 2]
+        got = _resplit(perms, inst, cutoff, TripCache())
+        assert [result is None for result in got] == [e > cutoff for e in split_energies]
+        assert 0 < got.count(None) < len(perms)
+        for sol, result in zip(expected, got):
+            if result is not None:
+                assert result[0].trips == sol.trips
+                assert result[1] == [trip_energy(trip, inst) for trip in sol.trips]
+
+
 def _check_shared_cache(inst: Instance, perm: Sequence[int], cache: TripCache) -> None:
     """A split leaves each kept trip's one-piece energy in the cache it is
     given, its energies are `trip_energy`'s, and splitting the same
     permutation again admits nothing."""
-    got, energies = _resplit(perm, inst, math.inf, cache)
+    got, energies = _resplit([perm], inst, math.inf, cache)[0]
     assert energies == [trip_energy(trip, inst) for trip in got.trips]
     assert [cache.pieces[trip] for trip in got.trips] == [(e,) for e in energies]
     entries = cache.entries
-    assert _resplit(perm, inst, math.inf, cache) == (got, energies)
+    assert _resplit([perm], inst, math.inf, cache) == [(got, energies)]
     assert cache.entries == entries
 
 
@@ -214,11 +279,11 @@ class TestSkipVerdict:
     )
     def test_same_verdict_as_the_fsum_rule(self, case, anchor, margins, ulps):
         inst, perm = case
-        split = _resplit(perm, inst)
+        split = _resplit([perm], inst)[0]
         split_energy = math.fsum(split[1])
         base = split_energy if anchor == "fsum" else _split_program_reference(perm, inst)[0][-1]
         cutoff = _near(base * (1 + _SURVIVAL_MARGIN) ** margins, ulps)
-        got = _resplit(perm, inst, cutoff)
+        got = _resplit([perm], inst, cutoff)[0]
         assert (got is None) == (split_energy > cutoff)
         assert got is None or got == split
 
@@ -240,19 +305,19 @@ class TestSkipVerdict:
         for _ in range(10):
             perm = list(inst.task_ids)
             rng.shuffle(perm)
-            split = _resplit(perm, inst)
+            split = _resplit([perm], inst)[0]
             split_energy = fsum(split[1])
             widened = _split_program_reference(perm, inst)[0][-1] / (1 + _SURVIVAL_MARGIN)
             for ulps in range(-3, 4):
                 cutoff = _near(widened, ulps)
                 before = sums
-                got = _resplit(perm, inst, cutoff)
+                got = _resplit([perm], inst, cutoff)[0]
                 assert (got is None) == (split_energy > cutoff)
                 assert got is None or got == split
                 if abs(ulps) > 1:  # the rounding of the widening decides +-1 ulp
                     assert (sums == before) == (ulps < 0)
             for cutoff in (_near(split_energy, -1), split_energy):
-                assert (_resplit(perm, inst, cutoff) is None) == (cutoff < split_energy)
+                assert (_resplit([perm], inst, cutoff)[0] is None) == (cutoff < split_energy)
 
 
 @st.composite

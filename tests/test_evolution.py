@@ -170,9 +170,10 @@ class TestVariation:
             perm2 = list(inst.task_ids)
             rng.shuffle(perm1)
             rng.shuffle(perm2)
-            for child in crossover(tuple(perm1), tuple(perm2), rng):
+            children = crossover(tuple(perm1), tuple(perm2), rng)
+            for child, (sol, _) in zip(children, _resplit(children, inst)):
                 assert sorted(child) == list(inst.task_ids)
-                assert not evaluate(_resplit(child, inst)[0], inst).penalized
+                assert not evaluate(sol, inst).penalized
 
     def test_mutation_rate_zero_is_identity(self):
         rng = random.Random(4)
@@ -207,7 +208,7 @@ class TestVariation:
             rng.shuffle(perm)
             out = mutate(tuple(perm), rng, 1.0)
             assert sorted(out) == list(inst.task_ids)
-            assert not evaluate(_resplit(out, inst)[0], inst).penalized
+            assert not evaluate(_resplit([out], inst)[0][0], inst).penalized
 
 
 class TestEnvironmentalSelection:

@@ -12,9 +12,10 @@ search on purpose re-records the file with `python tests/test_golden.py`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import pytest
@@ -139,21 +140,38 @@ def test_repair_config_repairs(monkeypatch):
 def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
     """Each counted evaluation either takes the memo's result, with no
     scoring, or scores its input once: one `charged_energies` (which prices
-    the trips from the run's trip cache) for a solution; one `_resplit` for
-    a permutation, which prices the trips it keeps with one
-    `charged_energies`, and none when its program's total already skips it.
-    An input is scored only when it is not among the memo's most recently
-    used ones."""
+    the trips from the run's trip cache) for a solution; one split for a
+    permutation, made in its generation's `_resplit` batch or, when the memo
+    dropped it after the batch was formed, alone. A split prices the trips
+    it keeps with one `charged_energies`, and none when its program's total
+    already skips it. An input is scored only when it is not among the
+    memo's most recently used ones."""
     calls = {"price": 0, "split": 0}
+    split_perms: Counter = Counter()  # splits per permutation
+    split_prices: Counter = Counter()  # pricings inside a split, per permutation
+    batches = 0
+    splitting_now = False
+    price, split = evolution.charged_energies, evolution._resplit
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def pricing(trips, inst, cache):
+        if splitting_now:
+            split_prices[tuple(itertools.chain.from_iterable(trips))] += 1
+        else:
+            calls["price"] += 1
+        return price(trips, inst, cache)
 
-    monkeypatch.setattr(evolution, "charged_energies", counting("price", evolution.charged_energies))
-    monkeypatch.setattr(evolution, "_resplit", counting("split", evolution._resplit))
+    def splitting(perms, inst, cutoff=math.inf, cache=None):
+        nonlocal batches, splitting_now
+        batches += 1
+        splitting_now = True
+        out = split(perms, inst, cutoff, cache)
+        splitting_now = False
+        calls["split"] += len(perms)
+        split_perms.update(map(tuple, perms))
+        return out
+
+    monkeypatch.setattr(evolution, "charged_energies", pricing)
+    monkeypatch.setattr(evolution, "_resplit", splitting)
     log: list[tuple] = []
 
     class Recording(evolution._Memo):
@@ -170,6 +188,8 @@ def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
     size = evolution._MEMO_GENERATIONS * (SolverConfig.population + 1)
     held: OrderedDict = OrderedDict()
     hits = 0
+    scored_perms: Counter = Counter()
+    kept_perms: Counter = Counter()
     for key, ind, prices, splits in log:
         if key in held:
             hits += 1
@@ -179,12 +199,19 @@ def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
             if isinstance(key, GiantSolution):
                 assert (prices, splits) == (1, 0)
             else:
-                assert splits == 1 and prices <= 1
-                assert prices == 1 or ind is None  # a kept split is priced
+                assert prices == 0 and splits <= 1
+                scored_perms[key] += 1
+                kept_perms[key] += ind is not None
             held[key] = None
             if len(held) > size:
                 held.popitem(last=False)
     assert 0 < hits < len(log)
+    # Every split serves exactly one scoring of its permutation, and prices
+    # what it keeps once.
+    assert split_perms == scored_perms
+    for perm, count in split_perms.items():
+        assert kept_perms[perm] <= split_prices[perm] <= count
+    assert batches < sum(split_perms.values())  # splits are batched
 
 
 @pytest.mark.parametrize("name", ["default", REPAIR_CONFIG])
@@ -198,9 +225,9 @@ def test_no_offspring_permutation_is_split_twice_in_a_generation(monkeypatch, na
         splits.append([])
         return select(*args, **kwargs)
 
-    def splitting(perm, inst, cutoff=math.inf, cache=None):
-        splits[-1].append(tuple(perm))
-        return split(perm, inst, cutoff, cache)
+    def splitting(perms, inst, cutoff=math.inf, cache=None):
+        splits[-1].extend(map(tuple, perms))
+        return split(perms, inst, cutoff, cache)
 
     monkeypatch.setattr(evolution, "eass_select", selecting)
     monkeypatch.setattr(evolution, "_resplit", splitting)

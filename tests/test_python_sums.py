@@ -168,7 +168,7 @@ def test_makespan_assign(orchards):
         for _ in range(60):
             perm = list(inst.task_ids)
             rng.shuffle(perm)
-            energies = _resplit(perm, inst)[1][: rng.randint(3, 20)]
+            energies = _resplit([perm], inst)[0][1][: rng.randint(3, 20)]
             m = rng.randint(2, 8)
             for slack in (0.999, 1.0, 1.001, 1.01, 1.05, 1.3):
                 calls.append((scheduler.makespan_assign, energies, m, slack * math.fsum(energies) / m))

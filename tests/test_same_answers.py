@@ -116,7 +116,8 @@ def _run_names() -> list[str]:
 
 
 def _cli_names() -> list[str]:
-    return [f"{orchard}/cli-{output}" for orchard in ORCHARDS for output in ("solve", "trace", "export-routes")]
+    outputs = ("solve", "trace", "export-routes")
+    return [f"{orchard}/cli-{output}" for orchard in ORCHARDS for output in outputs]
 
 
 def _record_all(workdir: Path) -> dict[str, str]:

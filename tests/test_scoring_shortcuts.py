@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -80,7 +81,7 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
     parents: list[Individual] = []
 
     def fresh(key) -> Individual:
-        sol = key if isinstance(key, GiantSolution) else split(key, inst)[0]
+        sol = key if isinstance(key, GiantSolution) else split([key], inst)[0][0]
         ev = evaluate(sol, inst)
         if cfg.robots is None:
             return Individual(sol, ev.energy)
@@ -105,15 +106,17 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
                 checked["hits"] += 1
             return ind
 
-    def checking_split(perm, inst, cutoff=math.inf, cache=None):
-        got = split(perm, inst, cutoff, cache)
-        sol, energies = split(perm, inst)
-        assert all(type(e) is float for e in energies)
-        assert energies == [t.energy for t in evaluate(sol, inst).trips]
-        assert (got is None) == (math.fsum(energies) > cutoff)
-        assert got is None or got == (sol, energies)
-        checked["splits"] += 1
-        return got
+    def checking_split(perms, inst, cutoff=math.inf, cache=None):
+        batch = split(perms, inst, cutoff, cache)
+        assert len(batch) == len(perms)
+        for perm, got in zip(perms, batch):
+            sol, energies = split([perm], inst)[0]
+            assert all(type(e) is float for e in energies)
+            assert energies == [t.energy for t in evaluate(sol, inst).trips]
+            assert (got is None) == (math.fsum(energies) > cutoff)
+            assert got is None or got == (sol, energies)
+            checked["splits"] += 1
+        return batch
 
     def checking_price(trips, inst, cache):
         energies = price(trips, inst, cache)
@@ -196,7 +199,7 @@ def test_survival_cutoff_lies_just_above_the_worst_of_distinct_finite_parents():
 
 
 def _split_scorings(inst, perm, e_max):
-    sol, energies = evolution._resplit(perm, inst)
+    sol, energies = evolution._resplit([perm], inst)[0]
     split_energy = math.fsum(energies)
     for framework in (Framework.FR1, Framework.FR2):
         ind = score_with_framework(sol, inst, ROBOTS, e_max, framework, energies)
@@ -268,6 +271,36 @@ def test_a_solution_that_is_not_the_task_ids_is_rejected(monkeypatch, inst):
     cfg = SolverConfig(budget_evals=50, crossover_rate=0.0, mutation_rate=0.0)
     with pytest.raises(RepresentationError):
         run_aedga(inst, cfg)
+
+
+@pytest.mark.parametrize("name", ["unbounded", "Fr1-0.6"])
+def test_an_input_dropped_after_its_batch_formed_is_split_alone(monkeypatch, inst, name):
+    """A generation splits the permutations its memo does not hold in one
+    batch. One the memo held then but dropped before its turn is split
+    alone, when it is scored, and answers stay those of the default memo:
+    with one generation of memo, this happens in every run here."""
+    runs = [_config(inst, name, init, seed) for init in ("ilbim", "random") for seed in SEEDS]
+    default = [run_aedga(inst, cfg) for cfg in runs]
+    split = evolution._resplit
+    batches = alone = 0
+
+    def splitting(perms, inst, cutoff=math.inf, cache=None):
+        nonlocal batches, alone
+        # `score_all` splits a generation's batch, `fresh_score` a dropped input.
+        caller = sys._getframe(1).f_code.co_name
+        assert caller in ("score_all", "fresh_score")
+        batches += caller == "score_all"
+        alone += caller == "fresh_score"
+        assert caller == "score_all" or len(perms) == 1
+        return split(perms, inst, cutoff, cache)
+
+    monkeypatch.setattr(evolution, "_resplit", splitting)
+    monkeypatch.setattr(evolution, "_MEMO_GENERATIONS", 1)
+    for cfg, expected in zip(runs, default):
+        before = alone
+        assert run_aedga(inst, cfg) == expected
+        assert alone > before
+    assert batches > alone
 
 
 def test_memo_keeps_the_most_recently_used_entries():
