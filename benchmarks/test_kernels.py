@@ -16,6 +16,9 @@ run cold, on a trip cache of their own, and warm, on one that earlier calls
 from the same input filled, as the steps of a run fill the run's cache.
 CLSM's slot states (k-means and far cluster per trip) run cold, and its
 sweep re-split on the pools that one seeded step hands it.
+Instance set-up is timed as the distance matrix alone, at both sizes, and as
+the parse of an n=965 instance file, which builds the `Instance` and its
+matrix; ILBIM's ten composite rankings at n=965 are timed on their own.
 `makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
 e_max = 0.55 * Z_single / 8, the bound of perfbench's `sched-n60-fr1`
 workload, where Z_single is the energy of serving every task on a trip of
@@ -35,10 +38,10 @@ import pytest
 
 from orchard_mtvrp import clsm, scheduler
 from orchard_mtvrp.clsm import TripCache, aco_tour, charged_energies, clsm_step, kmeans_two, recombine, slot_state
-from orchard_mtvrp.core import GiantSolution, evaluate, trip_energy
+from orchard_mtvrp.core import GiantSolution, build_distance_matrix, evaluate, trip_energy
 from orchard_mtvrp.evolution import SolverConfig, _resplit, mutate
-from orchard_mtvrp.ilbim import init_population, pick_keys
-from orchard_mtvrp.instances import OrchardSpec, generate_orchard
+from orchard_mtvrp.ilbim import composite_ranking, init_population, pick_keys
+from orchard_mtvrp.instances import OrchardSpec, emit_instance, generate_orchard, parse_instance
 from orchard_mtvrp.scheduler import Framework, RepairStatus, repair, score_with_framework
 
 SPECS = {
@@ -169,6 +172,30 @@ def test_init_population(benchmark, name):
     """The ten ILBIM individuals, their pick keys built once for all."""
     pop = benchmark(init_population, _orchard(name), SolverConfig().population)
     assert hashlib.sha256(repr([sol.trips for sol in pop]).encode()).hexdigest() == POPULATION_SHA256[name]
+
+
+def test_build_distance_matrix(benchmark, instance):
+    dist = benchmark(build_distance_matrix, instance.coords)
+    assert np.array_equal(dist, instance.dist) and not dist.flags.writeable
+
+
+def test_parse_instance_n965(benchmark):
+    """An n=965 instance file read back, its distance matrix included."""
+    inst = _orchard("n965")
+    parsed = benchmark(parse_instance, emit_instance(inst))
+    assert parsed.coords == inst.coords and parsed.yields == inst.yields
+    assert np.array_equal(parsed.dist, inst.dist)
+
+
+def test_composite_ranking_n965(benchmark):
+    """The rankings of the ten ILBIM weights: w = 1 orders the tasks by
+    descending depot distance, w = 0 by ascending yield."""
+    inst = _orchard("n965")
+    weights = [j / 9 for j in range(10)]
+    rankings = benchmark(lambda: [composite_ranking(inst, w) for w in weights])
+    assert all(sorted(ranking) == list(inst.task_ids) for ranking in rankings)
+    assert np.all(np.diff(inst.dist[0, list(rankings[-1])]) <= 0)
+    assert np.all(np.diff(np.asarray(inst.yields)[list(rankings[0])]) >= 0)
 
 
 def test_pick_keys_n965(benchmark):

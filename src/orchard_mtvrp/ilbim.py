@@ -67,14 +67,13 @@ def composite_ranking(inst: Instance, distance_weight: float) -> tuple[int, ...]
     yield-ascending order. Rank positions are 1-based; ties everywhere break
     toward the lower task id.
     """
-    tasks = list(inst.task_ids)
-    by_distance = sorted(tasks, key=lambda t: (-inst.dist[0, t], t))
-    by_yield = sorted(tasks, key=lambda t: (inst.yields[t], t))
-    pos_d = {t: i for i, t in enumerate(by_distance, start=1)}
-    pos_y = {t: i for i, t in enumerate(by_yield, start=1)}
+    ids = np.arange(1, inst.n + 1)
+    ranks = np.arange(1.0, inst.n + 1)
+    pos_d, pos_y = np.empty((2, inst.n))
+    pos_d[np.lexsort((ids, -inst.dist[0, 1:]))] = ranks
+    pos_y[np.lexsort((ids, inst.yields[1:]))] = ranks
     w = distance_weight
-    blended = sorted(tasks, key=lambda t: (w * pos_d[t] + (1 - w) * pos_y[t], t))
-    return tuple(blended)
+    return tuple(ids[np.lexsort((ids, w * pos_d + (1 - w) * pos_y))].tolist())
 
 
 def construct_solution(

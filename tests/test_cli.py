@@ -222,6 +222,20 @@ class TestSolve:
         assert captured.err.startswith("error: ") and "finite" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_overflowing_distances_one_line_error(self, tmp_path, capsys, recwarn):
+        path = tmp_path / "far.vrp"
+        write_instance(path, n=3)
+        path.write_text(path.read_text().replace("2 10 0", "2 1e200 0").replace("3 20 0", "3 0 1e200"))
+        rc = main(["solve", str(path), "--budget-evals", "10"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the distance between the depot and task 1 is not finite: "
+            "their coordinates are too far apart\n"
+        )
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_config_unknown_key_one_line_error(self, tmp_path, capsys):
         write_instance(tmp_path / "c.vrp", n=2)
         cfg = tmp_path / "solver.json"

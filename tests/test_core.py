@@ -2,6 +2,7 @@ import math
 import mmap
 import pickle
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ from orchard_mtvrp.core import (
 from conftest import random_instance
 
 
+def assert_full_formula(coords):
+    """The matrix equals, bit for bit, the squares of every coordinate
+    difference summed over their last axis, rooted, with a zero diagonal."""
+    pts = np.asarray(coords, dtype=float)
+    n = len(pts)
+    expected = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(expected, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = build_distance_matrix(coords)
+    assert d.shape == (n, n) and d.dtype == np.float64
+    assert d.tobytes() == expected.tobytes()
+
+
 class TestDistanceMatrix:
     def test_three_four_five(self):
         d = build_distance_matrix([(0, 0), (3, 4)])
@@ -36,7 +51,7 @@ class TestDistanceMatrix:
         coords = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(8)]
         d = build_distance_matrix(coords)
         assert np.all(np.diag(d) == 0)
-        assert np.allclose(d, d.T)
+        assert np.array_equal(d, d.T)
 
     def test_unit_square_diagonal(self):
         d = build_distance_matrix([(0, 0), (1, 0), (0, 1)])
@@ -46,17 +61,49 @@ class TestDistanceMatrix:
         with pytest.raises(ConfigurationError):
             build_distance_matrix([])
 
-    # Below 128 points the matrix is on the heap, from 128 in a memory map.
-    @pytest.mark.parametrize("n", [1, 2, 65, 128, 300])
+    @pytest.mark.parametrize("coords", [[(0.0, 0.0, 0.0), (1.0, 2.0, 3.0)], [(0.0,), (1.0,)], [0.0, 1.0],
+                                        [(0.0, 0.0), (1.0,)], [(0.0, 0.0), ("x", 1.0)]])
+    def test_coordinates_not_pairs_rejected(self, coords):
+        with pytest.raises(ConfigurationError, match=r"\(x, y\) pairs"):
+            build_distance_matrix(coords)
+
+    # Below 128 points the matrix is on the heap, from 128 in a memory map;
+    # rows are built in blocks of 64.
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300, 966, 1500])
     def test_bit_equal_to_full_formula(self, n):
         rng = random.Random(n)
         coords = [(rng.uniform(0, 70), rng.uniform(0, 70)) for _ in range(n)]
-        pts = np.asarray(coords, dtype=float)
-        expected = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-        np.fill_diagonal(expected, 0.0)
-        d = build_distance_matrix(coords)
-        assert d.shape == (n, n) and d.dtype == np.float64
-        assert np.array_equal(d, expected)
+        assert_full_formula(coords)
+
+    @pytest.mark.parametrize("n", [65, 129, 966])
+    @pytest.mark.parametrize("kind", ["lattice", "negative", "wide"])
+    def test_bit_equal_on_ties_signs_and_wide_ranges(self, kind, n):
+        rng = random.Random(n)
+        draw = {
+            "lattice": lambda: 2.5 * rng.randint(0, 12),
+            "negative": lambda: rng.uniform(-70, 0),
+            "wide": lambda: rng.choice([-1, 1]) * rng.uniform(1, 10) * 10.0 ** rng.randint(-300, 149),
+        }[kind]
+        assert_full_formula([(draw(), draw()) for _ in range(n)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(min_value=-1e150, max_value=1e150)] * 2), min_size=1, max_size=20))
+    def test_bit_equal_on_small_inputs(self, coords):
+        assert_full_formula(coords)
+
+    @pytest.mark.parametrize("n", [4, 200])
+    def test_overflowing_distance_rejected_without_warning(self, n):
+        coords = [(0.0, 0.0)] * n
+        coords[1], coords[n - 1] = (1e200, 0.0), (0.0, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="distance between the depot and task 1 is not finite"):
+                build_distance_matrix(coords)
+            # Both differences are finite and so are their squares, but not
+            # the sum of the squares.
+            coords[1], coords[n - 1] = (1e154, 0.0), (0.0, 1e154)
+            with pytest.raises(ConfigurationError, match=f"between task 1 and task {n - 1} is not finite"):
+                build_distance_matrix(coords)
 
     @pytest.mark.parametrize("n", [3, 200])
     def test_read_only(self, n):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -35,6 +36,20 @@ def _instance(points, yields, capacity, weight=10.0):
     )
 
 
+def reference_composite_ranking(inst, distance_weight):
+    """The sort-based ranking: both orders sorted in Python with ties broken
+    by task id, then the blended positions. composite_ranking must give the
+    same tuple."""
+    tasks = list(inst.task_ids)
+    by_distance = sorted(tasks, key=lambda t: (-inst.dist[0, t], t))
+    by_yield = sorted(tasks, key=lambda t: (inst.yields[t], t))
+    pos_d = {t: i for i, t in enumerate(by_distance, start=1)}
+    pos_y = {t: i for i, t in enumerate(by_yield, start=1)}
+    w = distance_weight
+    blended = sorted(tasks, key=lambda t: (w * pos_d[t] + (1 - w) * pos_y[t], t))
+    return tuple(blended)
+
+
 def reference_construct_solution(ranking, distance_weight, inst):
     """The sort-based construction: both orders are rebuilt in Python at
     every pick, with ties broken by task id. construct_solution must give
@@ -66,6 +81,16 @@ def reference_construct_solution(ranking, distance_weight, inst):
     return GiantSolution(trips)
 
 
+# Grid points repeat distances (and may coincide); yields are drawn from a
+# few non-integer values, or freely, so both sort keys have ties.
+_TIED_YIELDS = st.sampled_from([0.5, 1.25, 2.5, 2.75, 3.0])
+_TASK = st.tuples(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+    st.one_of(_TIED_YIELDS, st.floats(min_value=0.1, max_value=3.0)),
+)
+
+
 class TestCompositeRanking:
     def setup_method(self):
         # (d, q) = (10, 5), (5, 9), (1, 1)
@@ -93,6 +118,28 @@ class TestCompositeRanking:
         )
         assert composite_ranking(inst, 1.0) == (1, 2)
         assert composite_ranking(inst, 0.0) == (1, 2)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("spec", [OrchardSpec(20, 100, 0.6, seed=42), OrchardSpec(40, 400, 0.8, seed=1),
+                                      OrchardSpec(70, 1225, 0.8, seed=1)])
+    def test_matches_reference_on_orchards(self, spec, grid):
+        """Integer yields tie on every orchard, and on lattices many depot
+        distances tie too."""
+        inst = generate_orchard(dataclasses.replace(spec, grid=grid))
+        for w in [j / 9 for j in range(10)] + [0.5, 0.25, 0, 1]:
+            ranking = composite_ranking(inst, w)
+            assert ranking == reference_composite_ranking(inst, w)
+            assert all(type(t) is int for t in ranking)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_TASK, min_size=1, max_size=14), st.floats(min_value=0.0, max_value=1.0))
+    def test_matches_reference_with_ties(self, tasks, w):
+        inst = _instance(
+            points=[(float(x), float(y)) for x, y, _ in tasks],
+            yields=[q for _, _, q in tasks],
+            capacity=3.0,
+        )
+        assert composite_ranking(inst, w) == reference_composite_ranking(inst, w)
 
 
 class TestConstructSolution:
@@ -175,16 +222,6 @@ class TestInitPopulation:
         inst = random_instance(rng, 4)
         with pytest.raises(ConfigurationError):
             init_population(inst, 0)
-
-
-# Grid points repeat distances (and may coincide); yields are drawn from a
-# few non-integer values, or freely, so both sort keys have ties.
-_TIED_YIELDS = st.sampled_from([0.5, 1.25, 2.5, 2.75, 3.0])
-_TASK = st.tuples(
-    st.integers(min_value=-3, max_value=3),
-    st.integers(min_value=-3, max_value=3),
-    st.one_of(_TIED_YIELDS, st.floats(min_value=0.1, max_value=3.0)),
-)
 
 
 class TestMatchesReference:
