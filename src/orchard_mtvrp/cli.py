@@ -39,6 +39,8 @@ SUITE_SIZES = ((20, 100), (30, 225), (40, 400), (50, 625), (60, 900), (70, 1225)
 # paper18 as ((side, trees), maturity), in generation order
 PAPER18 = tuple(itertools.product(SUITE_SIZES, (0.4, 0.6, 0.8)))
 
+WILCOXON_TOL = 0.005  # stats --tol default
+
 # bench methods: the SolverConfig fields each sets beside the bench flags
 METHODS = {"aedga": {}, "aedga-randinit": {"init": "random"}, "aedga-noclsm": {"use_clsm": False}}
 
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--matrix", type=Path, required=True)
     p_stats.add_argument("--test", choices=["wilcoxon", "friedman"], default="wilcoxon")
     p_stats.add_argument("--baseline", help="baseline column (wilcoxon)")
-    p_stats.add_argument("--tol", type=float, default=0.005, help="relative '=' tolerance")
+    p_stats.add_argument("--tol", type=float, default=WILCOXON_TOL, help="relative '=' tolerance (wilcoxon)")
     p_stats.add_argument("--out", type=Path, help="prefix for report CSV and Markdown")
     p_stats.set_defaults(func=cmd_stats)
 
@@ -317,16 +319,32 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_INFEASIBLE if result.status == "infeasible" else EXIT_OK
 
 
-def _method_config(method: str, args: argparse.Namespace, seed: int) -> SolverConfig:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
-    flags = {name: getattr(args, name) for name in ("population", "budget_evals", "budget_seconds")}
-    return SolverConfig(seed=seed, **flags, **METHODS[method])
+def _method_fields(method: str) -> tuple[dict, float | None]:
+    """The SolverConfig fields `method` sets beside the bench flags, and the
+    share of a bounded method `<framework>/<robots>/<share>` (else None). Its
+    energy bound is share * z / robots, the operations `scheduler.thresholds`
+    uses, with z the mean best energy of the instance's `aedga` runs."""
+    if method in METHODS:
+        return METHODS[method], None
+    try:
+        framework, robots, share = method.split("/")
+        fields = {"framework": Framework(framework), "robots": int(robots)}
+        share = float(share)
+        SolverConfig(**fields, energy_bound=share)  # robots >= 1 and share > 0
+        if math.isfinite(share):
+            return fields, share
+    except ValueError:
+        pass
+    raise ValueError(
+        f"unknown method {method!r}; expected one of {tuple(METHODS)} or <framework>/<robots>/<share>"
+        f" with a framework of {', '.join(f.value for f in Framework)}, robots >= 1 and a finite share > 0"
+    )
 
 
 def _bench_job(job: tuple[str, SolverConfig]) -> float:
     inst_path, cfg = job
-    return run_aedga(_load_instance(Path(inst_path)), cfg).best_energy
+    result = run_aedga(_load_instance(Path(inst_path)), cfg)
+    return result.best_energy if result.status == "ok" else math.inf
 
 
 def _max_workers() -> int:
@@ -350,24 +368,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods or len(set(methods)) < len(methods):
         raise ValueError(f"--methods must name each method once, got {args.methods!r}")
-    runs = [(p, m, args.seed + i) for p in paths for m in methods for i in range(args.runs)]
-    jobs = [(path, _method_config(method, args, seed)) for path, method, seed in runs]
-    _check_out_dir(args.out)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    specs = {method: _method_fields(method) for method in methods}
+    bounded = {method: spec for method, spec in specs.items() if spec[1] is not None}
+    unbounded = [method for method in methods if method not in bounded]
+    if bounded and "aedga" not in unbounded:
+        unbounded.append("aedga")  # the runs z comes from
+    flags = {name: getattr(args, name) for name in ("population", "budget_evals", "budget_seconds")}
+    seeds = [args.seed + i for i in range(args.runs)]
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_bench_job, jobs))
-    else:
-        outcomes = [_bench_job(job) for job in jobs]
-    results: dict[tuple[str, str], list[float]] = {}
-    failures = 0
-    for (inst_path, method, seed), energy in zip(runs, outcomes):
-        if energy == math.inf:
-            failures += 1
-            print(f"warning: infeasible run {inst_path} {method} seed={seed}", file=sys.stderr)
-            continue
-        results.setdefault((inst_path, method), []).append(energy)
+    def solve(cells: dict[tuple[str, str], dict]) -> dict[tuple[str, str], list[float]]:
+        """The best energies of each (instance, method) cell, one per seed."""
+        jobs = [(path, SolverConfig(seed=seed, **flags, **fields))
+                for (path, _), fields in cells.items() for seed in seeds]
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                energies = list(pool.map(_bench_job, jobs))
+        else:
+            energies = [_bench_job(job) for job in jobs]
+        runs = len(seeds)
+        return {cell: energies[k * runs:(k + 1) * runs] for k, cell in enumerate(cells)}
+
+    _check_out_dir(args.out)
+    results = solve({(path, method): METHODS[method] for path in paths for method in unbounded})
+    if bounded:
+        z = {path: statistics.fmean(results[path, "aedga"]) for path in paths}
+        results |= solve({
+            (path, method): {**fields, "energy_bound": share * z[path] / fields["robots"]}
+            for path in paths for method, (fields, share) in bounded.items()
+        })
 
     with args.out.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -375,27 +405,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for path in paths:
             row: list[str] = [Path(path).stem]
             for method in methods:
-                values = results.get((path, method))
-                if not values:
-                    row.append("")
-                    continue
-                mean = statistics.fmean(values)
-                std = statistics.pstdev(values)
-                row.append(f"{mean:.6e} ({std:.6e})")
+                values = results[path, method]
+                row.append("inf" if math.inf in values else
+                           f"{statistics.fmean(values):.6e} ({statistics.pstdev(values):.6e})")
             writer.writerow(row)
     print(args.out)
-    if failures:
-        print(f"warning: {failures} runs excluded", file=sys.stderr)
     return EXIT_OK
 
 
-def _parse_cell(cell: str) -> float:
-    cell = cell.strip()
-    if "(" in cell:
-        cell = cell.split("(", 1)[0].strip()
-    if cell.lower() in ("inf", "infeasible"):
+def _parse_cell(cell: str, where: str) -> float:
+    number = cell.split("(", 1)[0].strip()
+    if number.lower() in ("inf", "infeasible"):
         return math.inf
-    return float(cell)
+    try:
+        return float(number)
+    except ValueError:
+        raise ValueError(f"{where}: {cell!r} is not a number") from None
 
 
 def read_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
@@ -410,17 +435,28 @@ def read_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
             raise ValueError(
                 f"matrix {path} line {line} has {len(row)} cells, the header {len(header)}"
             )
-    values = [[_parse_cell(c) for c in r[1:]] for r in rows[1:]]
+    values = [
+        [_parse_cell(cell, f"matrix {path} line {line}, column {column}")
+         for column, cell in zip(header[1:], row[1:])]
+        for line, row in enumerate(rows[1:], start=2)
+    ]
     return header[1:], values
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     methods, values = read_matrix(args.matrix)
+    ignored = [flag for flag, given in (("--baseline", args.baseline is not None),
+                                        ("--tol", args.tol != WILCOXON_TOL)) if given]
+    if args.test == "friedman" and ignored:
+        raise ValueError(
+            f"friedman reads neither --baseline nor --tol, so {', '.join(ignored)} would be ignored")
     if args.test == "wilcoxon":
         if not args.baseline:
             raise ValueError("wilcoxon needs --baseline")
         if args.baseline not in methods:
             raise ValueError(f"baseline column {args.baseline!r} not in {methods}")
+        if len(methods) < 2:
+            raise ValueError(f"wilcoxon needs a column beside the baseline {args.baseline!r}")
         base_idx = methods.index(args.baseline)
         base = [row[base_idx] for row in values]
         rows = [["VS", "R+", "R-", "Asymptotic P-value", "+", "-", "="]]

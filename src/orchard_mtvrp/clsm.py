@@ -180,7 +180,8 @@ def choose_target_trip(separations: Sequence[float]) -> int | None:
 def far_cluster(split: ClusterSplit, trip: Sequence[int], depot: tuple[float, float]) -> tuple[float, float]:
     """The centroid of the cluster of `split`, the k-means split of `trip`'s
     points, that lies farther from the depot; exact ties go to the cluster
-    whose tasks have the larger id sum."""
+    whose tasks have the larger id sum, and a tie on both to the second
+    cluster (`centroid_b`)."""
     d_a = math.dist(split.centroid_a, depot)
     d_b = math.dist(split.centroid_b, depot)
     if d_a == d_b:

@@ -1,5 +1,6 @@
 import csv
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from orchard_mtvrp import cli
 from orchard_mtvrp.cli import main
 from orchard_mtvrp.core import Instance
-from orchard_mtvrp.instances import emit_instance
+from orchard_mtvrp.evolution import run_aedga
+from orchard_mtvrp.instances import emit_instance, parse_instance
 from orchard_mtvrp.oracle import exact_route_generation
+from orchard_mtvrp.scheduler import Framework, thresholds
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -462,6 +465,63 @@ class TestBench:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["Fr4/8/1.5", "fr1/8/1.5", "Fr1/0/1.5", "Fr1/8/0",
+                                        "Fr1/8/nan", "Fr1/8/inf", "Fr1/8"])
+    def test_malformed_bounded_method_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                                method):
+        write_instance(tmp_path / "u.vrp", n=3)
+        solves = []
+        monkeypatch.setattr(cli, "run_aedga", lambda *args: solves.append(args))
+        out = tmp_path / "u.csv"
+        rc = main(["bench", "--instances", str(tmp_path / "u.vrp"), "--methods", f"aedga,{method}",
+                   "--runs", "1", "--budget-evals", "10", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and repr(method) in captured.err
+        assert captured.err.count("\n") == 1
+        assert solves == []
+        assert not out.exists()
+
+    def test_bounded_method_bound_is_the_threshold_of_the_aedga_mean(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        write_instance(tmp_path / "z.vrp", n=4)
+        configs = []
+
+        def recording_run(inst, cfg):
+            configs.append(cfg)
+            return run_aedga(inst, cfg)
+
+        monkeypatch.setattr(cli, "run_aedga", recording_run)
+        out = tmp_path / "z.csv"
+        rc = main(["bench", "--instances", str(tmp_path / "z.vrp"), "--methods", "Fr2/2/1.7",
+                   "--runs", "2", "--seed", "3", "--budget-evals", "30", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        unbounded, bounded = configs[:2], configs[2:]
+        assert [cfg.seed for cfg in configs] == [3, 4, 3, 4]
+        assert all(cfg.robots is None for cfg in unbounded)
+        inst = parse_instance((tmp_path / "z.vrp").read_text())
+        z = statistics.fmean(run_aedga(inst, cfg).best_energy for cfg in unbounded)
+        assert [(cfg.framework, cfg.robots, cfg.energy_bound) for cfg in bounded] == [
+            (Framework.FR2, 2, thresholds(z, 2)[1])] * 2
+        assert list(csv.reader(out.open()))[0] == ["instance", "Fr2/2/1.7"]
+
+    def test_infeasible_cell_reads_inf_and_ranks_last(self, tmp_path, capsys):
+        for i in range(3):
+            write_instance(tmp_path / f"i{i}.vrp", n=3 + i)
+        out = tmp_path / "i.csv"
+        rc = main(["bench", "--instances", str(tmp_path / "*.vrp"), "--methods", "aedga,Fr1/1/0.01",
+                   "--runs", "2", "--budget-evals", "20", "--out", str(out)])
+        assert rc == 0
+        rows = list(csv.reader(out.open()))
+        assert [row[2] for row in rows[1:]] == ["inf"] * 3
+        assert all("(" in row[1] for row in rows[1:])
+        capsys.readouterr()
+        rc = main(["stats", "--matrix", str(out), "--test", "friedman"])
+        assert rc == 0
+        report = capsys.readouterr().out
+        assert "| aedga | 1.0000 |" in report and "| Fr1/1/0.01 | 2.0000 |" in report
+
 
 class TestStats:
     def test_reference_fixture_row(self, capsys):
@@ -528,6 +588,38 @@ class TestStats:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "line 8" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_empty_cell_one_line_error_naming_its_place(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("instance,a,b\np1,1.0,\np2,2.0,3.0\n")
+        rc = main(["stats", "--matrix", str(matrix), "--test", "friedman"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: matrix {matrix} line 2, column b: '' is not a number\n"
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--baseline", "zzz"], "--baseline"),
+        (["--tol", "0.3"], "--tol"),
+        (["--baseline", "zzz", "--tol", "0.3"], "--baseline, --tol"),
+    ])
+    def test_friedman_with_wilcoxon_flags_one_line_error(self, capsys, flags, named):
+        rc = main(["stats", "--matrix", str(FIXTURES / "rg_means.csv"), "--test", "friedman", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"so {named} would be ignored" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_wilcoxon_without_a_column_beside_the_baseline_one_line_error(self, tmp_path, capsys):
+        matrix = tmp_path / "one.csv"
+        matrix.write_text("instance,a\np1,1.0\np2,2.0\n")
+        rc = main(["stats", "--matrix", str(matrix), "--test", "wilcoxon", "--baseline", "a"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "beside the baseline" in captured.err
         assert captured.err.count("\n") == 1
 
     def test_report_files_written(self, tmp_path, capsys):
@@ -641,7 +733,8 @@ class TestStatsNonFinite:
             for i in range(5):
                 writer.writerow([i, 10.0 + i, 11.0 + i])
             writer.writerow(["p6", "nan", 12.0])
-        rc = main(["stats", "--matrix", str(matrix), "--test", test, "--baseline", "a"])
+        baseline = ["--baseline", "a"] if test == "wilcoxon" else []
+        rc = main(["stats", "--matrix", str(matrix), "--test", test, *baseline])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -346,6 +346,12 @@ class TestChooseCandidateTrip:
         remapped = ClusterSplit((1,), (4,), (0.0, 5.0), (5.0, 0.0), 5.0)
         assert far_cluster_reference(remapped, (0.0, 0.0)) == ((4,), (5.0, 0.0))
 
+    def test_far_cluster_double_tie_goes_to_the_second_cluster(self):
+        # trip (1, 2, 3, 4) split into positions (0, 3) and (1, 2): both
+        # centroids lie 5 from the depot and both id sums are 5
+        split = ClusterSplit((0, 3), (1, 2), (3.0, 4.0), (4.0, 3.0), 1.0)
+        assert far_cluster(split, (1, 2, 3, 4), (0.0, 0.0)) == (4.0, 3.0)
+
 
 class TestRecombine:
     def test_pool_of_two_forced_split(self):
