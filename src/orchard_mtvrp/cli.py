@@ -445,6 +445,8 @@ def read_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     methods, values = read_matrix(args.matrix)
+    if not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     ignored = [flag for flag, given in (("--baseline", args.baseline is not None),
                                         ("--tol", args.tol != WILCOXON_TOL)) if given]
     if args.test == "friedman" and ignored:

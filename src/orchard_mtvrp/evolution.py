@@ -70,14 +70,11 @@ def selection_probabilities(archive: Archive) -> tuple[float, ...]:
 def eass_select(
     population: Sequence[Individual],
     archive: Archive,
-    generation: int,
     rng: random.Random,
-) -> tuple[Individual, int | None]:
-    """Pick the local search target. The first generation always takes the
-    incumbent best; afterwards a window width is sampled by the archive
-    probabilities and a uniform pick is made among the top of that window."""
-    if generation <= 1:
-        return population[0], None
+) -> tuple[Individual, int]:
+    """Pick the local search target and the index of its window: a window
+    width is sampled by the archive probabilities and a uniform pick is made
+    among the top of that window."""
     # Roulette: the first window whose running total reaches the spin.
     running = list(itertools.accumulate(selection_probabilities(archive)))
     index = min(bisect.bisect_left(running, rng.random()), len(running) - 1)
@@ -87,8 +84,10 @@ def eass_select(
     return population[rng.randrange(k)], index
 
 
-def update_archive(archive: Archive, range_index: int | None, improved_best: bool) -> Archive:
-    if range_index is None or not improved_best:
+def update_archive(archive: Archive, range_index: int, improved_best: bool) -> Archive:
+    """One more success for window `range_index` when the search improved
+    the best."""
+    if not improved_best:
         return archive
     counts = list(archive.counts)
     counts[range_index] += 1
@@ -398,9 +397,6 @@ def _survival_cutoff(pop: Sequence[Individual], population: int) -> float:
     return worst * (1 + _SURVIVAL_MARGIN)
 
 
-_UNSEEN = object()
-
-
 class _Memo:
     """The individuals scored from the last `size` distinct scoring inputs,
     least recently used first out, keyed on the input and never on the
@@ -419,32 +415,33 @@ class _Memo:
         self.size = size
         self.entries: dict[GiantSolution | bytes, Individual | tuple | None] = {}
 
-    @staticmethod
-    def key(given: ScoringInput) -> GiantSolution | bytes:
-        return given if isinstance(given, GiantSolution) else array.array("i", given).tobytes()
-
-    def __contains__(self, given: ScoringInput) -> bool:
-        return self.key(given) in self.entries
-
-    def get(self, given: ScoringInput, fresh: Callable[[ScoringInput], Individual | None]) -> Individual | None:
-        """The individual scored from `given`, or None for a skip, from
-        `fresh(given)` unless held."""
-        key = self.key(given)
-        entry = self.entries.pop(key, _UNSEEN)
-        if entry is _UNSEEN:
-            if len(self.entries) >= self.size:
-                del self.entries[next(iter(self.entries))]
-            ind = entry = fresh(given)
-            if ind is not None and key is not given:
-                entry = (tuple(map(len, ind.solution.trips)), ind.energy, ind.schedule)
-        elif isinstance(entry, tuple):
-            tasks = iter(given)
-            trips = tuple(tuple(itertools.islice(tasks, k)) for k in entry[0])
-            ind = Individual(GiantSolution.trusted(trips, given), *entry[1:])
-        else:
-            ind = entry
-        self.entries[key] = entry
-        return ind
+    def __call__(
+        self, inputs: Sequence[ScoringInput], score: Callable[[list[ScoringInput]], list[Individual | None]]
+    ) -> list[Individual | None]:
+        """The individual scored from each input, in order, or None for a
+        skip: held ones from the memo, the distinct others from one
+        `score(new)` call, which returns one result per input of `new`. The
+        memo is trimmed to `size` once, after the batch, so no input of the
+        batch is dropped before it is read."""
+        entries = self.entries
+        keys = [given if isinstance(given, GiantSolution) else array.array("i", given).tobytes()
+                for given in inputs]
+        new = {key: given for key, given in zip(keys, inputs) if key not in entries}
+        fresh = dict(zip(new, score(list(new.values()))))
+        for key, ind in fresh.items():
+            compact = ind is not None and isinstance(key, bytes)
+            entries[key] = (tuple(map(len, ind.solution.trips)), ind.energy, ind.schedule) if compact else ind
+        out = []
+        for key, given in zip(keys, inputs):
+            entry = entries[key] = entries.pop(key)
+            if isinstance(entry, tuple) and key not in fresh:
+                tasks = iter(given)
+                trips = tuple(tuple(itertools.islice(tasks, k)) for k in entry[0])
+                entry = Individual(GiantSolution.trusted(trips, given), *entry[1:])
+            out.append(fresh.get(key, entry))
+        while len(entries) > self.size:
+            del entries[next(iter(entries))]
+        return out
 
 
 def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
@@ -483,19 +480,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     memo = _Memo(_MEMO_GENERATIONS * (cfg.population + 1))
     trip_cache = TripCache()  # CLSM's work per trip, shared by every step
 
-    def fresh_score(given: ScoringInput, cutoff: float, splits: dict) -> Individual | None:
-        if isinstance(given, GiantSolution):
-            sol = given
-            check_cover(sol.task_sequence(), inst)
-            energies = charged_energies(sol.trips, inst, trip_cache)
-        else:
-            split = splits.pop(given, _UNSEEN)
-            if split is _UNSEEN:  # held when the batch was formed, dropped since
-                check_cover(given, inst)
-                split = _resplit([given], inst, cutoff, trip_cache)[0]
-            if split is None:
-                return None
-            sol, energies = split
+    def scored(sol: GiantSolution, energies: list[float]) -> Individual:
         if framework is None:
             return Individual(sol, math.fsum(energies))
         return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework, energies)
@@ -503,19 +488,27 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     def score_all(inputs: Sequence[ScoringInput], cutoff: float = math.inf) -> list[Individual | None]:
         """One counted evaluation per input, in order, whether or not the
         memo holds its result; None for a permutation whose split energy
-        lies above `cutoff`. The distinct permutations the memo does not
-        hold are split first, in one batch."""
+        lies above `cutoff`. The memo hands the distinct inputs it does not
+        hold to `score_new`, which checks their cover, splits their
+        permutations in one `_resplit` batch and prices their solutions."""
         nonlocal evals
-        perms = list(dict.fromkeys(
-            given for given in inputs if not isinstance(given, GiantSolution) and given not in memo))
-        for perm in perms:
-            check_cover(perm, inst)
-        splits = dict(zip(perms, _resplit(perms, inst, cutoff, trip_cache))) if perms else {}
-        out = []
-        for given in inputs:
-            evals += 1
-            out.append(memo.get(given, lambda key: fresh_score(key, cutoff, splits)))
-        return out
+        evals += len(inputs)
+
+        def score_new(new: list[ScoringInput]) -> list[Individual | None]:
+            for given in new:
+                check_cover(given.task_sequence() if isinstance(given, GiantSolution) else given, inst)
+            perms = [given for given in new if not isinstance(given, GiantSolution)]
+            splits = iter(_resplit(perms, inst, cutoff, trip_cache) if perms else ())
+            out: list[Individual | None] = []
+            for given in new:
+                if isinstance(given, GiantSolution):
+                    out.append(scored(given, charged_energies(given.trips, inst, trip_cache)))
+                else:
+                    split = next(splits)
+                    out.append(None if split is None else scored(*split))
+            return out
+
+        return memo(inputs, score_new)
 
     def fresh_population() -> list[Individual]:
         if cfg.init == "random":
@@ -559,7 +552,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         and evals - last_improvement_eval < patience
     ):
         generation += 1
-        target, range_index = eass_select(pop, archive, generation, rng)
+        target, range_index = eass_select(pop, archive, rng)
         if cfg.use_clsm:
             searched = clsm_step(target.solution, inst, cfg.intensity, cfg.population, rng, trip_cache)
         else:

@@ -612,6 +612,15 @@ class TestStats:
         assert captured.err.startswith("error: ") and f"so {named} would be ignored" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tolerance_not_finite_and_nonnegative_one_line_error(self, capsys, tol):
+        rc = main(["stats", "--matrix", str(FIXTURES / "rg_means.csv"), "--test", "wilcoxon",
+                   "--baseline", "AEDGA", f"--tol={tol}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --tol must be a finite number >= 0, got {float(tol)}\n"
+
     def test_wilcoxon_without_a_column_beside_the_baseline_one_line_error(self, tmp_path, capsys):
         matrix = tmp_path / "one.csv"
         matrix.write_text("instance,a\np1,1.0\np2,2.0\n")

@@ -78,18 +78,11 @@ def _fake_population(energies):
 
 
 class TestEassSelect:
-    def test_first_generation_takes_best(self):
-        pop = _fake_population([1.0, 2.0, 3.0])
-        archive = Archive.fresh(0.6, 10)
-        ind, idx = eass_select(pop, archive, 1, random.Random(0))
-        assert ind is pop[0]
-        assert idx is None
-
     def test_smallest_window_is_elitist(self):
         pop = _fake_population(sorted(range(10)))
         archive = Archive(ranges=(0.1,), counts=(0,), smoothing=0.1)
         for seed in range(20):
-            ind, idx = eass_select(pop, archive, 2, random.Random(seed))
+            ind, idx = eass_select(pop, archive, random.Random(seed))
             assert ind is pop[0]
             assert idx == 0
 
@@ -101,7 +94,7 @@ class TestEassSelect:
             smoothing=0.1,
         )
         rng = random.Random(42)
-        hits = sum(1 for _ in range(10_000) if eass_select(pop, archive, 2, rng)[1] == 1)
+        hits = sum(1 for _ in range(10_000) if eass_select(pop, archive, rng)[1] == 1)
         assert hits / 10_000 > 0.6
         assert hits / 10_000 == pytest.approx(10 / 15, abs=0.02)
 
@@ -109,7 +102,7 @@ class TestEassSelect:
         pop = _fake_population(sorted(range(10)))
         archive = Archive(ranges=(0.3,), counts=(0,), smoothing=0.1)
         rng = random.Random(7)
-        picked = {eass_select(pop, archive, 2, rng)[0].energy for _ in range(200)}
+        picked = {eass_select(pop, archive, rng)[0].energy for _ in range(200)}
         assert picked == {0, 1, 2}
 
 
@@ -122,10 +115,6 @@ class TestUpdateArchive:
     def test_no_improvement_no_change(self):
         archive = Archive.fresh(0.6, 10)
         assert update_archive(archive, 1, False).counts == archive.counts
-
-    def test_sentinel_no_change(self):
-        archive = Archive.fresh(0.6, 10)
-        assert update_archive(archive, None, True).counts == archive.counts
 
 
 class SelfSwap(random.Random):

@@ -141,19 +141,19 @@ def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
     """Each counted evaluation either takes the memo's result, with no
     scoring, or scores its input once: one `charged_energies` (which prices
     the trips from the run's trip cache) for a solution; one split for a
-    permutation, made in its generation's `_resplit` batch or, when the memo
-    dropped it after the batch was formed, alone. A split prices the trips
-    it keeps with one `charged_energies`, and none when its program's total
-    already skips it. An input is scored only when it is not among the
-    memo's most recently used ones."""
-    calls = {"price": 0, "split": 0}
+    permutation, made in the one `_resplit` batch of its memo call. A split
+    prices the trips it keeps with one `charged_energies`, and none when its
+    program's total already skips it. A memo call hands its scoring callback
+    the distinct inputs that are not among the memo's most recently used
+    ones, and the memo is trimmed once, after the call."""
+    calls = {"price": 0, "split": 0, "batch": 0}
     split_perms: Counter = Counter()  # splits per permutation
     split_prices: Counter = Counter()  # pricings inside a split, per permutation
-    batches = 0
-    splitting_now = False
+    scoring_now = splitting_now = False
     price, split = evolution.charged_energies, evolution._resplit
 
     def pricing(trips, inst, cache):
+        assert scoring_now
         if splitting_now:
             split_prices[tuple(itertools.chain.from_iterable(trips))] += 1
         else:
@@ -161,8 +161,9 @@ def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
         return price(trips, inst, cache)
 
     def splitting(perms, inst, cutoff=math.inf, cache=None):
-        nonlocal batches, splitting_now
-        batches += 1
+        nonlocal splitting_now
+        assert scoring_now  # every split comes from a memo call's batch
+        calls["batch"] += 1
         splitting_now = True
         out = split(perms, inst, cutoff, cache)
         splitting_now = False
@@ -175,43 +176,53 @@ def test_fr1_counts_a_memo_hit_or_one_scoring_per_evaluation(monkeypatch):
     log: list[tuple] = []
 
     class Recording(evolution._Memo):
-        def get(self, key, fresh):
+        def __call__(self, inputs, score):
+            handed: list = []
+
+            def recording(new):
+                nonlocal scoring_now
+                handed.append(list(new))
+                scoring_now = True
+                out = score(new)
+                scoring_now = False
+                return out
+
             before = dict(calls)
-            ind = super().get(key, fresh)
-            log.append((key, ind, calls["price"] - before["price"], calls["split"] - before["split"]))
-            return ind
+            out = super().__call__(inputs, recording)
+            assert len(handed) == 1
+            log.append((list(inputs), out, handed[0], {k: calls[k] - before[k] for k in calls}))
+            return out
 
     monkeypatch.setattr(evolution, "_Memo", Recording)
     z = float(json.loads(GOLDEN.read_text())["default"]["best_energy"])
     out = _solve(generate_orchard(SPEC), z, CONFIGS[REPAIR_CONFIG])
-    assert len(log) == out["evaluations"]
+    assert sum(len(inputs) for inputs, *_ in log) == out["evaluations"]
     size = evolution._MEMO_GENERATIONS * (SolverConfig.population + 1)
     held: OrderedDict = OrderedDict()
     hits = 0
     scored_perms: Counter = Counter()
     kept_perms: Counter = Counter()
-    for key, ind, prices, splits in log:
-        if key in held:
-            hits += 1
-            assert (prices, splits) == (0, 0)
-            held.move_to_end(key)
-        else:
-            if isinstance(key, GiantSolution):
-                assert (prices, splits) == (1, 0)
-            else:
-                assert prices == 0 and splits <= 1
-                scored_perms[key] += 1
-                kept_perms[key] += ind is not None
-            held[key] = None
-            if len(held) > size:
-                held.popitem(last=False)
-    assert 0 < hits < len(log)
+    for inputs, results, new, spent in log:
+        assert new == list(dict.fromkeys(given for given in inputs if given not in held))
+        hits += sum(given in held for given in inputs)
+        solutions = [given for given in new if isinstance(given, GiantSolution)]
+        perms = [given for given in new if not isinstance(given, GiantSolution)]
+        assert spent == {"price": len(solutions), "split": len(perms), "batch": int(bool(perms))}
+        for perm in perms:
+            scored_perms[perm] += 1
+            kept_perms[perm] += results[inputs.index(perm)] is not None
+        for given in inputs:
+            held[given] = None
+            held.move_to_end(given)
+        while len(held) > size:
+            held.popitem(last=False)
+    assert 0 < hits < out["evaluations"]
     # Every split serves exactly one scoring of its permutation, and prices
     # what it keeps once.
     assert split_perms == scored_perms
     for perm, count in split_perms.items():
         assert kept_perms[perm] <= split_prices[perm] <= count
-    assert batches < sum(split_perms.values())  # splits are batched
+    assert sum(spent["batch"] for *_, spent in log) < sum(split_perms.values())  # splits are batched
 
 
 @pytest.mark.parametrize("name", ["default", REPAIR_CONFIG])

@@ -93,18 +93,20 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
         return cutoff(pop, population)
 
     class CheckingMemo(evolution._Memo):
-        def get(self, given, score):
-            scored = []
-            ind = super().get(given, lambda key: scored.append(key) or score(key))
-            if ind is None:
-                # A skip verdict, first or held: scored, it would lose to every parent.
-                assert not isinstance(given, GiantSolution)
-                assert fresh(given).energy > max(p.energy for p in parents)
-                checked["skipped"] += 1
-            elif not scored:
-                assert ind == fresh(given)
-                checked["hits"] += 1
-            return ind
+        def __call__(self, inputs, score):
+            scored: list = []
+            out = super().__call__(inputs, lambda new: scored.extend(new) or score(new))
+            assert len(out) == len(inputs)
+            for given, ind in zip(inputs, out):
+                if ind is None:
+                    # A skip verdict, first or held: scored, it would lose to every parent.
+                    assert not isinstance(given, GiantSolution)
+                    assert fresh(given).energy > max(p.energy for p in parents)
+                    checked["skipped"] += 1
+                elif given not in scored:
+                    assert ind == fresh(given)
+                    checked["hits"] += 1
+            return out
 
     def checking_split(perms, inst, cutoff=math.inf, cache=None):
         batch = split(perms, inst, cutoff, cache)
@@ -157,7 +159,9 @@ def test_checked_runs_give_the_same_result(monkeypatch, inst):
     plain one does."""
     cfg = _config(inst, "Fr1-0.6", "ilbim", 0)
     plain = run_aedga(inst, cfg)
-    assert _checked_run(monkeypatch, inst, cfg)[0] == plain
+    result, checked = _checked_run(monkeypatch, inst, cfg)
+    assert result == plain
+    assert checked["hits"] > 0 and checked["splits"] > 0  # the checks ran
 
 
 @pytest.mark.parametrize("name", ["unbounded", *BOUNDED])
@@ -166,17 +170,21 @@ def test_skipping_offspring_keeps_the_answers(monkeypatch, inst, name):
     run ends where the default one does."""
     skipped = 0
 
+    calls = 0
+
     class CountingMemo(evolution._Memo):
-        def get(self, given, score):
-            nonlocal skipped
-            ind = super().get(given, score)
-            skipped += ind is None
-            return ind
+        def __call__(self, inputs, score):
+            nonlocal calls, skipped
+            out = super().__call__(inputs, score)
+            calls += 1
+            skipped += out.count(None)
+            return out
 
     runs = [(init, seed) for init in ("ilbim", "random") for seed in SEEDS]
     with monkeypatch.context() as patched:
         patched.setattr(evolution, "_Memo", CountingMemo)
         default = [run_aedga(inst, _config(inst, name, init, seed)) for init, seed in runs]
+    assert calls > 0
     assert (skipped > 0) == any((name, init) in SKIPPING for init, _ in runs)
     monkeypatch.setattr(evolution, "_survival_cutoff", lambda pop, population: math.inf)
     assert [run_aedga(inst, _config(inst, name, init, seed)) for init, seed in runs] == default
@@ -273,34 +281,49 @@ def test_a_solution_that_is_not_the_task_ids_is_rejected(monkeypatch, inst):
         run_aedga(inst, cfg)
 
 
-@pytest.mark.parametrize("name", ["unbounded", "Fr1-0.6"])
-def test_an_input_dropped_after_its_batch_formed_is_split_alone(monkeypatch, inst, name):
-    """A generation splits the permutations its memo does not hold in one
-    batch. One the memo held then but dropped before its turn is split
-    alone, when it is scored, and answers stay those of the default memo:
-    with one generation of memo, this happens in every run here."""
+@pytest.mark.parametrize("name", ["unbounded", *BOUNDED])
+def test_the_memo_size_leaves_the_answers(monkeypatch, inst, name):
+    """When the memo drops an entry changes no answer, since scoring is
+    deterministic and draws nothing: with no memo beyond the batch, and with
+    one generation of it, every run ends where the default one does. Every
+    split is made by `score_all`'s scoring callback, at most once per memo
+    call, and a smaller memo splits more."""
     runs = [_config(inst, name, init, seed) for init in ("ilbim", "random") for seed in SEEDS]
-    default = [run_aedga(inst, cfg) for cfg in runs]
     split = evolution._resplit
-    batches = alone = 0
+    splits = batches = 0
 
     def splitting(perms, inst, cutoff=math.inf, cache=None):
-        nonlocal batches, alone
-        # `score_all` splits a generation's batch, `fresh_score` a dropped input.
-        caller = sys._getframe(1).f_code.co_name
-        assert caller in ("score_all", "fresh_score")
-        batches += caller == "score_all"
-        alone += caller == "fresh_score"
-        assert caller == "score_all" or len(perms) == 1
+        nonlocal splits, batches
+        caller = sys._getframe(1)
+        assert caller.f_code.co_name == "score_new"
+        while caller.f_code.co_name != "score_all":  # the memo's call, in between
+            caller = caller.f_back
+            assert caller.f_code.co_name in ("__call__", "score_all")
+        splits += len(perms)
+        batches += 1
         return split(perms, inst, cutoff, cache)
 
+    class CountingMemo(evolution._Memo):
+        def __call__(self, inputs, score):
+            before = batches
+            out = super().__call__(inputs, score)
+            assert batches - before <= 1
+            return out
+
     monkeypatch.setattr(evolution, "_resplit", splitting)
-    monkeypatch.setattr(evolution, "_MEMO_GENERATIONS", 1)
-    for cfg, expected in zip(runs, default):
-        before = alone
-        assert run_aedga(inst, cfg) == expected
-        assert alone > before
-    assert batches > alone
+    monkeypatch.setattr(evolution, "_Memo", CountingMemo)
+    default = [run_aedga(inst, cfg) for cfg in runs]
+    split_counts = [splits]
+    for generations in (1, 0):
+        monkeypatch.setattr(evolution, "_MEMO_GENERATIONS", generations)
+        assert [run_aedga(inst, cfg) for cfg in runs] == default
+        split_counts.append(splits - sum(split_counts))
+    assert split_counts[0] < split_counts[2]
+
+
+def _scoring(scored: list, score):
+    """A memo's scoring callback that records the inputs it is handed."""
+    return lambda new: [scored.append(key) or score(key) for key in new]
 
 
 def test_memo_keeps_the_most_recently_used_entries():
@@ -308,15 +331,31 @@ def test_memo_keeps_the_most_recently_used_entries():
     scored: list = []
 
     def fresh(key):
-        scored.append(key)
         return Individual(GiantSolution([key]), float(key[0]))
 
     for key in [(1,), (2,), (1,), (3,), (2,), (1,)]:
-        assert memo.get(key, fresh) == fresh(key)
-        scored.pop()
+        assert memo([key], _scoring(scored, fresh)) == [fresh(key)]
     # (1,) was used after (2,), so (3,) pushed (2,) out, and then (2,) pushed (1,).
     assert scored == [(1,), (2,), (3,), (2,), (1,)]
     assert len(memo.entries) == 2
+
+
+def test_memo_is_trimmed_once_after_a_batch():
+    """A batch larger than the memo is scored whole, each distinct input
+    once, and then the memo keeps the most recently used of its inputs."""
+    memo = evolution._Memo(2)
+    scored: list = []
+
+    def fresh(key):
+        return Individual(GiantSolution([key]), float(key[0]))
+
+    batch = [(1,), (2,), (3,), (1,), (2,)]
+    assert memo(batch, _scoring(scored, fresh)) == list(map(fresh, batch))
+    assert scored == [(1,), (2,), (3,)]
+    # Used last: (1,), then (2,); so (3,) went.
+    for key in [(2,), (1,), (3,)]:
+        assert memo([key], _scoring(scored, fresh)) == [fresh(key)]
+    assert scored == [(1,), (2,), (3,), (3,)]
 
 
 def test_memo_holds_a_skip_as_its_verdict():
@@ -326,11 +365,10 @@ def test_memo_holds_a_skip_as_its_verdict():
     scored: list = []
 
     def fresh(key):
-        scored.append(key)
         return None if key == (3, 1, 2) else Individual(GiantSolution([key]), 1.0)
 
     for key in [(3, 1, 2), (3, 1, 2), (1, 2, 3), (3, 1, 2), (2, 3, 1), (3, 1, 2)]:
-        assert (memo.get(key, fresh) is None) == (key == (3, 1, 2))
+        assert (memo([key], _scoring(scored, fresh)) == [None]) == (key == (3, 1, 2))
     assert scored == [(3, 1, 2), (1, 2, 3), (2, 3, 1)]
 
 
@@ -366,17 +404,19 @@ def test_every_scored_individual_keeps_its_input_order(monkeypatch, inst, name, 
     checked = 0
 
     class CheckingMemo(evolution._Memo):
-        def get(self, given, fresh):
-            def checking(key):
+        def __call__(self, inputs, score):
+            def checking(new):
                 nonlocal checked
-                ind = fresh(key)
-                if ind is not None:
-                    sequence = key.trips if isinstance(key, GiantSolution) else (key,)
-                    assert list(itertools.chain(*ind.solution.trips)) == list(itertools.chain(*sequence))
-                    checked += 1
-                return ind
+                out = score(new)
+                assert len(out) == len(new)
+                for given, ind in zip(new, out):
+                    if ind is not None:
+                        sequence = given.trips if isinstance(given, GiantSolution) else (given,)
+                        assert list(itertools.chain(*ind.solution.trips)) == list(itertools.chain(*sequence))
+                        checked += 1
+                return out
 
-            return super().get(given, checking)
+            return super().__call__(inputs, checking)
 
     monkeypatch.setattr(evolution, "_Memo", CheckingMemo)
     for seed in SEEDS:
@@ -393,5 +433,5 @@ def test_memo_hands_back_what_it_was_given(trips):
     stored = Individual(GiantSolution(trips), 7.5)
     scored: list = []
     for given in [(3, 1, 2), (3, 1, 2), stored.solution, stored.solution]:
-        assert memo.get(given, lambda key: scored.append(key) or stored) == stored
+        assert memo([given], _scoring(scored, lambda key: stored)) == [stored]
     assert scored == [(3, 1, 2), stored.solution]
