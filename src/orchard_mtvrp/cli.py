@@ -20,16 +20,15 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Callable, get_args, get_type_hints
+from typing import get_args, get_type_hints
 
 from . import oracle as oracle_mod
 from .core import GiantSolution, Instance, evaluate
 from .evolution import RunResult, SolverConfig, run_aedga
 from .instances import OrchardSpec, emit_instance, generate_orchard, instance_stats, parse_instance
 from .scheduler import Framework
-from .stats import friedman, wilcoxon_signed_rank
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,6 +40,8 @@ PAPER18 = tuple(itertools.product(SUITE_SIZES, (0.4, 0.6, 0.8)))
 
 WILCOXON_TOL = 0.005  # stats --tol default
 
+# the SolverConfig fields bench forwards from its flags (beside --seed)
+BENCH_FIELDS = ("population", "budget_evals", "budget_seconds")
 # bench methods: the SolverConfig fields each sets beside the bench flags
 METHODS = {"aedga": {}, "aedga-randinit": {"init": "random"}, "aedga-noclsm": {"use_clsm": False}}
 
@@ -63,13 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True)
 
     p_gen = sub.add_parser("gen", help="generate orchard instance files")
-    _add_gen_flags(p_gen)
+    _add_field_flags(p_gen, OrchardSpec)
+    p_gen.add_argument("--suite", choices=["paper18"], help="generate the 6x3 size/maturity suite")
+    p_gen.add_argument("--config", type=Path, help="JSON file with OrchardSpec fields")
     p_gen.add_argument("--out", type=Path, default=Path("."))
     p_gen.set_defaults(func=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="run the solver on one instance")
     p_solve.add_argument("instance", type=Path)
-    _add_solver_flags(p_solve)
+    _add_field_flags(p_solve, SolverConfig)
+    p_solve.add_argument("--config", type=Path, help="JSON file with SolverConfig fields")
     p_solve.add_argument("--out", type=Path, help="prefix for result JSON and trace CSV")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -77,10 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--instances", required=True, help="glob of instance files")
     p_bench.add_argument("--methods", default="aedga", help=f"comma list from {tuple(METHODS)}")
     p_bench.add_argument("--runs", type=int, default=10)
-    p_bench.add_argument("--seed", type=int, default=SolverConfig.seed, help="base seed; run i uses seed+i")
-    p_bench.add_argument("--budget-evals", type=int, default=SolverConfig.budget_evals)
-    p_bench.add_argument("--budget-seconds", type=float, default=SolverConfig.budget_seconds)
-    p_bench.add_argument("--population", type=int, default=SolverConfig.population)
+    _add_field_flags(p_bench, SolverConfig, only=("seed", *BENCH_FIELDS))
     p_bench.add_argument("--out", type=Path, required=True, help="results matrix CSV")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -105,36 +106,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--side", type=float, default=20.0)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--maturity", type=float, default=0.4)
-    p.add_argument("--capacity", type=float, default=OrchardSpec.capacity)
-    p.add_argument("--yield-low", type=int, default=OrchardSpec.yield_low)
-    p.add_argument("--yield-high", type=int, default=OrchardSpec.yield_high)
-    p.add_argument("--seed", type=int, default=OrchardSpec.seed)
-    p.add_argument("--grid", action="store_true", help="plant trees on a lattice")
-    p.add_argument("--suite", choices=["paper18"], help="generate the 6x3 size/maturity suite")
-    p.add_argument("--config", type=Path, help="JSON file with OrchardSpec fields")
+# Flags named otherwise than their field, and the flag defaults of the
+# OrchardSpec fields that have none (the sizes `--suite` sets).
+_FLAG_NAMES = {"side_length": "side", "tree_count": "trees", "maturity_rate": "maturity",
+               "energy_bound": "emax", "use_clsm": "no-clsm"}
+_FLAG_DEFAULTS = {"side_length": 20.0, "tree_count": 100, "maturity_rate": 0.4}
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=SolverConfig.seed)
-    p.add_argument("--population", type=int, default=SolverConfig.population)
-    p.add_argument("--top-fraction", type=float, default=SolverConfig.top_fraction)
-    p.add_argument("--intensity", type=float, default=SolverConfig.intensity)
-    p.add_argument("--crossover-rate", type=float, default=SolverConfig.crossover_rate)
-    p.add_argument("--mutation-rate", type=float, default=SolverConfig.mutation_rate)
-    p.add_argument("--budget-evals", type=int, default=SolverConfig.budget_evals)
-    p.add_argument("--budget-seconds", type=float, default=SolverConfig.budget_seconds)
-    p.add_argument("--stagnation-evals", type=int, default=SolverConfig.stagnation_evals)
-    p.add_argument("--framework", choices=[f.value for f in Framework],
-                   default=SolverConfig.framework.value)
-    p.add_argument("--robots", type=int, default=SolverConfig.robots)
-    p.add_argument("--emax", type=float, default=SolverConfig.energy_bound)
-    p.add_argument("--init", choices=["ilbim", "random"], default=SolverConfig.init)
-    p.add_argument("--no-clsm", action="store_true", default=not SolverConfig.use_clsm)
-    p.add_argument("--config", type=Path, help="JSON file with SolverConfig fields")
+def _flag(name: str) -> str:
+    return "--" + _FLAG_NAMES.get(name, name.replace("_", "-"))
+
+
+def _flag_defaults(cls: type) -> dict[str, object]:
+    """Each field of the dataclass `cls` and the default of its flag."""
+    return {f.name: _FLAG_DEFAULTS.get(f.name, f.default) for f in fields(cls)}
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, cls: type, only: tuple[str, ...] | None = None):
+    """A flag for each field of the dataclass `cls` (those named in `only`,
+    when given), with the field's name as its dest: a bool field is a switch
+    away from its default, an enum field takes its values as choices, and
+    any other field takes its (optional) type's values."""
+    hints = get_type_hints(cls)
+    for name, default in _flag_defaults(cls).items():
+        if only is not None and name not in only:
+            continue
+        kind = next(k for k in get_args(hints[name]) or (hints[name],) if k is not type(None))
+        if kind is bool:
+            parser.add_argument(_flag(name), dest=name, action="store_false" if default else "store_true")
+        elif issubclass(kind, enum.Enum):
+            parser.add_argument(_flag(name), dest=name, choices=[m.value for m in kind], default=default)
+        else:
+            parser.add_argument(_flag(name), dest=name, type=kind, default=default)
 
 
 # The JSON values each field type takes: an int field no float or bool
@@ -166,33 +169,22 @@ def _from_config_file(path: Path, cls: type):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _reject_flags_beside(
-    args: argparse.Namespace, add_flags: Callable[[argparse.ArgumentParser], None],
-    option: str, sets: str, only: tuple[str, ...] | None = None,
-) -> None:
-    """`--option`, when given, sets what the flags of `add_flags` set (those
-    named in `only`, when given), so any of those flags off its parser
-    default is an error rather than ignored."""
-    probe = argparse.ArgumentParser()
-    add_flags(probe)
-    overridden = [
-        "--" + dest.replace("_", "-")
-        for dest, default in vars(probe.parse_args([])).items()
-        if dest != "config" and (only is None or dest in only) and getattr(args, dest) != default
-    ]
+def _reject_flags_beside(args: argparse.Namespace, option: str, sets: str, defaults: dict) -> None:
+    """`--option`, when given, sets the fields named in `defaults`, so the
+    flag of any of them off its default there is an error rather than
+    ignored."""
+    overridden = [_flag(name) for name, default in defaults.items() if getattr(args, name) != default]
     if getattr(args, option) and overridden:
         raise ValueError(f"--{option} sets {sets}, so {', '.join(overridden)} would be ignored")
 
 
+def _from_args(args: argparse.Namespace, cls: type):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def _config_from_args(args: argparse.Namespace) -> SolverConfig:
-    if args.config:
-        cfg = _from_config_file(args.config, SolverConfig)
-    else:
-        # Every solver flag is named after its field, except these two.
-        by_hand = {"energy_bound": args.emax, "use_clsm": not args.no_clsm}
-        names = [f.name for f in fields(SolverConfig) if f.name not in by_hand]
-        cfg = SolverConfig(**{name: getattr(args, name) for name in names}, **by_hand)
-    _reject_flags_beside(args, _add_solver_flags, "config", "every solver field")
+    cfg = _from_config_file(args.config, SolverConfig) if args.config else _from_args(args, SolverConfig)
+    _reject_flags_beside(args, "config", "every solver field", _flag_defaults(SolverConfig))
     return cfg
 
 
@@ -207,17 +199,16 @@ def _dump_json(obj: object) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    _reject_flags_beside(args, _add_gen_flags, "config", "every orchard field")
-    _reject_flags_beside(args, _add_gen_flags, "suite", "every size and maturity",
-                         ("side", "trees", "maturity"))
+    spec_flags = {**_flag_defaults(OrchardSpec), "suite": None}
+    _reject_flags_beside(args, "config", "every orchard field", spec_flags)
+    _reject_flags_beside(args, "suite", "every size and maturity", _FLAG_DEFAULTS)
     if args.config:
         specs = [_from_config_file(args.config, OrchardSpec)]
     else:
-        sizes = PAPER18 if args.suite == "paper18" else [((args.side, args.trees), args.maturity)]
-        names = ("capacity", "yield_low", "yield_high", "grid")
-        shared = {name: getattr(args, name) for name in names}
+        spec = _from_args(args, OrchardSpec)
+        sizes = PAPER18 if args.suite else [((spec.side_length, spec.tree_count), spec.maturity_rate)]
         specs = [
-            OrchardSpec(side, trees, maturity, seed=args.seed + index, **shared)
+            replace(spec, side_length=side, tree_count=trees, maturity_rate=maturity, seed=spec.seed + index)
             for index, ((side, trees), maturity) in enumerate(sizes)
         ]
 
@@ -373,17 +364,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     unbounded = [method for method in methods if method not in bounded]
     if bounded and "aedga" not in unbounded:
         unbounded.append("aedga")  # the runs z comes from
-    flags = {name: getattr(args, name) for name in ("population", "budget_evals", "budget_seconds")}
+    flags = {name: getattr(args, name) for name in BENCH_FIELDS}
     seeds = [args.seed + i for i in range(args.runs)]
 
     def solve(cells: dict[tuple[str, str], dict]) -> dict[tuple[str, str], list[float]]:
         """The best energies of each (instance, method) cell, one per seed."""
         jobs = [(path, SolverConfig(seed=seed, **flags, **fields))
                 for (path, _), fields in cells.items() for seed in seeds]
-        if workers > 1:
+        pool_size = min(workers, len(jobs))  # the pool forks all its workers at once
+        if pool_size > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
                 energies = list(pool.map(_bench_job, jobs))
         else:
             energies = [_bench_job(job) for job in jobs]
@@ -444,6 +436,8 @@ def read_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .stats import friedman, wilcoxon_signed_rank  # scipy loads for this command alone
+
     methods, values = read_matrix(args.matrix)
     if not 0 <= args.tol < math.inf:
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")

@@ -1,19 +1,58 @@
+import concurrent.futures
 import csv
 import json
 import statistics
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 
 from orchard_mtvrp import cli
 from orchard_mtvrp.cli import main
 from orchard_mtvrp.core import Instance
-from orchard_mtvrp.evolution import run_aedga
-from orchard_mtvrp.instances import emit_instance, parse_instance
+from orchard_mtvrp.evolution import SolverConfig, run_aedga
+from orchard_mtvrp.instances import OrchardSpec, emit_instance, parse_instance
 from orchard_mtvrp.oracle import exact_route_generation
 from orchard_mtvrp.scheduler import Framework, thresholds
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# The flags named otherwise than their field, and the flag defaults of the
+# OrchardSpec fields that have none.
+RENAMED = {"side_length": "--side", "tree_count": "--trees", "maturity_rate": "--maturity",
+           "energy_bound": "--emax", "use_clsm": "--no-clsm"}
+SIZE_DEFAULTS = {"side_length": 20.0, "tree_count": 100, "maturity_rate": 0.4}
+
+
+def field_flag_params(cls: type) -> list:
+    """(flags, named) for each field of `cls`: its flag at a value off the
+    field's default, and that flag as the one an error must name."""
+    hints = get_type_hints(cls)
+    off = {bool: [], str: ["random"], Framework: ["Fr2"]}
+    params = []
+    for f in fields(cls):
+        flag = RENAMED.get(f.name, "--" + f.name.replace("_", "-"))
+        kind = next(k for k in get_args(hints[f.name]) or (hints[f.name],) if k is not type(None))
+        default = SIZE_DEFAULTS.get(f.name, f.default)
+        value = off[kind] if kind in off else [str((default or 0) + 3)]
+        params.append(pytest.param([flag, *value], [flag], id=f.name))
+    return params
+
+
+def assert_flag_defaults(command: list[str], flags: list[str], cls: type) -> None:
+    """Each field of `cls` that `flags` set has its field's default, or
+    SIZE_DEFAULTS', as its parser default."""
+    parse = cli.build_parser().parse_args
+    defaults, given = vars(parse(command)), vars(parse([*command, *flags]))
+    for f in fields(cls):
+        if given[f.name] != defaults[f.name]:
+            assert defaults[f.name] == SIZE_DEFAULTS.get(f.name, f.default)
+
+
+def named_in_error(err: str) -> list[str]:
+    """The flags a `--option sets ..., so <flags> would be ignored` error names."""
+    return sorted(err.rpartition(", so ")[2].removesuffix(" would be ignored\n").split(", "))
 
 
 def write_instance(path: Path, n: int = 1) -> Instance:
@@ -95,6 +134,7 @@ class TestGen:
         (["--seed", "5", "--trees", "400"], ["--seed", "--trees"]),
         (["--grid"], ["--grid"]),
         (["--suite", "paper18"], ["--suite"]),
+        *field_flag_params(OrchardSpec),
     ])
     def test_config_with_spec_flags_one_line_error(self, tmp_path, capsys, flags, named):
         cfg = tmp_path / "spec.json"
@@ -105,10 +145,9 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--config" in err
         assert err.count("\n") == 1
-        for flag in named:
-            assert flag in err
-        assert "--out" not in err and "--side" not in err
+        assert named_in_error(err) == sorted(named)
         assert not out.exists()
+        assert_flag_defaults(["gen"], flags, OrchardSpec)
 
 
     @pytest.mark.parametrize("flags, named", [
@@ -317,6 +356,7 @@ class TestSolve:
         (["--framework", "Fr2", "--robots", "2", "--emax", "50"],
          ["--framework", "--robots", "--emax"]),
         (["--population", "10", "--intensity", "0.5"], ["--intensity"]),
+        *field_flag_params(SolverConfig),
     ])
     def test_config_with_solver_flags_one_line_error(self, tmp_path, capsys, flags, named):
         write_instance(tmp_path / "c.vrp", n=2)
@@ -328,9 +368,8 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "--config" in captured.err
         assert captured.err.count("\n") == 1
-        for flag in named:
-            assert flag in captured.err
-        assert "--population" not in captured.err
+        assert named_in_error(captured.err) == sorted(named)
+        assert_flag_defaults(["solve", "c.vrp"], flags, SolverConfig)
 
     @pytest.mark.parametrize("flags", [
         ["--mutation-rate", "1.5"],
@@ -342,6 +381,7 @@ class TestSolve:
         ["--robots", "2", "--emax", "0"],
         ["--robots", "2", "--emax", "-5"],
         ["--robots", "2", "--emax", "nan"],
+        ["--init", "bogus"],
     ])
     def test_out_of_range_setting_one_line_error(self, tmp_path, capsys, flags):
         write_instance(tmp_path / "c.vrp", n=2)
@@ -366,6 +406,37 @@ class TestBench:
         assert captured.err.startswith("error: ") and "ORCHARD_MTVRP_THREADS" in captured.err
         assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads, runs, methods, pool_sizes", [
+        ("64", "1", "aedga", []),
+        ("64", "2", "aedga", [2]),
+        ("64", "2", "aedga,Fr1/2/1.5", [2, 2]),
+        ("4", "3", "aedga,aedga-noclsm", [4]),
+    ])
+    def test_pool_has_no_more_workers_than_jobs(self, tmp_path, capsys, monkeypatch, threads, runs,
+                                                methods, pool_sizes):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setenv("ORCHARD_MTVRP_THREADS", threads)
+        write_instance(tmp_path / "p.vrp", n=3)
+        rc = main(["bench", "--instances", str(tmp_path / "p.vrp"), "--methods", methods,
+                   "--runs", runs, "--budget-evals", "10", "--out", str(tmp_path / "p.csv")])
+        assert rc == 0
+        assert sizes == pool_sizes
 
     def test_matrix_round_trip_through_stats(self, tmp_path, capsys):
         write_instance(tmp_path / "b1.vrp", n=5)
