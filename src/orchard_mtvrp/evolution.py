@@ -15,7 +15,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,64 +34,36 @@ from .core import (
 from .scheduler import Framework, Individual, Schedule, score_with_framework
 
 
-@dataclass(frozen=True)
-class Archive:
-    """Success counts per selection-window width (0.1, 0.2, ..., p)."""
-
-    ranges: tuple[float, ...]
-    counts: tuple[int, ...]
-    smoothing: float  # blend weight toward uniformity, 1/P
-
-    @staticmethod
-    def fresh(top_fraction: float, population: int) -> "Archive":
-        width = round(top_fraction * 10)
-        return Archive(
-            ranges=tuple(i / 10 for i in range(1, width + 1)),
-            counts=tuple(0 for _ in range(width)),
-            smoothing=1.0 / population,
-        )
-
-
-def selection_probabilities(archive: Archive) -> tuple[float, ...]:
-    """Window sampling distribution: normalized counts blended with their
-    Lehmer mean (sum of squares over sum), renormalized to sum 1."""
-    total = sum(archive.counts)
+def selection_probabilities(counts: Sequence[int], smoothing: float) -> tuple[float, ...]:
+    """Window sampling distribution: the windows' success shares (uniform
+    before any success) blended with their Lehmer mean (sum of squares over
+    sum) by weight `smoothing`, renormalized to sum 1."""
+    total = sum(counts)
     if total == 0:
-        shares = [1.0 / len(archive.counts)] * len(archive.counts)
+        shares = [1.0 / len(counts)] * len(counts)
     else:
-        shares = [c / total for c in archive.counts]
+        shares = [c / total for c in counts]
     lehmer = ordered_sum(s * s for s in shares) / ordered_sum(shares)
-    c = archive.smoothing
-    weights = [(1 - c) * s + c * lehmer for s in shares]
+    weights = [(1 - smoothing) * s + smoothing * lehmer for s in shares]
     norm = ordered_sum(weights)
     return tuple(w / norm for w in weights)
 
 
 def eass_select(
     population: Sequence[Individual],
-    archive: Archive,
+    counts: Sequence[int],
     rng: random.Random,
 ) -> tuple[Individual, int]:
-    """Pick the local search target and the index of its window: a window
-    width is sampled by the archive probabilities and a uniform pick is made
-    among the top of that window."""
+    """Pick the local search target and the index of its window: window i,
+    the top (i + 1) / 10 of the population, is sampled by the probabilities
+    of its success count `counts[i]` (smoothed by 1/P, P the population
+    size), and a uniform pick is made among the top of that window."""
     # Roulette: the first window whose running total reaches the spin.
-    running = list(itertools.accumulate(selection_probabilities(archive)))
+    running = list(itertools.accumulate(selection_probabilities(counts, 1.0 / len(population))))
     index = min(bisect.bisect_left(running, rng.random()), len(running) - 1)
-    width = archive.ranges[index]
-    k = max(1, math.ceil(width * len(population)))
+    k = max(1, math.ceil((index + 1) / 10 * len(population)))
     k = min(k, len(population))
     return population[rng.randrange(k)], index
-
-
-def update_archive(archive: Archive, range_index: int, improved_best: bool) -> Archive:
-    """One more success for window `range_index` when the search improved
-    the best."""
-    if not improved_best:
-        return archive
-    counts = list(archive.counts)
-    counts[range_index] += 1
-    return replace(archive, counts=tuple(counts))
 
 
 # What `run_aedga` scores: a task permutation, scored through its optimal
@@ -539,8 +511,10 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         pop = alive or pop
     pop.sort(key=_rank)
     best = pop[0]
-    archive = Archive.fresh(cfg.top_fraction, cfg.population)
-    history = [GenerationStat(1, best.energy, archive.counts)]
+    # Successes per selection window, rebuilt on each one, so generations
+    # between successes share one tuple in the history.
+    counts = (0,) * round(cfg.top_fraction * 10)
+    history = [GenerationStat(1, best.energy, counts)]
     generation = 1
 
     # Under Fr2 every individual is schedulable once a start is; the first
@@ -552,15 +526,14 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         and evals - last_improvement_eval < patience
     ):
         generation += 1
-        target, range_index = eass_select(pop, archive, rng)
+        target, range_index = eass_select(pop, counts, rng)
         if cfg.use_clsm:
             searched = clsm_step(target.solution, inst, cfg.intensity, cfg.population, rng, trip_cache)
         else:
             searched = target.solution
         new_ind = score_all([searched])[0]
-        improved = new_ind.energy < best.energy
-        archive = update_archive(archive, range_index, improved)
-        if improved:
+        if new_ind.energy < best.energy:
+            counts = (*counts[:range_index], counts[range_index] + 1, *counts[range_index + 1 :])
             best = new_ind
             last_improvement_eval = evals
 
@@ -587,7 +560,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         if pop[0].energy < best.energy:
             best = pop[0]
             last_improvement_eval = evals
-        history.append(GenerationStat(generation, best.energy, archive.counts))
+        history.append(GenerationStat(generation, best.energy, counts))
 
     if framework is Framework.FR3:
         # Repair each distinct final genome once (the incumbent is usually

@@ -150,7 +150,7 @@ def parse_instance(text: str) -> Instance:
     Node 1 must be the depot with demand 0; the robot self-weight is derived
     as capacity / 3.
     """
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, int]] = {}  # field -> (value, its line)
     coords: dict[int, tuple[float, float]] = {}
     demands: dict[int, float] = {}
     depot_ids: list[int] = []
@@ -166,7 +166,9 @@ def parse_instance(text: str) -> Instance:
             continue
         if ":" in line and section is None:
             key, value = (part.strip() for part in line.split(":", 1))
-            header[key.upper()] = value
+            if key.upper() in header:
+                raise ParseError(f"line {lineno}: repeated header field {key.upper()}")
+            header[key.upper()] = (value, lineno)
             continue
         fields = line.split()
         if section == "NODE_COORD_SECTION":
@@ -196,10 +198,10 @@ def parse_instance(text: str) -> Instance:
     for key in _REQUIRED_KEYS:
         if key not in header:
             raise ParseError(f"missing header field {key}")
-    if header["EDGE_WEIGHT_TYPE"].upper() != "EUC_2D":
-        raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {header['EDGE_WEIGHT_TYPE']!r}")
-    dimension = _parse_int(header["DIMENSION"], 0, "DIMENSION")
-    capacity = _parse_float(header["CAPACITY"], 0, "CAPACITY")
+    if header["EDGE_WEIGHT_TYPE"][0].upper() != "EUC_2D":
+        raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {header['EDGE_WEIGHT_TYPE'][0]!r}")
+    dimension = _parse_int(*header["DIMENSION"], "DIMENSION")
+    capacity = _parse_float(*header["CAPACITY"], "CAPACITY")
     if not coords:
         raise ParseError("missing NODE_COORD_SECTION")
     if not demands:
@@ -227,7 +229,7 @@ def parse_instance(text: str) -> Instance:
         yields=tuple(q),
         capacity=capacity,
         robot_weight=capacity / ROBOT_WEIGHT_FRACTION,
-        name=header["NAME"],
+        name=header["NAME"][0],
         provenance="parsed: EUC_2D, full-precision distances (nearest-integer rounding not applied)",
     )
 

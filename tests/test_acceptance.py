@@ -13,7 +13,7 @@ from orchard_mtvrp import scheduler
 from orchard_mtvrp.cli import main
 from orchard_mtvrp.clsm import aco_tour, clsm_step
 from orchard_mtvrp.core import GiantSolution, Instance, decode_trips, evaluate, trip_energy
-from orchard_mtvrp.evolution import Archive, SolverConfig, run_aedga, selection_probabilities
+from orchard_mtvrp.evolution import SolverConfig, run_aedga, selection_probabilities
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
 from orchard_mtvrp.oracle import exact_route_generation, exact_schedule, exact_tour
 from orchard_mtvrp.scheduler import Framework, RepairStatus, makespan_assign, repair, thresholds
@@ -99,22 +99,13 @@ def test_criterion_02_evaluation_decomposition():
 
 
 def test_criterion_03_selection_probability_numerics():
-    archive = Archive(
-        ranges=tuple(i / 10 for i in range(1, 7)), counts=(0, 1, 0, 0, 0, 0), smoothing=0.1
-    )
-    probs = selection_probabilities(archive)
+    probs = selection_probabilities((0, 1, 0, 0, 0, 0), 0.1)
     expected = (1 / 15, 10 / 15, 1 / 15, 1 / 15, 1 / 15, 1 / 15)
     hand_err = max(abs(p - e) for p, e in zip(probs, expected))
     sym_err = 0.0
     for k in range(1, 6):
         for width in range(1, 7):
-            uni = selection_probabilities(
-                Archive(
-                    ranges=tuple(i / 10 for i in range(1, width + 1)),
-                    counts=(k,) * width,
-                    smoothing=0.1,
-                )
-            )
+            uni = selection_probabilities((k,) * width, 0.1)
             sym_err = max(sym_err, max(abs(p - 1 / width) for p in uni))
     ok = hand_err <= 1e-12 and sym_err <= 1e-12
     _report(3, ok, f"hand-vector err {hand_err:.2e}, uniform-symmetry err {sym_err:.2e}")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from orchard_mtvrp.core import ConfigurationError, GiantSolution, Instance, evaluate
 from orchard_mtvrp.evolution import (
-    Archive,
     Individual,
     SolverConfig,
     crossover,
@@ -19,7 +18,6 @@ from orchard_mtvrp.evolution import (
     passed_on,
     run_aedga,
     selection_probabilities,
-    update_archive,
 )
 from orchard_mtvrp.oracle import exact_route_generation
 from orchard_mtvrp.scheduler import Framework
@@ -29,13 +27,11 @@ from conftest import random_instance
 
 class TestSelectionProbabilities:
     def test_zero_counts_uniform(self):
-        archive = Archive(ranges=tuple(i / 10 for i in range(1, 7)), counts=(0,) * 6, smoothing=0.1)
-        probs = selection_probabilities(archive)
+        probs = selection_probabilities((0,) * 6, 0.1)
         assert all(p == pytest.approx(1 / 6, abs=1e-12) for p in probs)
 
     def test_single_success_hand_values(self):
-        archive = Archive(ranges=tuple(i / 10 for i in range(1, 7)), counts=(0, 1, 0, 0, 0, 0), smoothing=0.1)
-        probs = selection_probabilities(archive)
+        probs = selection_probabilities((0, 1, 0, 0, 0, 0), 0.1)
         expected = (1 / 15, 10 / 15, 1 / 15, 1 / 15, 1 / 15, 1 / 15)
         for p, e in zip(probs, expected):
             assert p == pytest.approx(e, abs=1e-12)
@@ -43,31 +39,20 @@ class TestSelectionProbabilities:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_uniform_counts_stay_uniform(self, k):
         for width in range(1, 7):
-            archive = Archive(
-                ranges=tuple(i / 10 for i in range(1, width + 1)),
-                counts=(k,) * width,
-                smoothing=0.1,
-            )
-            probs = selection_probabilities(archive)
+            probs = selection_probabilities((k,) * width, 0.1)
             assert all(p == pytest.approx(1 / width, abs=1e-12) for p in probs)
 
     def test_scale_invariance_in_counts(self):
-        base = Archive(ranges=(0.1, 0.2, 0.3), counts=(1, 4, 2), smoothing=0.25)
-        doubled = Archive(ranges=(0.1, 0.2, 0.3), counts=(2, 8, 4), smoothing=0.25)
-        assert selection_probabilities(base) == pytest.approx(
-            selection_probabilities(doubled), abs=1e-15
+        assert selection_probabilities((1, 4, 2), 0.25) == pytest.approx(
+            selection_probabilities((2, 8, 4), 0.25), abs=1e-15
         )
 
     def test_sums_to_one(self):
         rng = random.Random(1)
         for _ in range(50):
             width = rng.randint(1, 10)
-            archive = Archive(
-                ranges=tuple(i / 10 for i in range(1, width + 1)),
-                counts=tuple(rng.randint(0, 9) for _ in range(width)),
-                smoothing=1 / rng.randint(2, 20),
-            )
-            assert sum(selection_probabilities(archive)) == pytest.approx(1.0)
+            counts = tuple(rng.randint(0, 9) for _ in range(width))
+            assert sum(selection_probabilities(counts, 1 / rng.randint(2, 20))) == pytest.approx(1.0)
 
 
 def _fake_population(energies):
@@ -80,41 +65,23 @@ def _fake_population(energies):
 class TestEassSelect:
     def test_smallest_window_is_elitist(self):
         pop = _fake_population(sorted(range(10)))
-        archive = Archive(ranges=(0.1,), counts=(0,), smoothing=0.1)
         for seed in range(20):
-            ind, idx = eass_select(pop, archive, random.Random(seed))
+            ind, idx = eass_select(pop, (0,), random.Random(seed))
             assert ind is pop[0]
             assert idx == 0
 
     def test_biased_counts_dominate_sampling(self):
         pop = _fake_population(sorted(range(10)))
-        archive = Archive(
-            ranges=tuple(i / 10 for i in range(1, 7)),
-            counts=(0, 50, 0, 0, 0, 0),
-            smoothing=0.1,
-        )
         rng = random.Random(42)
-        hits = sum(1 for _ in range(10_000) if eass_select(pop, archive, rng)[1] == 1)
+        hits = sum(1 for _ in range(10_000) if eass_select(pop, (0, 50, 0, 0, 0, 0), rng)[1] == 1)
         assert hits / 10_000 > 0.6
         assert hits / 10_000 == pytest.approx(10 / 15, abs=0.02)
 
     def test_window_respects_population_rank(self):
         pop = _fake_population(sorted(range(10)))
-        archive = Archive(ranges=(0.3,), counts=(0,), smoothing=0.1)
         rng = random.Random(7)
-        picked = {eass_select(pop, archive, rng)[0].energy for _ in range(200)}
+        picked = {eass_select(pop, (0, 0, 1), rng)[0].energy for _ in range(200)}
         assert picked == {0, 1, 2}
-
-
-class TestUpdateArchive:
-    def test_increment_on_improvement(self):
-        archive = Archive.fresh(0.6, 10)
-        out = update_archive(archive, 1, True)
-        assert out.counts == (0, 1, 0, 0, 0, 0)
-
-    def test_no_improvement_no_change(self):
-        archive = Archive.fresh(0.6, 10)
-        assert update_archive(archive, 1, False).counts == archive.counts
 
 
 class SelfSwap(random.Random):

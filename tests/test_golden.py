@@ -66,13 +66,17 @@ CONFIGS: dict[str, dict] = {
 # robots, where Z_single serves every task on a trip of its own. The first
 # two are the first instances of perfbench's `sched-n60-fr1` and
 # `large-n965`; the third is the bounded paper-scale case, where every Fr1
-# repair fails.
+# repair fails. The last is `sched-n60-fr1`'s second instance under solver
+# seed 1, where 13 generations improve the best: it fails with `clsm_step`
+# replaced by the identity or with `crossover` returning its parents, which
+# the others, ending on their best ILBIM start, do not see.
 N965 = OrchardSpec(70, 1225, 0.8, seed=1)
+SCHED_N60 = {"framework": "Fr1", "robots": 8, "single_share": 0.55}
 SIZED_CONFIGS: dict[str, tuple[OrchardSpec, int, dict]] = {
-    "sched-n60-fr1": (OrchardSpec(20, 100, 0.6, seed=42), 2000,
-                      {"framework": "Fr1", "robots": 8, "single_share": 0.55}),
+    "sched-n60-fr1": (OrchardSpec(20, 100, 0.6, seed=42), 2000, SCHED_N60),
     "large-n965": (N965, 300, {}),
     "n965-Fr1-0.395-8robots": (N965, 300, {"framework": "Fr1", "robots": 8, "single_share": 0.395}),
+    "sched-n60-fr1-seed43": (OrchardSpec(20, 100, 0.6, seed=43), 2000, {**SCHED_N60, "seed": 1}),
 }
 
 

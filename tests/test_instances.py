@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from orchard_mtvrp.cli import main
 from orchard_mtvrp.core import ConfigurationError
 from orchard_mtvrp.instances import (
     OrchardSpec,
@@ -58,6 +59,23 @@ class TestParse:
         bad = "\n".join(l for l in MINIMAL.splitlines() if "DEMAND" not in l and l not in ("1 0", "2 4"))
         with pytest.raises(ParseError):
             parse_instance(bad)
+
+    @pytest.mark.parametrize("line, lineno", [("DIMENSION : 2", 3), ("CAPACITY : 10", 5)])
+    def test_bad_header_value_names_its_line(self, line, lineno):
+        field = line.split()[0]
+        with pytest.raises(ParseError, match=f"^line {lineno}: bad {field} 'abc'$"):
+            parse_instance(MINIMAL.replace(line, f"{field} : abc"))
+
+    def test_repeated_header_field_rejected(self):
+        bad = MINIMAL.replace("CAPACITY : 10\n", "CAPACITY : 10\nCAPACITY : 99\n")
+        with pytest.raises(ParseError, match="^line 6: repeated header field CAPACITY$"):
+            parse_instance(bad)
+
+    def test_repeated_header_field_one_line_cli_error(self, tmp_path, capsys):
+        path = tmp_path / "twice.vrp"
+        path.write_text(MINIMAL.replace("NAME : tiny\n", "NAME : tiny\nname : other\n"))
+        assert main(["solve", str(path), "--budget-evals", "1"]) == 1
+        assert capsys.readouterr().err == "error: line 2: repeated header field NAME\n"
 
     def test_rounding_not_applied(self):
         text = MINIMAL.replace("2 3 4", "2 1 1").replace("DIMENSION : 2", "DIMENSION : 2")

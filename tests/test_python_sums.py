@@ -26,7 +26,7 @@ import pytest
 
 from orchard_mtvrp import clsm, evolution, instances, scheduler
 from orchard_mtvrp.core import Instance
-from orchard_mtvrp.evolution import Archive, _resplit
+from orchard_mtvrp.evolution import _resplit
 from orchard_mtvrp.instances import OrchardSpec, generate_orchard
 
 TESTS = Path(__file__).parent
@@ -129,8 +129,7 @@ def test_selection_probabilities():
     for _ in range(2000):
         width = rng.randint(1, 10)
         counts = tuple(rng.choice([0, 0, 1, 2, rng.randint(0, 40)]) for _ in range(width))
-        archive = Archive(tuple(i / 10 for i in range(1, width + 1)), counts, 1 / rng.randint(2, 20))
-        calls.append((evolution.selection_probabilities, archive))
+        calls.append((evolution.selection_probabilities, counts, 1 / rng.randint(2, 20)))
     _same_under_both_sums(calls)
 
 
