@@ -29,6 +29,7 @@ from .core import GiantSolution, Instance, evaluate
 from .evolution import RunResult, SolverConfig, run_aedga
 from .instances import OrchardSpec, emit_instance, generate_orchard, instance_stats, parse_instance
 from .scheduler import Framework
+from .stats import friedman, wilcoxon_signed_rank
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -436,8 +437,6 @@ def read_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .stats import friedman, wilcoxon_signed_rank  # scipy loads for this command alone
-
     methods, values = read_matrix(args.matrix)
     if not 0 <= args.tol < math.inf:
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")

@@ -312,8 +312,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.population < 2:
             raise ConfigurationError("population must be >= 2")
-        if not 0.1 <= self.top_fraction <= 1.0:
-            raise ConfigurationError("top_fraction must lie in [0.1, 1]")
+        windows = self.top_fraction * 10  # the ladder's windows 0.1, 0.2, ..., top_fraction
+        if not (1 <= windows <= 10 and abs(windows - round(windows)) <= 1e-9):
+            raise ConfigurationError(
+                f"top_fraction must be one of 0.1, 0.2, ..., 1, got {self.top_fraction}")
         if not 0 < self.intensity <= 1.0:
             raise ConfigurationError("intensity must lie in (0, 1]")
         if self.init not in ("ilbim", "random"):

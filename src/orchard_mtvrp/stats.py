@@ -3,10 +3,9 @@
 Wilcoxon signed-rank follows the usual benchmarking conventions: zero
 differences (equal infinities included) are dropped, NaN is rejected, tied
 absolute differences get average ranks, and the normal approximation
-carries the tie correction. The exact p-value (small samples) enumerates
-the conditional subset-sum distribution of the observed ranks. Friedman
-ranks methods per problem (1 = best, i.e. lowest value) and admits
-infinite entries, which share the worst ranks.
+carries the tie correction. Friedman ranks methods per problem (1 = best,
+i.e. lowest value) and admits infinite entries, which share the worst ranks.
+Both run on numpy and `math` alone.
 """
 
 from __future__ import annotations
@@ -16,9 +15,26 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2, rankdata
 
-EXACT_LIMIT = 25
+
+def average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of a vector, equal values sharing the mean of their
+    positions, and the size of each run of equal values in ascending order."""
+    _, runs, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[runs], counts
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Upper tail of the chi-square distribution at x >= 0 for an integer
+    df >= 1: Q(df/2, x/2) = [erfc(sqrt(h)) for odd df] + sum of
+    e^-h h^(a-1) / Gamma(a) over a = 1 or 3/2, ..., df/2, with h = x/2."""
+    h = x / 2
+    if h == 0:
+        return 1.0
+    total = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    for a in (1 + df % 2 / 2 + i for i in range(df // 2)):
+        total += math.exp((a - 1) * math.log(h) - h - math.lgamma(a))
+    return total
 
 
 @dataclass(frozen=True)
@@ -27,7 +43,6 @@ class WilcoxonResult:
     r_minus: float
     n_effective: int
     p_asymptotic: float
-    p_exact: float | None
 
 
 def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
@@ -44,38 +59,18 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
     d = x[differs] - y[differs]
     n = len(d)
     if n == 0:
-        return WilcoxonResult(0.0, 0.0, 0, 1.0, 1.0)
+        return WilcoxonResult(0.0, 0.0, 0, 1.0)
 
-    ranks = rankdata(np.abs(d))
+    ranks, tie_counts = average_ranks(np.abs(d))
     r_plus = float(ranks[d > 0].sum())
     r_minus = float(ranks[d < 0].sum())
 
     mean = n * (n + 1) / 4
     var = n * (n + 1) * (2 * n + 1) / 24
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
     var -= float(((tie_counts ** 3 - tie_counts) / 48).sum())
     z = (r_plus - mean) / math.sqrt(var)
     p_asym = min(1.0, math.erfc(abs(z) / math.sqrt(2)))
-
-    p_exact = _exact_two_sided(ranks, r_plus, r_minus) if n <= EXACT_LIMIT else None
-    return WilcoxonResult(r_plus, r_minus, n, p_asym, p_exact)
-
-
-def _exact_two_sided(ranks: np.ndarray, r_plus: float, r_minus: float) -> float:
-    """Exact tail probability of the rank sum, conditional on the observed
-    (possibly tied) ranks. Average ranks are half-integers, so doubling makes
-    the subset-sum distribution integral."""
-    doubled = np.rint(ranks * 2).astype(int)
-    total = int(doubled.sum())
-    counts = np.zeros(total + 1, dtype=float)
-    counts[0] = 1.0
-    for r in doubled:
-        counts[r:] += counts[: total + 1 - r]
-    counts /= 2.0 ** len(doubled)
-    lo = int(round(min(r_plus, r_minus) * 2))
-    hi = int(round(max(r_plus, r_minus) * 2))
-    p = counts[: lo + 1].sum() + counts[hi:].sum()
-    return float(min(1.0, p))
+    return WilcoxonResult(r_plus, r_minus, n, p_asym)
 
 
 @dataclass(frozen=True)
@@ -96,10 +91,9 @@ def friedman(results: Sequence[Sequence[float]]) -> FriedmanResult:
     if np.isnan(matrix).any():
         raise ValueError("NaN entries are not rankable")
 
-    ranks = rankdata(matrix, axis=1)
+    ranks = np.array([average_ranks(row)[0] for row in matrix])
     mean_ranks = ranks.mean(axis=0)
     chi_sq = float(
         12 * n_problems / (k * (k + 1)) * ((mean_ranks - (k + 1) / 2) ** 2).sum()
     )
-    p = float(chi2.sf(chi_sq, k - 1))
-    return FriedmanResult(tuple(float(r) for r in mean_ranks), chi_sq, p)
+    return FriedmanResult(tuple(float(r) for r in mean_ranks), chi_sq, chi2_sf(chi_sq, k - 1))

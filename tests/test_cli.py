@@ -382,6 +382,7 @@ class TestSolve:
         ["--robots", "2", "--emax", "-5"],
         ["--robots", "2", "--emax", "nan"],
         ["--init", "bogus"],
+        ["--top-fraction", "0.35"],
     ])
     def test_out_of_range_setting_one_line_error(self, tmp_path, capsys, flags):
         write_instance(tmp_path / "c.vrp", n=2)

@@ -402,6 +402,17 @@ class TestSolverConfigValidation:
         SolverConfig(budget_evals=0, crossover_rate=0.0, mutation_rate=1.0)
         SolverConfig(robots=1, energy_bound=math.inf, stagnation_evals=1)
 
+    @pytest.mark.parametrize("top_fraction", [0.35, 0.45, 0.25, 0.15, 0.05, 1.1, math.nan])
+    def test_top_fraction_off_the_ladder_rejected(self, top_fraction):
+        # run_aedga sizes its window ladder as round(top_fraction * 10)
+        with pytest.raises(ConfigurationError, match="top_fraction must be one of"):
+            SolverConfig(top_fraction=top_fraction)
+
+    def test_every_ladder_step_accepted(self):
+        for k in range(1, 11):
+            SolverConfig(top_fraction=k / 10)
+            SolverConfig(top_fraction=k * 0.1)  # 0.30000000000000004 and kin
+
     @pytest.mark.parametrize("framework", [1, None])
     def test_framework_must_name_a_framework(self, framework):
         with pytest.raises(ValueError, match="is not a valid Framework"):
