@@ -16,9 +16,10 @@ run cold, on a trip cache of their own, and warm, on one that earlier calls
 from the same input filled, as the steps of a run fill the run's cache.
 CLSM's slot states (k-means and far cluster per trip) run cold, and its
 sweep re-split on the pools that one seeded step hands it.
-Instance set-up is timed as the distance matrix alone, at both sizes, and as
-the parse of an n=965 instance file, which builds the `Instance` and its
-matrix; ILBIM's ten composite rankings at n=965 are timed on their own.
+Instance set-up is timed as the distance matrix alone, at both sizes, as an
+n=965 orchard generated and written out, which builds no matrix, and as the
+parse of that file, which builds the `Instance` and its matrix; ILBIM's ten
+composite rankings at n=965 are timed on their own.
 `makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
 e_max = 0.55 * Z_single / 8, the bound of perfbench's `sched-n60-fr1`
 workload, where Z_single is the energy of serving every task on a trip of
@@ -185,6 +186,13 @@ def test_parse_instance_n965(benchmark):
     parsed = benchmark(parse_instance, emit_instance(inst))
     assert parsed.coords == inst.coords and parsed.yields == inst.yields
     assert np.array_equal(parsed.dist, inst.dist)
+
+
+def test_generate_and_emit_n965(benchmark):
+    """The n=965 orchard generated and written out as `gen` writes it, with
+    no distance matrix built."""
+    text = benchmark(lambda: emit_instance(generate_orchard(SPECS["n965"])))
+    assert parse_instance(text).coords == _orchard("n965").coords
 
 
 def test_composite_ranking_n965(benchmark):

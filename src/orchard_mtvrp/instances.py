@@ -12,6 +12,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import ConfigurationError, Instance, ordered_sum
 
 ROBOT_WEIGHT_FRACTION = 3.0  # robot self-weight = capacity / 3
@@ -37,12 +39,24 @@ class OrchardSpec:
     def __post_init__(self) -> None:
         if not 0 < self.maturity_rate <= 1:
             raise ConfigurationError("maturity_rate must be in (0, 1]")
+        if self.yield_low < 1:
+            raise ConfigurationError(f"yield_low must be at least 1, got {self.yield_low}")
         if self.yield_low > self.yield_high:
             raise ConfigurationError("yield_low must not exceed yield_high")
+        if not 0 < self.capacity < math.inf:
+            raise ConfigurationError(f"capacity must be positive and finite, got {self.capacity}")
+        if self.yield_high > self.capacity:
+            raise ConfigurationError(
+                f"yield_high must not exceed capacity, got {self.yield_high} > {self.capacity:g}"
+            )
         if self.tree_count < 1:
             raise ConfigurationError("tree_count must be >= 1")
-        if self.side_length <= 0:
-            raise ConfigurationError("side_length must be positive")
+        # Two points of the square lie at most sqrt(2) * side_length apart, so
+        # no distance of the orchard overflows when 2 * side_length**2 is finite.
+        if not (self.side_length > 0 and math.isfinite(2 * (self.side_length * self.side_length))):
+            raise ConfigurationError(
+                f"side_length must be positive, with 2 * side_length**2 finite, got {self.side_length}"
+            )
 
 
 @dataclass(frozen=True)
@@ -60,7 +74,10 @@ class InstanceStats:
 def instance_stats(inst: Instance) -> InstanceStats:
     if inst.n < 1:
         raise ConfigurationError("stats need at least one task")
-    depot_d = [float(inst.dist[0, i]) for i in inst.task_ids]
+    # The depot row of `inst.dist`, bit for bit, by the matrix's own
+    # operations: writing out a generated orchard then builds no matrix.
+    x, y = np.asarray(inst.coords).T
+    depot_d = np.sqrt(np.square(x[0] - x[1:]) + np.square(y[0] - y[1:])).tolist()
     yields = [inst.yields[i] for i in inst.task_ids]
     return InstanceStats(
         n=inst.n,
@@ -145,7 +162,8 @@ _REQUIRED_KEYS = ("NAME", "DIMENSION", "CAPACITY", "EDGE_WEIGHT_TYPE")
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse the supported TSPLIB-CVRP subset into an Instance.
+    """Parse the supported TSPLIB-CVRP subset into an Instance, its
+    distance matrix built.
 
     Node 1 must be the depot with demand 0; the robot self-weight is derived
     as capacity / 3.
@@ -224,7 +242,7 @@ def parse_instance(text: str) -> Instance:
 
     ordered = [coords[i] for i in range(1, dimension + 1)]
     q = [0.0] + [demands[i] for i in range(2, dimension + 1)]
-    return Instance(
+    inst = Instance(
         coords=tuple(ordered),
         yields=tuple(q),
         capacity=capacity,
@@ -232,6 +250,8 @@ def parse_instance(text: str) -> Instance:
         name=header["NAME"][0],
         provenance="parsed: EUC_2D, full-precision distances (nearest-integer rounding not applied)",
     )
+    inst.dist  # built here, so that a file whose distances overflow fails at load
+    return inst
 
 
 def emit_instance(inst: Instance) -> str:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import hashlib
 import json
 import statistics
 from dataclasses import fields
@@ -17,6 +18,9 @@ from orchard_mtvrp.oracle import exact_route_generation
 from orchard_mtvrp.scheduler import Framework, thresholds
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# sha256 over the file names and bytes of `gen --suite paper18 --seed 1`
+# (the 18 .vrp files and manifest.csv, in name order).
+PAPER18_SEED1_SHA256 = "5b854edef55fcea040b5b4ed2dbdf706236d32b8e33ba84aae4c9d1f822e9483"
 
 # The flags named otherwise than their field, and the flag defaults of the
 # OrchardSpec fields that have none.
@@ -96,6 +100,26 @@ class TestGen:
         assert len(list(tmp_path.glob("*.vrp"))) == 18
         rows = list(csv.DictReader((tmp_path / "manifest.csv").open()))
         assert len(rows) == 18
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == PAPER18_SEED1_SHA256
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--suite", "paper18", "--yield-low", "0"], "yield_low"),
+        (["--suite", "paper18", "--yield-high", "306"], "yield_high"),
+        (["--suite", "paper18", "--capacity", "nan"], "capacity"),
+        (["--side", "inf", "--trees", "25", "--maturity", "0.6"], "side_length"),
+        (["--side", "1e154", "--trees", "25", "--maturity", "0.6"], "side_length"),
+    ])
+    def test_bad_spec_one_line_error_before_any_file(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "out"
+        rc = main(["gen", "--seed", "0", "--out", str(out), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "spec.json"

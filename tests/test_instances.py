@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from orchard_mtvrp.cli import main
-from orchard_mtvrp.core import ConfigurationError
+from orchard_mtvrp import core
+from orchard_mtvrp.cli import PAPER18, main
+from orchard_mtvrp.core import ConfigurationError, build_distance_matrix, ordered_sum
 from orchard_mtvrp.instances import (
     OrchardSpec,
     ParseError,
@@ -30,6 +32,7 @@ DEPOT_SECTION
 -1
 EOF
 """
+SPEC_60 = dict(side_length=20, tree_count=100, maturity_rate=0.6)
 
 
 class TestParse:
@@ -157,9 +160,51 @@ class TestGenerate:
             OrchardSpec(side_length=20, tree_count=10, maturity_rate=0.0, seed=0)
         with pytest.raises(ConfigurationError):
             OrchardSpec(side_length=20, tree_count=0, maturity_rate=0.5, seed=0)
+        # Each of these used to pass the spec and fail later, on the seeds
+        # that drew a bad yield or a distance that overflows, or not at all.
+        bad = [
+            ("yield_low", dict(yield_low=0)),
+            ("yield_high", dict(yield_high=306)),
+            ("capacity", dict(capacity=math.inf)),
+            ("capacity", dict(capacity=math.nan)),
+            ("side_length", dict(side_length=math.nan)),
+            ("side_length", dict(side_length=math.inf)),
+            ("side_length", dict(side_length=1e154)),
+        ]
+        for field, change in bad:
+            for seed in range(20):
+                with pytest.raises(ConfigurationError, match=field):
+                    OrchardSpec(**{**SPEC_60, "seed": seed, **change})
+        for field in ("capacity", "side_length"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                OrchardSpec(**{**SPEC_60, field: math.inf})
+        # The largest side whose squared diagonal is finite, and the smallest
+        # yields and capacity, still generate.
+        inst = generate_orchard(OrchardSpec(**{**SPEC_60, "side_length": 1e154 / 1.5, "yield_low": 1,
+                                               "yield_high": 1, "capacity": 1}))
+        assert np.isfinite(inst.dist).all() and set(inst.yields[1:]) == {1.0}
+
+    def test_matrix_built_only_when_a_file_is_read(self, monkeypatch):
+        calls = []
+        build = core.build_distance_matrix
+        monkeypatch.setattr(core, "build_distance_matrix", lambda coords: calls.append(len(coords)) or build(coords))
+        inst = generate_orchard(OrchardSpec(70, 1225, 0.8, seed=1))
+        text = emit_instance(inst)
+        instance_stats(inst)
+        assert calls == []
+        parsed = parse_instance(text)
+        assert calls == [inst.n + 1] and "dist" in vars(parsed)
+        assert parsed.dist is parsed.dist and calls == [inst.n + 1]
 
 
 class TestStats:
+    def test_depot_distances_are_the_matrix_row_on_paper18(self):
+        for seed, ((side, trees), maturity) in enumerate(PAPER18):
+            inst = generate_orchard(OrchardSpec(side, trees, maturity, seed=1 + seed))
+            row = build_distance_matrix(inst.coords)[0, 1:].tolist()
+            s = instance_stats(inst)
+            assert (s.mean_depot_distance, s.max_depot_distance) == (ordered_sum(row) / len(row), max(row))
+
     def test_two_point_mean_max(self):
         from orchard_mtvrp.core import Instance
 
