@@ -352,7 +352,6 @@ class RunResult:
     generations: int
 
 
-_FR2_RETRIES = 3
 _MEMO_GENERATIONS = 10
 
 
@@ -362,9 +361,8 @@ def _survival_cutoff(pop: Sequence[Individual], population: int) -> float:
 
     When `pop` holds `population` pairwise distinct genomes of finite energy,
     an offspring scored above the worst of them ranks after all of them, so
-    elitist selection (and Fr2's survivors) drop it whatever its schedule.
-    A split energy above the cutoff proves that score (see
-    `_SURVIVAL_MARGIN`)."""
+    elitist selection drops it whatever its schedule. A split energy above
+    the cutoff proves that score (see `_SURVIVAL_MARGIN`)."""
     worst = max((ind.energy for ind in pop), default=math.inf)
     if worst == math.inf or len({ind.solution.trips for ind in pop}) < population:
         return math.inf
@@ -484,33 +482,20 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
 
         return memo(inputs, score_new)
 
-    def fresh_population() -> list[Individual]:
-        if cfg.init == "random":
-            out: list[ScoringInput] = []
-            for _ in range(cfg.population):
-                perm = list(inst.task_ids)
-                rng.shuffle(perm)
-                out.append(tuple(perm))
-        else:
-            out = ilbim.init_population(inst, cfg.population)
-        return score_all(out)
-
-    def fr2_survivors(pop: list[Individual]) -> list[Individual]:
-        """The schedulable individuals by energy, then clones of them in
-        turn up to the population size; empty when none is schedulable."""
-        alive = sorted((ind for ind in pop if ind.schedule is not None), key=lambda ind: ind.energy)
-        return (alive * cfg.population)[: max(cfg.population, len(alive))]
-
-    pop = fresh_population()
+    if cfg.init == "random":
+        drawn: list[ScoringInput] = []
+        for _ in range(cfg.population):
+            perm = list(inst.task_ids)
+            rng.shuffle(perm)
+            drawn.append(tuple(perm))
+    else:
+        drawn = ilbim.init_population(inst, cfg.population)
+    pop = score_all(drawn)
     if framework is Framework.FR2:
-        # Fresh starts are drawn while none is schedulable; when all fail,
-        # the first start is kept and reported.
-        alive = fr2_survivors(pop)
-        for _ in range(_FR2_RETRIES):
-            if alive:
-                break
-            alive = fr2_survivors(fresh_population())
-        pop = alive or pop
+        # The schedulable starts by energy, cloned in turn up to the
+        # population size; when none is, the start is kept and reported.
+        alive = sorted((ind for ind in pop if ind.schedule is not None), key=lambda ind: ind.energy)
+        pop = (alive * cfg.population)[: cfg.population] or pop
     pop.sort(key=_rank)
     best = pop[0]
     # Successes per selection window, rebuilt on each one, so generations
@@ -557,7 +542,7 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         offspring = [new_ind, *(ind for ind in score_all(inputs, cutoff) if ind is not None)]
 
         if framework is Framework.FR2:
-            pop, offspring = fr2_survivors(pop + offspring), []
+            offspring = [ind for ind in offspring if ind.schedule is not None]
         pop = environmental_selection(pop, offspring, cfg.population)
         if pop[0].energy < best.energy:
             best = pop[0]

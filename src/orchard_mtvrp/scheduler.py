@@ -59,7 +59,7 @@ class Individual:
 
 class Framework(str, Enum):
     FR1 = "Fr1"  # schedule + repair every individual, every generation
-    FR2 = "Fr2"  # drop unschedulable individuals, refill
+    FR2 = "Fr2"  # drop unschedulable individuals
     FR3 = "Fr3"  # ignore the bound until termination, then repair
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orchard_mtvrp import ilbim
 from orchard_mtvrp.core import ConfigurationError, GiantSolution, Instance, evaluate
 from orchard_mtvrp.evolution import (
     Individual,
@@ -222,6 +223,15 @@ class TestEnvironmentalSelection:
         assert list(map(id, kept)) == list(map(id, (unique + repeats)[:size]))
 
 
+def _far_heavy_pair() -> Instance:
+    return Instance(
+        coords=((0.0, 0.0), (10.0, 0.0), (20.0, 0.0)),
+        yields=(0.0, 5.0, 5.0),
+        capacity=100.0,
+        robot_weight=20.0,
+    )
+
+
 class TestRunAedga:
     def test_single_task_forced_optimum(self):
         inst = Instance(
@@ -301,12 +311,7 @@ class TestRunAedga:
         # single far-out heavy pair: the balanced initializer puts both tasks
         # in one trip, which overshoots the per-robot bound until repair
         # splits it
-        inst = Instance(
-            coords=((0.0, 0.0), (10.0, 0.0), (20.0, 0.0)),
-            yields=(0.0, 5.0, 5.0),
-            capacity=100.0,
-            robot_weight=20.0,
-        )
+        inst = _far_heavy_pair()
         result = run_aedga(
             inst,
             SolverConfig(
@@ -320,12 +325,7 @@ class TestRunAedga:
         assert max(result.schedule.robot_energies) <= 1000.0
 
     def test_fr2_unsatisfiable_reports_infeasible(self):
-        inst = Instance(
-            coords=((0.0, 0.0), (10.0, 0.0), (20.0, 0.0)),
-            yields=(0.0, 5.0, 5.0),
-            capacity=100.0,
-            robot_weight=20.0,
-        )
+        inst = _far_heavy_pair()
         result = run_aedga(
             inst,
             SolverConfig(
@@ -335,13 +335,39 @@ class TestRunAedga:
         )
         assert result.status == "infeasible"
 
-    def test_fr3_repairs_at_termination(self):
-        inst = Instance(
-            coords=((0.0, 0.0), (10.0, 0.0), (20.0, 0.0)),
-            yields=(0.0, 5.0, 5.0),
-            capacity=100.0,
-            robot_weight=20.0,
+    @pytest.mark.parametrize("init", ["ilbim", "random"])
+    def test_fr2_scores_an_unschedulable_start_once(self, init):
+        # Every single-task trip exceeds the bound, so no start individual
+        # can be scheduled: the run reports its one start, scored once.
+        result = run_aedga(
+            _far_heavy_pair(),
+            SolverConfig(budget_evals=0, seed=1, robots=2, energy_bound=100.0,
+                         framework=Framework.FR2, init=init),
         )
+        assert result.status == "infeasible"
+        assert result.evaluations == SolverConfig.population
+        assert result.generations == 1
+
+    def test_fr2_builds_an_unschedulable_ilbim_start_once(self, monkeypatch):
+        built = 0
+        original = ilbim.init_population
+
+        def counting(*args):
+            nonlocal built
+            built += 1
+            return original(*args)
+
+        monkeypatch.setattr(ilbim, "init_population", counting)
+        result = run_aedga(
+            _far_heavy_pair(),
+            SolverConfig(budget_evals=100, seed=1, robots=2, energy_bound=100.0,
+                         framework=Framework.FR2),
+        )
+        assert result.status == "infeasible"
+        assert built == 1
+
+    def test_fr3_repairs_at_termination(self):
+        inst = _far_heavy_pair()
         result = run_aedga(
             inst,
             SolverConfig(
@@ -356,12 +382,7 @@ class TestRunAedga:
     def test_fr3_unsatisfiable_reports_infinite_energy(self):
         # every single-task trip already exceeds the bound, so no final
         # individual can be scheduled: like Fr1 and Fr2, the energy is inf
-        inst = Instance(
-            coords=((0.0, 0.0), (10.0, 0.0), (20.0, 0.0)),
-            yields=(0.0, 5.0, 5.0),
-            capacity=100.0,
-            robot_weight=20.0,
-        )
+        inst = _far_heavy_pair()
         result = run_aedga(
             inst,
             SolverConfig(

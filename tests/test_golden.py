@@ -4,9 +4,10 @@ Each config runs `run_aedga` on a generated orchard and must reproduce the
 recorded best energy (as its repr), a digest of the best tokens, the
 evaluation and generation counts, and the status. Most configs share one
 orchard of 40 tasks; the sized ones run the first instance of each perfbench
-workload and the bounded paper-scale case. A refactor that keeps the
-solver's behaviour leaves every entry unchanged; a change that alters the
-search on purpose re-records the file with `python tests/test_golden.py`.
+workload, the bounded paper-scale case and runs whose search moves the best.
+A refactor that keeps the solver's behaviour leaves every entry unchanged; a
+change that alters the search on purpose re-records the file with
+`python tests/test_golden.py`.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ CONFIGS: dict[str, dict] = {
     },
     REPAIR_CONFIG: {"framework": "Fr1", "bound": 1.4, "robots": 8},
     # An odd population mutates its lone parent each generation; Fr2 with
-    # random init redraws its start after an unschedulable one and reports the
-    # first start's best; the stagnation stop ends the run before the budget.
+    # random init, like Fr2 from ILBIM, draws and scores one start and reports
+    # it when no individual of it is schedulable; the stagnation stop ends the
+    # run before the budget.
     "population-7": {"population": 7},
     "Fr2-0.9-random-init": {"framework": "Fr2", "bound": 0.9, "init": "random"},
     "stagnation-100": {"stagnation_evals": 100},
@@ -66,10 +68,12 @@ CONFIGS: dict[str, dict] = {
 # robots, where Z_single serves every task on a trip of its own. The first
 # two are the first instances of perfbench's `sched-n60-fr1` and
 # `large-n965`; the third is the bounded paper-scale case, where every Fr1
-# repair fails. The last is `sched-n60-fr1`'s second instance under solver
-# seed 1, where 13 generations improve the best: it fails with `clsm_step`
-# replaced by the identity or with `crossover` returning its parents, which
-# the others, ending on their best ILBIM start, do not see.
+# repair fails. `sched-n60-fr1-seed43` is `sched-n60-fr1`'s second instance
+# under solver seed 1, where 13 generations improve the best: it fails with
+# `clsm_step` replaced by the identity or with `crossover` returning its
+# parents, which the first three, ending on their best ILBIM start, do not
+# see. `n319-random-init` is the mid-size orchard from random starts, where
+# 65 of 181 generations improve the best.
 N965 = OrchardSpec(70, 1225, 0.8, seed=1)
 SCHED_N60 = {"framework": "Fr1", "robots": 8, "single_share": 0.55}
 SIZED_CONFIGS: dict[str, tuple[OrchardSpec, int, dict]] = {
@@ -77,6 +81,7 @@ SIZED_CONFIGS: dict[str, tuple[OrchardSpec, int, dict]] = {
     "large-n965": (N965, 300, {}),
     "n965-Fr1-0.395-8robots": (N965, 300, {"framework": "Fr1", "robots": 8, "single_share": 0.395}),
     "sched-n60-fr1-seed43": (OrchardSpec(20, 100, 0.6, seed=43), 2000, {**SCHED_N60, "seed": 1}),
+    "n319-random-init": (OrchardSpec(40, 400, 0.8, seed=1), 2000, {"init": "random"}),
 }
 
 

@@ -72,12 +72,12 @@ def _config(inst, name: str, init: str, seed: int) -> SolverConfig:
 
 def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[str, int]]:
     """Run with every memo hit, every skip verdict, every priced split,
-    every solution priced from the trip cache and every solution built
-    without checks checked; return the result and how many of each were
-    checked."""
+    every solution priced from the trip cache, every solution built
+    without checks and, under Fr2, every individual handed to selection
+    checked; return the result and how many of each were checked."""
     split, price, cutoff = evolution._resplit, evolution.charged_energies, evolution._survival_cutoff
-    trusted = GiantSolution.trusted
-    checked = {"hits": 0, "skipped": 0, "splits": 0, "priced": 0, "trusted": 0}
+    trusted, select = GiantSolution.trusted, evolution.environmental_selection
+    checked = {"hits": 0, "skipped": 0, "splits": 0, "priced": 0, "trusted": 0, "fr2_selections": 0}
     parents: list[Individual] = []
 
     def fresh(key) -> Individual:
@@ -135,7 +135,15 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
         checked["trusted"] += 1
         return sol
 
+    def checking_selection(pool_parents, offspring, population):
+        if cfg.framework is Framework.FR2 and cfg.robots is not None:
+            # Fr2 deletes what has no schedule: its parents and offspring all have one.
+            assert all(ind.schedule is not None for ind in [*pool_parents, *offspring])
+            checked["fr2_selections"] += 1
+        return select(pool_parents, offspring, population)
+
     monkeypatch.setattr(evolution, "_Memo", CheckingMemo)
+    monkeypatch.setattr(evolution, "environmental_selection", checking_selection)
     monkeypatch.setattr(evolution, "_survival_cutoff", recording_cutoff)
     monkeypatch.setattr(evolution, "_resplit", checking_split)
     monkeypatch.setattr(evolution, "charged_energies", checking_price)
@@ -146,12 +154,13 @@ def _checked_run(monkeypatch, inst, cfg: SolverConfig) -> tuple[RunResult, dict[
 @pytest.mark.parametrize("init", ["ilbim", "random"])
 @pytest.mark.parametrize("name", ["unbounded", *BOUNDED])
 def test_every_shortcut_matches_a_fresh_scoring(monkeypatch, inst, name, init):
-    checked = {"hits": 0, "skipped": 0, "splits": 0, "priced": 0, "trusted": 0}
+    checked = {"hits": 0, "skipped": 0, "splits": 0, "priced": 0, "trusted": 0, "fr2_selections": 0}
     for seed in SEEDS:
         for key, count in _checked_run(monkeypatch, inst, _config(inst, name, init, seed))[1].items():
             checked[key] += count
     assert checked["hits"] > 0 and checked["splits"] > 0 and checked["priced"] > 0 and checked["trusted"] > 0
     assert (checked["skipped"] > 0) == ((name, init) in SKIPPING)
+    assert (checked["fr2_selections"] > 0) == (name == "Fr2-0.8")
 
 
 def test_checked_runs_give_the_same_result(monkeypatch, inst):
