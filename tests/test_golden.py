@@ -73,15 +73,33 @@ CONFIGS: dict[str, dict] = {
 # `clsm_step` replaced by the identity or with `crossover` returning its
 # parents, which the first three, ending on their best ILBIM start, do not
 # see. `n319-random-init` is the mid-size orchard from random starts, where
-# 65 of 181 generations improve the best.
+# 65 of 181 generations improve the best. The `n965-*robots` entries with
+# 100 to 180 robots are the paper's 1.5·z/m and 1.7·z/m (0.5854 and 0.6636
+# of Z_single/m, where z is the unbounded run's best) near the unbounded
+# run's 189 trips, where the bound binds: Fr1 repairs succeed at 150 robots,
+# the best moves at 180, where Fr2 and Fr3 end infeasible, and at 100 robots
+# `makespan_assign` reaches its first-fit restarts.
 N965 = OrchardSpec(70, 1225, 0.8, seed=1)
 SCHED_N60 = {"framework": "Fr1", "robots": 8, "single_share": 0.55}
+PAPER_BOUNDS = {
+    f"n965-{fw}-{share}-{robots}robots": (
+        N965, 300, {"framework": fw, "robots": robots, "single_share": share}
+    )
+    for fw, share, robots in (
+        ("Fr1", 0.5854, 150),
+        ("Fr1", 0.5854, 180),
+        ("Fr1", 0.6636, 100),
+        ("Fr2", 0.5854, 180),
+        ("Fr3", 0.5854, 180),
+    )
+}
 SIZED_CONFIGS: dict[str, tuple[OrchardSpec, int, dict]] = {
     "sched-n60-fr1": (OrchardSpec(20, 100, 0.6, seed=42), 2000, SCHED_N60),
     "large-n965": (N965, 300, {}),
     "n965-Fr1-0.395-8robots": (N965, 300, {"framework": "Fr1", "robots": 8, "single_share": 0.395}),
     "sched-n60-fr1-seed43": (OrchardSpec(20, 100, 0.6, seed=43), 2000, {**SCHED_N60, "seed": 1}),
     "n319-random-init": (OrchardSpec(40, 400, 0.8, seed=1), 2000, {"init": "random"}),
+    **PAPER_BOUNDS,
 }
 
 
