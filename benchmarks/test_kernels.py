@@ -23,8 +23,9 @@ composite rankings at n=965 are timed on their own.
 `makespan_assign`, `repair` and Fr1 scoring run at n=59 with 8 robots and
 e_max = 0.55 * Z_single / 8, the bound of perfbench's `sched-n60-fr1`
 workload, where Z_single is the energy of serving every task on a trip of
-its own; `repair` and Fr1 scoring are handed the energies, as a run hands
-them over.
+its own; `repair` and Fr1 scoring also run at n=965, with 8 robots at
+0.395 * Z_single / 8 and with 150 robots at 0.5854 * Z_single / 150. They
+are handed the energies, as a run hands them over.
 """
 
 from __future__ import annotations
@@ -56,13 +57,19 @@ POPULATION_SHA256 = {
     "n59": "75f79f127bd84f6d4bb3b402fac54a592c5893799842b1a5d07ccff351c514c4",
     "n965": "31e326ec3e81f01058b97be384131fd5779258e60efaf6b1bdd727e464ab2e7a",
 }
-# Inputs at the sched-n60-fr1 bound, by how `repair` ends on them: the last
+# Inputs by how `repair` ends on them. At the sched-n60-fr1 bound: the last
 # ILBIM individual fits as it is; its mutant under seed 15 fits after six
-# split moves; the first ILBIM individual fits under no split.
+# split moves; the first ILBIM individual fits under no split. At n=965, the
+# paper-scale bounded runs: ILBIM individual 3 with 8 robots at 0.395 of
+# Z_single / 8 fits under no split, as every repair of that run fails, and
+# individual 2 with 150 robots at 0.5854 of Z_single / 150 (1.5 z / m, z the
+# unbounded best) fits after a long walk of cuts.
 REPAIR_CASES = {
     "fits": RepairStatus.REPAIRED,
     "split": RepairStatus.REPAIRED,
     "infeasible": RepairStatus.INFEASIBLE,
+    "n965-m8": RepairStatus.INFEASIBLE,
+    "n965-m150": RepairStatus.REPAIRED,
 }
 # Inputs at the sched-n60-fr1 bound, by the step of `makespan_assign` that
 # decides them, with whether it finds an assignment: the trips of the last
@@ -85,9 +92,10 @@ def _population(inst):
 
 
 @functools.cache
-def _bound():
-    inst = _orchard("n59")
-    return 0.55 * math.fsum(trip_energy((t,), inst) for t in inst.task_ids) / ROBOTS
+def _bound(name="n59", share=0.55, robots=ROBOTS):
+    """share * Z_single / robots on the named orchard."""
+    inst = _orchard(name)
+    return share * math.fsum(trip_energy((t,), inst) for t in inst.task_ids) / robots
 
 
 @pytest.fixture(scope="module", params=list(SPECS))
@@ -352,6 +360,10 @@ def test_makespan_assign(benchmark, case):
 
 @functools.cache
 def _fr1_input(case):
+    if case.startswith("n965"):
+        index, robots, share = {"n965-m8": (3, 8, 0.395), "n965-m150": (2, 150, 0.5854)}[case]
+        inst = _orchard("n965")
+        return _population(inst)[index], inst, robots, _bound("n965", share, robots)
     inst = _orchard("n59")
     pop = _population(inst)
     sol = {

@@ -115,7 +115,7 @@ class _DistanceMatrix:
     def __get__(self, inst: Instance | None, owner: type) -> np.ndarray:
         if inst is None:
             return self
-        dist = build_distance_matrix(inst.coords)
+        dist = build_distance_matrix(inst.points)
         object.__setattr__(inst, "dist", dist)
         return dist
 
@@ -127,8 +127,10 @@ class Instance:
     coords[0] is the depot; coords[i] and yields[i] for i >= 1 describe task i.
     yields[0] is a placeholder and must be 0. Construction checks the data in
     O(n): the coordinates must be finite (x, y) pairs, and the capacity and
-    robot weight finite. `dist`, the distance matrix, is built on its first
-    read and kept; only then is each distance checked for overflow.
+    robot weight finite. `points` holds the coordinates as a read-only
+    (n + 1, 2) float array, converted once. `dist`, the distance matrix,
+    is built from it on its first read and kept; only then is each
+    distance checked for overflow.
     `parse_instance` reads it before it returns, so a file's distances are
     built and checked at load, while a generated orchard that is only
     written out builds none.
@@ -141,12 +143,14 @@ class Instance:
     name: str = "instance"
     provenance: str | None = None
     task_set: frozenset[int] = field(init=False, compare=False, repr=False)
+    points: np.ndarray = field(init=False, compare=False, repr=False)
     dist = _DistanceMatrix()
 
     def __post_init__(self) -> None:
         if len(self.coords) != len(self.yields):
             raise ConfigurationError("coords and yields length mismatch")
-        _coordinate_array(self.coords)
+        object.__setattr__(self, "points", _coordinate_array(self.coords))
+        self.points.flags.writeable = False
         if self.yields[0] != 0:
             raise ConfigurationError("depot yield slot must be 0")
         if not 0 < self.capacity < math.inf:

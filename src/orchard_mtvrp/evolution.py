@@ -453,8 +453,6 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
     trip_cache = TripCache()  # CLSM's work per trip, shared by every step
 
     def scored(sol: GiantSolution, energies: list[float]) -> Individual:
-        if framework is None:
-            return Individual(sol, math.fsum(energies))
         return score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, framework, energies)
 
     def score_all(inputs: Sequence[ScoringInput], cutoff: float = math.inf) -> list[Individual | None]:
@@ -553,10 +551,10 @@ def run_aedga(inst: Instance, cfg: SolverConfig) -> RunResult:
         # Repair each distinct final genome once (the incumbent is usually
         # pop[0] as well) and keep the first minimum among the scheduled.
         candidates = dict.fromkeys([best.solution] + [ind.solution for ind in pop])
-        scored = (score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, Framework.FR1,
-                                       charged_energies(sol.trips, inst, trip_cache))
-                  for sol in candidates)
-        best = min((ind for ind in scored if ind.schedule is not None),
+        repaired = (score_with_framework(sol, inst, cfg.robots, cfg.energy_bound, Framework.FR1,
+                                         charged_energies(sol.trips, inst, trip_cache))
+                    for sol in candidates)
+        best = min((ind for ind in repaired if ind.schedule is not None),
                    key=lambda ind: ind.energy, default=Individual(best.solution, math.inf))
 
     return RunResult(

@@ -76,7 +76,7 @@ def instance_stats(inst: Instance) -> InstanceStats:
         raise ConfigurationError("stats need at least one task")
     # The depot row of `inst.dist`, bit for bit, by the matrix's own
     # operations: writing out a generated orchard then builds no matrix.
-    x, y = np.asarray(inst.coords).T
+    x, y = inst.points.T
     depot_d = np.sqrt(np.square(x[0] - x[1:]) + np.square(y[0] - y[1:])).tolist()
     yields = [inst.yields[i] for i in inst.task_ids]
     return InstanceStats(

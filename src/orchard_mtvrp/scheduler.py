@@ -284,10 +284,13 @@ def repair(
     sol: GiantSolution, inst: Instance, m: int, e_max: float, energies: Sequence[float]
 ) -> tuple[Individual, RepairStatus]:
     """Split trips until the trip set fits the robots, following the
-    move-accept rule: walking the trips from most to least expensive, peel
-    tasks off the tail of a trip onto the front of a fresh trip while the
-    pair's combined energy does not increase, re-checking assignability
-    after every accepted move.
+    move-accept rule: walking the trips from most to least expensive, cut
+    each trip into a head and a tail, first before its last task and then
+    one task earlier each time, while the pair's combined energy does not
+    increase, re-checking assignability after every accepted cut. A trip's
+    peel, its accepted cuts, depends on that trip alone, and a one-task
+    trip stays whole; when no check succeeds, each trip has given way to
+    the head and tail of its last accepted cut.
 
     Capacity overflows are expanded first, so every emitted trip respects
     the capacity and the task multiset is preserved. `energies` are those
@@ -312,32 +315,24 @@ def repair(
             return Individual(solution, math.inf), RepairStatus.INFEASIBLE
         return Individual(solution, math.fsum(energies), schedule), RepairStatus.REPAIRED
 
-    schedule = makespan_assign(energies, m, e_max)
-    if schedule is not None:
+    if (schedule := makespan_assign(energies, m, e_max)) is not None:
         return done(schedule)
 
-    queue = sorted(range(len(trips)), key=lambda i: (-energies[i], i))
-    originals = [trips[i] for i in queue]
-    for trip_a in originals:
-        index = trips.index(trip_a)
-        trip_b: list[int] = []
-        z_com = math.inf
-        while len(trip_a) > 1:
-            task = trip_a.pop()
-            trip_b.insert(0, task)
-            e_a, e_b = trip_energy(trip_a, inst), trip_energy(trip_b, inst)
-            e_new = e_a + e_b
-            if e_new > z_com:
-                trip_b.pop(0)
-                trip_a.append(task)
+    # Most expensive first; the sort is stable, so equal energies keep trip order.
+    for _, trip in sorted(zip(energies, trips), key=lambda pair: -pair[0]):
+        # A trip's pieces replace it where it stands: one slot before its
+        # first cut, its head and tail after.
+        index, width, z_com = trips.index(trip), 1, math.inf
+        for cut in range(len(trip) - 1, 0, -1):
+            head, tail = trip[:cut], trip[cut:]
+            e_head, e_tail = trip_energy(head, inst), trip_energy(tail, inst)
+            if e_head + e_tail > z_com:
                 break
-            z_com = e_new
-            if len(trip_b) == 1:
-                trips.insert(index + 1, trip_b)
-                energies.insert(index + 1, e_b)
-            energies[index : index + 2] = e_a, e_b
-            schedule = makespan_assign(energies, m, e_max)
-            if schedule is not None:
+            z_com = e_head + e_tail
+            trips[index : index + width] = head, tail
+            energies[index : index + width] = e_head, e_tail
+            width = 2
+            if (schedule := makespan_assign(energies, m, e_max)) is not None:
                 return done(schedule)
     return done(None)
 
@@ -350,8 +345,8 @@ def thresholds(mean_energy: float, m: int) -> tuple[float, float]:
 
 
 def score_with_framework(
-    sol: GiantSolution, inst: Instance, m: int, e_max: float, framework: Framework,
-    energies: Sequence[float],
+    sol: GiantSolution, inst: Instance, m: int | None, e_max: float | None,
+    framework: Framework | None, energies: Sequence[float],
 ) -> Individual:
     """Score one individual under the given framework's per-generation rule.
 
@@ -362,10 +357,11 @@ def score_with_framework(
     Fr1 returns unschedulable individuals as `repair` scored them
     (still-unschedulable ones keep infinite energy); Fr2 marks them
     infeasible for deletion by the caller; Fr3 ignores the bound here
-    entirely.
+    entirely. `framework=None` is a run with no robots or bound: like Fr3,
+    it returns the energy unscheduled, and `m` and `e_max` may be None.
     """
     energy = math.fsum(energies)
-    if framework is Framework.FR3:
+    if framework in (None, Framework.FR3):
         return Individual(sol, energy)
     schedule = makespan_assign(energies, m, e_max)
     if schedule is not None:

@@ -4,7 +4,7 @@ Each config runs `run_aedga` on a generated orchard and must reproduce the
 recorded best energy (as its repr), a digest of the best tokens, the
 evaluation and generation counts, and the status. Most configs share one
 orchard of 40 tasks; the sized ones run the first instance of each perfbench
-workload, the bounded paper-scale case and runs whose search moves the best.
+workload, bounded paper-scale cases and runs whose search moves the best.
 A refactor that keeps the solver's behaviour leaves every entry unchanged; a
 change that alters the search on purpose re-records the file with
 `python tests/test_golden.py`.

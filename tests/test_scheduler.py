@@ -17,6 +17,9 @@ from orchard_mtvrp.core import (
     ordered_sum,
     trip_energy,
 )
+from orchard_mtvrp.evolution import SolverConfig
+from orchard_mtvrp.ilbim import init_population
+from orchard_mtvrp.instances import OrchardSpec, generate_orchard
 from orchard_mtvrp.oracle import exact_schedule
 from orchard_mtvrp.scheduler import (
     Framework,
@@ -511,6 +514,60 @@ class TestRepairAgainstRecomputingReference:
             monkeypatch.undo()
             assert out.solution == reference
         assert moved > 50
+
+
+def _peel(trip, inst):
+    """The pieces one trip leaves when `repair` fails, from the move-accept
+    rule: cutting before the last task, then one task earlier each time,
+    the first cut is always taken, and each later one while its head and
+    tail cost no more than the pair of the cut before; a one-task trip
+    stays whole."""
+    if len(trip) == 1:
+        return [trip]
+    pairs = [(trip[:cut], trip[cut:]) for cut in range(len(trip) - 1, 0, -1)]
+    costs = [trip_energy(head, inst) + trip_energy(tail, inst) for head, tail in pairs]
+    taken = 1
+    while taken < len(costs) and costs[taken] <= costs[taken - 1]:
+        taken += 1
+    return list(pairs[taken - 1])
+
+
+class TestFailedRepairIsPerTripPeels:
+    """A trip's peel depends on that trip alone: when `repair` fails, its
+    trips are each expanded input trip's peel, in trip order."""
+
+    def _check(self, sol, inst, m, e_max):
+        out, status = repair(sol, inst, m, e_max, _charged(sol, inst))
+        if status is RepairStatus.REPAIRED:
+            return False
+        expanded, _ = expand_overloads(sol.trips, inst)
+        assert out.solution.trips == tuple(piece for trip in expanded for piece in _peel(trip, inst))
+        return True
+
+    def test_random_cases(self):
+        failed = sum(self._check(*case) for case in _repair_cases(random.Random(23), 400))
+        assert failed > 50
+
+    def test_a_cut_that_ties_the_pair_before_is_taken(self):
+        """Three tasks at one point: both cuts of their trip cost 21, so the
+        walk takes the second. Generated orchards almost never tie."""
+        inst = Instance(
+            coords=((0.0, 0.0),) + ((3.0, 0.0),) * 3,
+            yields=(0.0, 1.0, 1.0, 1.0),
+            capacity=10.0,
+            robot_weight=1.0,
+        )
+        sol = GiantSolution.from_tokens((1, 2, 3))
+        assert self._check(sol, inst, 1, 1.0)
+        assert repair(sol, inst, 1, 1.0, _charged(sol, inst))[0].solution.trips == ((1,), (2, 3))
+
+    def test_paper_scale_failure(self):
+        """ILBIM individual 3 at n=965 with 8 robots at 0.395 of Z_single / 8,
+        the bounded paper-scale run where every repair fails."""
+        inst = generate_orchard(OrchardSpec(70, 1225, 0.8, seed=1))
+        sol = init_population(inst, SolverConfig.population)[3]
+        z_single = math.fsum(trip_energy((t,), inst) for t in inst.task_ids)
+        assert self._check(sol, inst, 8, 0.395 * z_single / 8)
 
 
 class TestRepairScoresItsResult:
