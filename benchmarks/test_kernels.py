@@ -24,16 +24,19 @@ composite rankings at n=965 are timed on their own.
 e_max = 0.55 * Z_single / 8, the bound of perfbench's `sched-n60-fr1`
 workload, where Z_single is the energy of serving every task on a trip of
 its own; `repair` and Fr1 scoring also run at n=965, with 8 robots at
-0.395 * Z_single / 8 and with 150 robots at 0.5854 * Z_single / 150. They
-are handed the energies, as a run hands them over.
+0.395 * Z_single / 8 and with 150 robots at 0.5854 * Z_single / 150, and
+`makespan_assign` gives up on an n=965 input with 100 robots, one that a
+run captured. They are handed the energies, as a run hands them over.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,14 +74,24 @@ REPAIR_CASES = {
     "n965-m8": RepairStatus.INFEASIBLE,
     "n965-m150": RepairStatus.REPAIRED,
 }
-# Inputs at the sched-n60-fr1 bound, by the step of `makespan_assign` that
-# decides them, with whether it finds an assignment: the trips of the last
+# Inputs by the step of `makespan_assign` that decides them, with whether it
+# finds an assignment. At the sched-n60-fr1 bound: the trips of the last
 # ILBIM individual fit first-fit-decreasing; those of the one before fail
 # the L2 bound; its mutant under seed 1058 has 14 trips, which exact search
-# proves unassignable. Above 22 trips, 23 trips of 0.34 e_max each pass the
-# L2 bound, which counts only their volume (7.82 robots), but any three
-# exceed e_max, so all 200 first-fit restarts fail.
-MAKESPAN_CASES = {"ffd": True, "l2": False, "exact": False, "fallback": False}
+# proves unassignable. Above 22 trips the search runs under its step budget:
+# 23 trips of 0.34 e_max each pass the L2 bound, which counts only their
+# volume (7.82 robots), but any three exceed e_max, which the search proves
+# in 45 steps. The give-up is the 336-trip input of
+# `tests/fixtures/search_above_limit.json` (100 robots, n=965), on which the
+# search uses its whole budget.
+MAKESPAN_CASES = {
+    "ffd": ("ffd", True),
+    "l2": ("l2", False),
+    "exact": ("exact", False),
+    "fallback": ("budgeted", False),
+    "giveup": ("budgeted", False),
+}
+SEARCH_FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "search_above_limit.json"
 
 
 @functools.cache
@@ -325,6 +338,15 @@ def _mutant(sol, inst, seed):
     return _resplit([mutate(sol.task_sequence(), random.Random(seed), 1.0)], inst)[0][0]
 
 
+def _makespan_args(case):
+    """(energies, robots, e_max) of a `MAKESPAN_CASES` input."""
+    if case == "giveup":
+        fixture = json.loads(SEARCH_FIXTURE.read_text())["giveup"]
+        energies = [float.fromhex(e) for e in fixture["energies"]]
+        return energies, fixture["robots"], float.fromhex(fixture["e_max"])
+    return _makespan_input(case), ROBOTS, _bound()
+
+
 def _makespan_input(case):
     if case == "fallback":
         return [0.34 * _bound()] * 23
@@ -347,15 +369,16 @@ def _deciding_step(energies, m, e_max):
         return "ffd"
     if scheduler._robots_lower_bound(energies, e_max) > m:
         return "l2"
-    return "exact" if len(energies) <= scheduler.EXACT_TRIP_LIMIT else "fallback"
+    return "exact" if len(energies) <= scheduler.EXACT_TRIP_LIMIT else "budgeted"
 
 
 @pytest.mark.parametrize("case", list(MAKESPAN_CASES))
 def test_makespan_assign(benchmark, case):
-    energies = _makespan_input(case)
-    assert _deciding_step(energies, ROBOTS, _bound()) == case
-    out = benchmark(scheduler.makespan_assign, energies, ROBOTS, _bound())
-    assert (out is not None) == MAKESPAN_CASES[case]
+    energies, robots, e_max = _makespan_args(case)
+    step, found = MAKESPAN_CASES[case]
+    assert _deciding_step(energies, robots, e_max) == step
+    out = benchmark(scheduler.makespan_assign, energies, robots, e_max)
+    assert (out is not None) == found
 
 
 @functools.cache

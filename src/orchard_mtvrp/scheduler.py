@@ -1,9 +1,10 @@
 """Assigning generated trips to robots under a shared energy budget.
 
-makespan_assign decides feasibility exactly for up to 22 trips (first-fit-
-decreasing fast path, then the L2 lower bound, then depth-first search with
-symmetry pruning); beyond that it falls back to seeded first-fit restarts and
-may miss feasible assignments (incomplete, but deterministic). repair splits
+makespan_assign decides feasibility by a first-fit-decreasing fast path,
+then the L2 lower bound, then depth-first bin completion with symmetry and
+dominance pruning. Up to 22 trips the search runs to the end, so None means
+unassignable; above that it stops after `_SEARCH_STEPS` steps, so None means
+unassignable or out of steps (incomplete, but deterministic). repair splits
 overweight trips task by task until an assignment exists or no trip can be
 split further.
 
@@ -20,17 +21,19 @@ holds no witness, and the depth-first search returns the same first witness.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice, repeat
 from operator import le
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import GiantSolution, Instance, expand_overloads, ordered_sum, trip_energy
 
 EXACT_TRIP_LIMIT = 22
-_FALLBACK_RESTARTS = 200
+# Steps of `_maximal_completions`' recursion the search may take above
+# EXACT_TRIP_LIMIT trips (README, "Algorithm notes").
+_SEARCH_STEPS = 2**16
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,8 @@ def makespan_assign(
     trip_energies: Sequence[float], m: int, e_max: float
 ) -> Schedule | None:
     """A witness assignment of trips to m robots with per-robot energy
-    <= e_max, or None when none exists (exact up to EXACT_TRIP_LIMIT trips)."""
+    <= e_max, or None when none exists. Up to EXACT_TRIP_LIMIT trips None is
+    a proof; above it, None also when the search used its _SEARCH_STEPS."""
     t = len(trip_energies)
     if m < 1:
         raise ValueError("need at least one robot")
@@ -91,16 +95,11 @@ def makespan_assign(
     # Only now: whenever first-fit-decreasing finds a witness, the bound is <= m.
     if _robots_lower_bound(trip_energies, e_max) > m:
         return None
-    if t <= EXACT_TRIP_LIMIT:
-        return _exact_search(order, trip_energies, m, e_max)
-    rng = random.Random(t * 1009 + m)
-    shuffled = list(order)
-    for _ in range(_FALLBACK_RESTARTS):
-        rng.shuffle(shuffled)
-        found = _first_fit(shuffled, trip_energies, m, e_max)
-        if found is not None:
-            return found
-    return None
+    steps = islice(repeat(None), _SEARCH_STEPS if t > EXACT_TRIP_LIMIT else None)
+    try:
+        return _exact_search(order, trip_energies, m, e_max, steps)
+    except StopIteration:  # out of steps: neither a witness nor a proof
+        return None
 
 
 def _robots_lower_bound(energies: Sequence[float], e_max: float) -> int:
@@ -167,7 +166,8 @@ def _first_fit(
 
 
 def _exact_search(
-    order: Sequence[int], energies: Sequence[float], m: int, e_max: float
+    order: Sequence[int], energies: Sequence[float], m: int, e_max: float,
+    steps: Iterator[None] = repeat(None),
 ) -> Schedule | None:
     """Bin-oriented depth-first search (robots are interchangeable, so each
     new robot is anchored by the largest unassigned trip). Completions are
@@ -187,6 +187,10 @@ def _exact_search(
     child is skipped, and counts as a failed sibling, before its list is
     built. A child's energy sum is added up left to right as its list is
     built, which is the float `ordered_sum` of the list gives.
+
+    `steps` is passed on to `_maximal_completions`: a finite one stops the
+    search with StopIteration once it runs dry, and a witness found before
+    that is the one the search finds with no limit.
     """
     items = [(energies[i], i) for i in order]  # descending energy
     assignment = [-1] * len(energies)
@@ -210,7 +214,7 @@ def _exact_search(
         pool = remaining[1:]
         room = e_max - anchor_e
         # when not even the smallest trip fits, the anchor's robot is complete
-        completions = _maximal_completions(pool, room) if pool[-1][0] <= room else [[]]
+        completions = _maximal_completions(pool, room, steps) if pool[-1][0] <= room else [[]]
         failed: list[list[float]] = []
         for chosen in completions:
             taken = 1 << anchor_i
@@ -249,7 +253,7 @@ def _exact_search(
 
 
 def _maximal_completions(
-    pool: list[tuple[float, int]], capacity: float
+    pool: list[tuple[float, int]], capacity: float, steps: Iterator[None] = repeat(None)
 ) -> list[list[tuple[float, int]]]:
     """All inclusion-maximal subsets of pool with total energy <= capacity,
     fullest first. pool must be sorted by descending energy.
@@ -257,13 +261,17 @@ def _maximal_completions(
     Items that do not fit what is left are jumped over (by bisection on the
     descending pool): one too big now is too big for every later state, so it
     can never make a set non-maximal, and once the smallest item does not fit
-    the set is complete."""
+    the set is complete.
+
+    Each step of the recursion takes an item from `steps`, so StopIteration
+    escapes once a finite `steps` runs dry; the default never does."""
     out: list[tuple[float, list[tuple[float, int]]]] = []
     chosen: list[tuple[float, int]] = []
     negated = [-e for e, _ in pool]  # ascending, for bisect
     n = len(pool)
 
     def rec(i: int, cap_left: float, min_excluded: float) -> None:
+        next(steps)
         i = bisect_left(negated, -cap_left, i)  # first item from i that fits
         if i == n:
             if min_excluded > cap_left:

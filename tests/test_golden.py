@@ -78,7 +78,7 @@ CONFIGS: dict[str, dict] = {
 # of Z_single/m, where z is the unbounded run's best) near the unbounded
 # run's 189 trips, where the bound binds: Fr1 repairs succeed at 150 robots,
 # the best moves at 180, where Fr2 and Fr3 end infeasible, and at 100 robots
-# `makespan_assign` reaches its first-fit restarts.
+# `makespan_assign` runs out of search steps on 13 inputs above 22 trips.
 N965 = OrchardSpec(70, 1225, 0.8, seed=1)
 SCHED_N60 = {"framework": "Fr1", "robots": 8, "single_share": 0.55}
 PAPER_BOUNDS = {

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import random
 from pathlib import Path
@@ -315,10 +316,10 @@ class TestRejectionStepsMatchReference:
         calls = 0
         original = scheduler._maximal_completions
 
-        def counting(pool, capacity):
+        def counting(pool, capacity, *args):
             nonlocal calls
             calls += 1
-            return original(pool, capacity)
+            return original(pool, capacity, *args)
 
         monkeypatch.setattr(scheduler, "_maximal_completions", counting)
         assert makespan_assign(energies, kernels.ROBOTS, e_max) is None
@@ -681,7 +682,7 @@ class TestLargeTripFallback:
         energies = [2.0] * 25
         assert makespan_assign(energies, 2, 20.0) is None
 
-    def test_restart_finds_witness_after_first_fit_decreasing_fails(self):
+    def test_search_finds_witness_after_first_fit_decreasing_fails(self):
         energies = [0.34, 0.27, 0.42, 0.12, 0.4, 0.47, 0.37, 0.53, 0.13, 0.37, 0.11, 0.29,
                     0.48, 0.13, 0.53, 0.56, 0.14, 0.57, 0.27, 0.23, 0.17, 0.48, 0.11, 0.34]
         assert len(energies) > scheduler.EXACT_TRIP_LIMIT
@@ -692,8 +693,6 @@ class TestLargeTripFallback:
         assert s is not None
         _validate(s, energies, 8, 1.0)
 
-    # ROADMAP item 5 (bin completion under a node budget) is the fix.
-    @pytest.mark.xfail(strict=True, reason="restarts above EXACT_TRIP_LIMIT miss this witness")
     def test_assignable_input_beyond_limit_is_placed(self):
         energies = [0.45, 0.44, 0.43, 0.42, 0.41, 0.41, 0.39, 0.38, 0.35, 0.35, 0.34, 0.32,
                     0.32, 0.31, 0.3, 0.3, 0.27, 0.27, 0.27, 0.26, 0.26, 0.21, 0.21, 0.21]
@@ -704,3 +703,88 @@ class TestLargeTripFallback:
         s = makespan_assign(energies, 8, 1.0)
         assert s is not None
         _validate(s, energies, 8, 1.0)
+
+    def test_a_budget_short_of_the_witness_gives_none(self, monkeypatch):
+        # The search places this input at its 568th step: with fewer steps it
+        # stops with None, never with another witness.
+        energies = [0.45, 0.44, 0.43, 0.42, 0.41, 0.41, 0.39, 0.38, 0.35, 0.35, 0.34, 0.32,
+                    0.32, 0.31, 0.3, 0.3, 0.27, 0.27, 0.27, 0.26, 0.26, 0.21, 0.21, 0.21]
+        witness = scheduler._exact_search(_decreasing(energies), energies, 8, 1.0)
+        for budget, expected in ((1, None), (567, None), (568, witness), (569, witness)):
+            monkeypatch.setattr(scheduler, "_SEARCH_STEPS", budget)
+            assert makespan_assign(energies, 8, 1.0) == expected, budget
+
+
+def _fixture_case(case):
+    return [float.fromhex(e) for e in case["energies"]], case["robots"], float.fromhex(case["e_max"])
+
+
+def _reaches_search(energies, m, e_max):
+    """Whether `makespan_assign` hands the input to `_exact_search`: it passes
+    the max and sum tests, fails first-fit-decreasing and passes L2."""
+    return (max(energies) <= e_max and ordered_sum(energies) <= m * e_max * (1 + 1e-12)
+            and len(energies) > m
+            and scheduler._first_fit(_decreasing(energies), energies, m, e_max) is None
+            and scheduler._robots_lower_bound(energies, e_max) <= m)
+
+
+class TestSearchAboveLimit:
+    """The search under its step budget, above EXACT_TRIP_LIMIT trips: on the
+    inputs measured runs handed it, from `tests/fixtures/search_above_limit.json`
+    (its "about" says which runs), and on random ones."""
+
+    FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "search_above_limit.json").read_text())
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_run_input_is_placed_with_the_unbudgeted_witness(self, index):
+        # 37 and 38 trips on 8 robots, placed at 38,644 and 58,312 steps.
+        energies, m, e_max = _fixture_case(self.FIXTURE["placed"][index])
+        assert len(energies) > scheduler.EXACT_TRIP_LIMIT and _reaches_search(energies, m, e_max)
+        s = makespan_assign(energies, m, e_max)
+        assert s is not None
+        assert s == scheduler._exact_search(_decreasing(energies), energies, m, e_max)
+        _validate(s, energies, m, e_max)
+
+    def test_paper_scale_input_gives_up_within_the_budget(self, monkeypatch):
+        # 336 trips on 100 robots, their energies 99.7 % of m * e_max.
+        energies, m, e_max = _fixture_case(self.FIXTURE["giveup"])
+        assert len(energies) == 336 and _reaches_search(energies, m, e_max)
+        used = 0
+        original = scheduler._maximal_completions
+
+        def counting(pool, capacity, steps):
+            def step(_):
+                nonlocal used
+                used += 1
+            return original(pool, capacity, map(step, steps))
+
+        monkeypatch.setattr(scheduler, "_maximal_completions", counting)
+        assert makespan_assign(energies, m, e_max) is None
+        assert used == scheduler._SEARCH_STEPS
+
+    def test_any_witness_is_the_unbudgeted_one(self):
+        # 23 to 28 trips and as many robots as their volume needs: half fill
+        # robots to exactly e_max with whole numbers, half draw two decimals.
+        rng = random.Random(64)
+        outcomes = {True: 0, False: 0}
+        for _ in range(1500):
+            t = rng.randint(23, 28)
+            if rng.random() < 0.5:
+                e_max, energies = float(rng.randint(10, 30)), []
+                while len(energies) < t:
+                    left = int(e_max)
+                    while left > 0 and len(energies) < t:
+                        part = min(left, rng.randint(1, int(e_max * 0.6)))
+                        energies.append(float(part))
+                        left -= part
+                rng.shuffle(energies)
+            else:
+                e_max, energies = 1.0, [round(rng.uniform(0.05, 0.6), 2) for _ in range(t)]
+            m = math.ceil(ordered_sum(energies) / e_max)
+            if not _reaches_search(energies, m, e_max):
+                continue
+            s = makespan_assign(energies, m, e_max)
+            outcomes[s is not None] += 1
+            if s is not None:
+                assert s == scheduler._exact_search(_decreasing(energies), energies, m, e_max)
+        assert outcomes[True] > 50 and outcomes[False] > 5, outcomes
