@@ -146,11 +146,20 @@ def _add_field_flags(parser: argparse.ArgumentParser, cls: type, only: tuple[str
 _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), type(None): (type(None),)}
 
 
+def _read(path: Path, parse):
+    """`parse` of the text of `path`. Its ValueError, or the file's not being
+    UTF-8, is raised as a ValueError that names the file."""
+    try:
+        return parse(path.read_text())
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _from_config_file(path: Path, cls: type):
     """Build `cls` from the JSON object in `path`. A misspelt, missing or
     mistyped field, or an enum field given none of its values, raises
     ValueError, so the CLI reports it in one line."""
-    payload = json.loads(path.read_text())
+    payload = _read(path, json.loads)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a JSON object of {cls.__name__} fields")
     hints = get_type_hints(cls)
@@ -240,7 +249,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _load_instance(path: Path) -> Instance:
-    return parse_instance(path.read_text())
+    return _read(path, parse_instance)
 
 
 def _check_out_dir(path: Path) -> None:
@@ -333,9 +342,8 @@ def _method_fields(method: str) -> tuple[dict, float | None]:
     )
 
 
-def _bench_job(job: tuple[str, SolverConfig]) -> float:
-    inst_path, cfg = job
-    result = run_aedga(_load_instance(Path(inst_path)), cfg)
+def _bench_job(job: tuple[Instance, SolverConfig]) -> float:
+    result = run_aedga(*job)
     return result.best_energy if result.status == "ok" else math.inf
 
 
@@ -367,10 +375,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         unbounded.append("aedga")  # the runs z comes from
     flags = {name: getattr(args, name) for name in BENCH_FIELDS}
     seeds = [args.seed + i for i in range(args.runs)]
+    instances = {path: _load_instance(Path(path)) for path in paths}
 
     def solve(cells: dict[tuple[str, str], dict]) -> dict[tuple[str, str], list[float]]:
         """The best energies of each (instance, method) cell, one per seed."""
-        jobs = [(path, SolverConfig(seed=seed, **flags, **fields))
+        jobs = [(instances[path], SolverConfig(seed=seed, **flags, **fields))
                 for (path, _), fields in cells.items() for seed in seeds]
         pool_size = min(workers, len(jobs))  # the pool forks all its workers at once
         if pool_size > 1:
@@ -419,7 +428,10 @@ def _parse_cell(cell: str, where: str) -> float:
 def read_matrix(path: Path) -> tuple[list[str], list[list[float]]]:
     """The method columns and the rows of values of a results matrix."""
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValueError(f"matrix {path}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"matrix {path} needs a header and at least one row")
     header = rows[0]
@@ -506,7 +518,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_export_routes(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    payload = json.loads(args.result.read_text())
+    payload = _read(args.result, json.loads)
     tokens = payload.get("tokens") if isinstance(payload, dict) else None
     if not (isinstance(tokens, list) and all(type(t) is int for t in tokens)):
         raise ValueError(f"{args.result} is not a solve result: no 'tokens' list of task ids")

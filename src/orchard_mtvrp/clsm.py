@@ -131,8 +131,8 @@ class TripCache:
     every entry goes.
 
     `split_tables` is the working memory of the split program
-    (`evolution._resplit`), an `empty_table` grown to the largest batch and
-    reused by every split of the run, so the run maps it once."""
+    (`evolution._resplit`), one array grown to the largest batch and reused
+    by every split of the run, so the run allocates it once."""
 
     def __init__(self) -> None:
         self.slots: dict[tuple[int, ...], SlotState] = {}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import mmap
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -26,20 +25,6 @@ class ConfigurationError(ValueError):
 
 
 _DIST_BLOCK_ROWS = 64
-_MAP_BYTES = 128 * 1024  # glibc's default threshold for mmap-ing a block
-
-
-def empty_table(shape: tuple[int, ...], dtype: np.dtype | type) -> np.ndarray:
-    """An uninitialized array, from 128 KiB on in a private memory map that
-    gives its pages back when freed: on the heap, smaller objects settle
-    around a freed large block and the next large table grows the process."""
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    if size < _MAP_BYTES:
-        return np.empty(shape, dtype)
-    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=dtype).reshape(shape)
 
 
 def _coordinate_array(coords: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -60,16 +45,16 @@ def _coordinate_array(coords: Sequence[tuple[float, float]]) -> np.ndarray:
 
 def build_distance_matrix(coords: Sequence[tuple[float, float]]) -> np.ndarray:
     """Full-precision Euclidean distance matrix (no rounding), index 0 = depot,
-    made by `empty_table`: a private memory map from n >= 128 on. Each entry
-    is fl(sqrt(fl(fl(dx**2) + fl(dy**2)))), bit for bit what summing the
-    squared differences over a length-2 axis gives. Coordinates are checked
-    by `_coordinate_array`, and every distance must be finite too: points
-    about 1e154 apart overflow. An `Instance` calls this on the first read of
-    its `dist`, which `parse_instance` makes before it returns."""
+    read-only. Each entry is fl(sqrt(fl(fl(dx**2) + fl(dy**2)))), bit for
+    bit what summing the squared differences over a length-2 axis gives.
+    Coordinates are checked by `_coordinate_array`, and every distance must
+    be finite too: points about 1e154 apart overflow. An `Instance` calls
+    this on the first read of its `dist`, which `parse_instance` makes
+    before it returns."""
     pts = _coordinate_array(coords)
     n = len(pts)
     x, y = np.ascontiguousarray(pts.T)
-    dist = empty_table((n, n), float)
+    dist = np.empty((n, n))
     # One coordinate at a time, in row blocks: dx**2 is written straight into
     # the matrix and dy**2 added from one (64, n) buffer, the only temporary.
     # Squaring a (64, n, 2) block of differences and summing its last axis

@@ -27,7 +27,6 @@ from .core import (
     GiantSolution,
     Instance,
     check_cover,
-    empty_table,
     expand_overloads,
     ordered_sum,
 )
@@ -151,7 +150,7 @@ def _resplit(
     # tasks at positions end - k to end - 1, so the start rises along axis 1.
     size = 2 * n * longest * batch
     if cache.split_tables.size < size:
-        cache.split_tables = empty_table((size,), float)
+        cache.split_tables = np.empty(size)
     sums, back = cache.split_tables[:size].reshape(2, n, longest, batch)
     back_leg = d[order, 0]
     arc = d[order[:-1], order[1:]]  # arc[j - 1] joins position j - 1 to j

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigurationError, GiantSolution, Instance, empty_table
+from .core import ConfigurationError, GiantSolution, Instance
 
 # Sorted yields y < y' with y' > fl(y * (1 + 2**-50)) give distinct shares
 # fl(y / h) < fl(y' / h) at every headroom h >= y', so dividing by the
@@ -48,9 +48,9 @@ def dense_ranks(values: np.ndarray) -> np.ndarray:
 
 def pick_keys(inst: Instance) -> tuple[np.ndarray, np.ndarray | None]:
     """The sort keys of `construct_solution`'s picks: the dense ranks of each
-    distance row, in an `empty_table`, and those of -yield, or None where
-    close yields could tie as shares (`_SHARE_GAP`)."""
-    near = empty_table(inst.dist.shape, np.min_scalar_type(inst.n))
+    distance row, ranked `_KEY_BLOCK_ROWS` rows at a time, and those of
+    -yield, or None where close yields could tie as shares (`_SHARE_GAP`)."""
+    near = np.empty(inst.dist.shape, np.min_scalar_type(inst.n))
     for lo in range(0, len(near), _KEY_BLOCK_ROWS):
         near[lo : lo + _KEY_BLOCK_ROWS] = dense_ranks(inst.dist[lo : lo + _KEY_BLOCK_ROWS])
     ys = np.sort(inst.yields[1:])

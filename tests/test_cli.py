@@ -140,6 +140,16 @@ class TestGen:
         assert err.startswith("error: ") and "maturty_rate" in err
         assert err.count("\n") == 1
 
+    def test_config_not_json_one_line_error_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text('{"side_length": 20,}')
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: Expecting property name")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field, value, message", [
         ("tree_count", 12.5, "tree_count must be int, got 12.5"),
         ("grid", "no", 'grid must be bool, got "no"'),
@@ -297,10 +307,32 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: the distance between the depot and task 1 is not finite: "
+            f"error: {path}: the distance between the depot and task 1 is not finite: "
             "their coordinates are too far apart\n"
         )
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_instance_not_utf8_one_line_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.vrp"
+        write_instance(path, n=2)
+        path.write_bytes(path.read_bytes().replace(b"NAME : latin", b"NAME : \xff"))
+        rc = main(["solve", str(path), "--budget-evals", "10"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert captured.err.count("\n") == 1
+
+    def test_config_not_json_one_line_error_naming_the_file(self, tmp_path, capsys):
+        write_instance(tmp_path / "c.vrp", n=2)
+        cfg = tmp_path / "solver.json"
+        cfg.write_text("{populaton: 5}")
+        rc = main(["solve", str(tmp_path / "c.vrp"), "--config", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}: Expecting property name")
+        assert captured.err.count("\n") == 1
 
     def test_config_unknown_key_one_line_error(self, tmp_path, capsys):
         write_instance(tmp_path / "c.vrp", n=2)
@@ -535,6 +567,23 @@ class TestBench:
         assert solves == []
         assert not out.exists()
 
+    def test_bad_instance_in_glob_named_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        write_instance(tmp_path / "a.vrp", n=2)
+        bad = tmp_path / "b.vrp"
+        write_instance(bad, n=2)
+        bad.write_text(bad.read_text().replace("3 20 0", "3 20 x"))
+        solves = []
+        monkeypatch.setattr(cli, "run_aedga", lambda *args: solves.append(args))
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--instances", str(tmp_path / "*.vrp"), "--runs", "2", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: line ") and "bad y 'x'" in captured.err
+        assert captured.err.count("\n") == 1
+        assert solves == []
+        assert not out.exists()
+
     def test_missing_out_directory_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
         write_instance(tmp_path / "m.vrp", n=3)
         solves = []
@@ -686,6 +735,21 @@ class TestStats:
         assert captured.err.startswith("error: ") and "line 8" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b"instance,a\np1,\xff1.0\n", "'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+        pytest.param(b"instance,a\np1," + b"9" * 200_000 + b"\n", "field larger than field limit",
+                     id="oversized-field"),
+    ])
+    def test_unreadable_matrix_one_line_error_naming_the_file(self, tmp_path, capsys, content, message):
+        matrix = tmp_path / "m.csv"
+        matrix.write_bytes(content)
+        rc = main(["stats", "--matrix", str(matrix), "--test", "friedman"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: matrix {matrix}: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_empty_cell_one_line_error_naming_its_place(self, tmp_path, capsys):
         matrix = tmp_path / "m.csv"
         matrix.write_text("instance,a,b\np1,1.0,\np2,2.0,3.0\n")
@@ -779,6 +843,18 @@ class TestExportRoutes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "tokens" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+    def test_result_not_json_one_line_error_naming_the_file(self, tmp_path, capsys):
+        write_instance(tmp_path / "e.vrp", n=1)
+        result = tmp_path / "bad.json"
+        result.write_text('{"tokens": [0, 1, 0],}')
+        rc = main(["export-routes", "--instance", str(tmp_path / "e.vrp"), "--result", str(result)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {result}: Expecting property name")
         assert captured.err.count("\n") == 1
 
 

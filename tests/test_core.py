@@ -1,5 +1,4 @@
 import math
-import mmap
 import pickle
 import random
 import warnings
@@ -17,7 +16,6 @@ from orchard_mtvrp.core import (
     build_distance_matrix,
     check_cover,
     decode_trips,
-    empty_table,
     evaluate,
     ordered_sum,
     trip_energy,
@@ -67,8 +65,7 @@ class TestDistanceMatrix:
         with pytest.raises(ConfigurationError, match=r"\(x, y\) pairs"):
             build_distance_matrix(coords)
 
-    # Below 128 points the matrix is on the heap, from 128 in a memory map;
-    # rows are built in blocks of 64.
+    # Rows are built in blocks of 64.
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300, 966, 1500])
     def test_bit_equal_to_full_formula(self, n):
         rng = random.Random(n)
@@ -111,20 +108,6 @@ class TestDistanceMatrix:
         assert not d.flags.writeable
         with pytest.raises(ValueError):
             d[0, 1] = 1.0
-
-    @pytest.mark.parametrize("shape, dtype, mapped", [
-        ((127, 128), np.float64, False),
-        ((128, 128), np.float64, True),
-        ((362, 362), np.uint8, False),
-        ((966, 966), np.uint16, True),
-    ])
-    def test_tables_of_128_kib_or_more_are_mapped(self, shape, dtype, mapped):
-        table = empty_table(shape, dtype)
-        assert table.shape == shape and table.dtype == dtype and table.flags.writeable
-        owner = table
-        while isinstance(owner, (np.ndarray, memoryview)):
-            owner = owner.obj if isinstance(owner, memoryview) else owner.base
-        assert isinstance(owner, mmap.mmap) == mapped
 
     @pytest.mark.parametrize("n", [30, 200])
     def test_pickle_round_trip(self, n):

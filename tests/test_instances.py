@@ -78,7 +78,7 @@ class TestParse:
         path = tmp_path / "twice.vrp"
         path.write_text(MINIMAL.replace("NAME : tiny\n", "NAME : tiny\nname : other\n"))
         assert main(["solve", str(path), "--budget-evals", "1"]) == 1
-        assert capsys.readouterr().err == "error: line 2: repeated header field NAME\n"
+        assert capsys.readouterr().err == f"error: {path}: line 2: repeated header field NAME\n"
 
     def test_rounding_not_applied(self):
         text = MINIMAL.replace("2 3 4", "2 1 1").replace("DIMENSION : 2", "DIMENSION : 2")
